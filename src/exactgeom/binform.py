@@ -319,23 +319,21 @@ def resultant_wrt(f: MultiPoly, g: MultiPoly, name: str) -> MultiPoly:
 # --- gcd and squarefree part --------------------------------------------------
 
 
-def _strip_pair_powers(coeffs: list) -> tuple[int, int, list]:
-    """Write the form as u^a v^b * core, returning (a, b, core coefficients)."""
+def dehomogenize(coeffs: list) -> tuple[int, int, list]:
+    """Write a form as u^a v^b * core and dehomogenize the core.
+
+    ``coeffs[i]`` multiplies u^(m-i) v^i.  Returns ``(a, b, core)`` with the
+    core as a univariate polynomial in u/v, low degree first, so that a > 0
+    marks a root at [0:1] and b > 0 a root at [1:0].
+    """
     lead = 0
     while lead < len(coeffs) and not coeffs[lead]:
         lead += 1
     trail = 0
     while trail < len(coeffs) - lead and not coeffs[len(coeffs) - 1 - trail]:
         trail += 1
-    core = coeffs[lead : len(coeffs) - trail]
-    # coeffs[i] multiplies u^(m-i) v^i: leading zeros give powers of v,
-    # trailing zeros give powers of u
-    return trail, lead, core
-
-
-def _dehomogenize(core: list) -> list:
-    """Core coefficients (descending u) to a univariate polynomial in u/v."""
-    return list(reversed(core))
+    # leading zeros give powers of v, trailing zeros give powers of u
+    return trail, lead, list(reversed(coeffs[lead : len(coeffs) - trail]))
 
 
 def _rehomogenize(domain, variables, pair, univariate: list, extra_u: int, extra_v: int) -> BinaryForm:
@@ -375,10 +373,8 @@ def binary_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     if g.is_zero():
         return _normalize_monic(f)
     domain, variables, pair = f.poly.domain, f.poly.variables, f.pair
-    uf, vf, core_f = _strip_pair_powers(f.coefficient_list())
-    ug, vg, core_g = _strip_pair_powers(g.coefficient_list())
-    pf = _dehomogenize(core_f)
-    pg = _dehomogenize(core_g)
+    uf, vf, pf = dehomogenize(f.coefficient_list())
+    ug, vg, pg = dehomogenize(g.coefficient_list())
     h = univar.gcd(pf, pg, domain)
     return _normalize_monic(
         _rehomogenize(domain, variables, pair, h, min(uf, ug), min(vf, vg))
@@ -397,8 +393,7 @@ def squarefree_part(f: BinaryForm) -> BinaryForm:
     char = domain.char
     if char and char <= f.degree:
         raise ValueError("squarefree part needs characteristic 0 or > deg f")
-    uf, vf, core = _strip_pair_powers(f.coefficient_list())
-    p = _dehomogenize(core)
+    uf, vf, p = dehomogenize(f.coefficient_list())
     s = univar.squarefree_part(p, domain)
     return _normalize_monic(
         _rehomogenize(domain, f.poly.variables, f.pair, s, min(uf, 1), min(vf, 1))

@@ -267,6 +267,13 @@ def _validated_seed(text: str) -> int:
     return value
 
 
+def _validated_count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("counts must be positive")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="exactgeom",
@@ -291,11 +298,13 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="N",
             help=f"pencil seed, repeatable (default {list(DEFAULT_SEEDS)})",
         )
-        cmd.add_argument("--trials", type=int, help="cap the number of (prime, seed) trials")
+        cmd.add_argument(
+            "--trials", type=_validated_count, help="cap the number of (prime, seed) trials"
+        )
         cmd.add_argument("--out", help="write the JSON report to this path")
         cmd.add_argument(
             "--fuzz-count",
-            type=int,
+            type=_validated_count,
             default=DEFAULT_FUZZ,
             help="number of random quartics over the prime field (default %(default)s)",
         )

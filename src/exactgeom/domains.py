@@ -10,6 +10,11 @@ Three kinds of domain are supported:
   so towers (needed for "adjoin a square root" constructions) come for free.
   Elements wrap a tuple of base raw values, low degree first.
 
+No polynomial arithmetic is implemented here.  Extension elements are
+multiplied, reduced and inverted through the package's two univariate
+representations: :mod:`exactgeom.zpoly` (raw ints) for towers of height one,
+the hot path, and :mod:`exactgeom.univar` (field elements) above that.
+
 All elements support ``+ - * / **`` and compare exactly; there is no floating
 point anywhere.  Domains and elements are immutable and safe to share.
 """
@@ -20,7 +25,7 @@ import math
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from . import zpoly
+from . import univar, zpoly
 from .errors import DomainMismatchError
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -369,7 +374,7 @@ class ExtensionField(FiniteField):
         self.degree = len(mod) - 1
         self.name = name
         self._order = base.order**self.degree
-        if check and not _modulus_irreducible(base, mod):
+        if check and not univar.ff_is_irreducible(self._poly(mod), base):
             raise ValueError("extension modulus is reducible over the base field")
 
     @property
@@ -427,30 +432,13 @@ class ExtensionField(FiniteField):
 
     def _rmul(self, a, b):
         base = self.base
-        k = self.degree
         if isinstance(base, PrimeField):
             # raw-int kernel (Kronecker multiply) for towers of height one
             prod = zpoly.zp_mul(zpoly.zp_trim(list(a)), zpoly.zp_trim(list(b)), base.p)
             rem = zpoly.zp_rem(prod, list(self.modulus), base.p)
-            return tuple(rem + [0] * (k - len(rem)))
-        prod = [base._rzero()] * (2 * k - 1)
-        for i, ai in enumerate(a):
-            if base._ris_zero(ai):
-                continue
-            for j, bj in enumerate(b):
-                if base._ris_zero(bj):
-                    continue
-                prod[i + j] = base._radd(prod[i + j], base._rmul(ai, bj))
-        # reduce modulo the monic modulus
-        for i in range(2 * k - 2, k - 1, -1):
-            lead = prod[i]
-            if base._ris_zero(lead):
-                continue
-            prod[i] = base._rzero()
-            shift = i - k
-            for j in range(k):
-                prod[shift + j] = base._rsub(prod[shift + j], base._rmul(lead, self.modulus[j]))
-        return tuple(prod[:k])
+            return tuple(rem + [0] * (self.degree - len(rem)))
+        prod = univar.mul(self._poly(a), self._poly(b), base)
+        return self._raw(univar.rem(prod, self._poly(self.modulus), base))
 
     def _rinv(self, a):
         if self._ris_zero(a):
@@ -459,9 +447,16 @@ class ExtensionField(FiniteField):
         if isinstance(base, PrimeField):
             inv = zpoly.zp_inv_mod(zpoly.zp_trim(list(a)), list(self.modulus), base.p)
             return tuple(inv + [0] * (self.degree - len(inv)))
-        inv = _rp_inv_mod(base, list(a), list(self.modulus))
-        inv = inv + [base._rzero()] * (self.degree - len(inv))
-        return tuple(inv[: self.degree])
+        return self._raw(univar.inv_mod(self._poly(a), self._poly(self.modulus), base))
+
+    def _poly(self, raw) -> list:
+        """A raw value (or the modulus) as a univar polynomial over the base."""
+        return univar.trim([FieldElement(self.base, c) for c in raw])
+
+    def _raw(self, poly: list) -> tuple:
+        """A univar polynomial of degree below ``degree`` as a raw value."""
+        pad = (self.base._rzero(),) * (self.degree - len(poly))
+        return tuple(c.value for c in poly) + pad
 
     def _rrand(self, rng):
         return tuple(self.base._rrand(rng) for _ in range(self.degree))
@@ -496,150 +491,6 @@ class ExtensionField(FiniteField):
 
     def __hash__(self) -> int:
         return hash(("ExtensionField", self.base, self.modulus))
-
-
-# --- raw polynomial helpers over a finite field (used for extension arithmetic) ---
-
-
-def _rp_trim(field: FiniteField, cs: list) -> list:
-    while cs and field._ris_zero(cs[-1]):
-        cs.pop()
-    return cs
-
-
-def _rp_rem(field: FiniteField, a: list, b: list) -> list:
-    """Remainder of a by b (b nonzero), raw coefficient lists, low degree first."""
-    a = list(a)
-    _rp_trim(field, a)
-    lead_inv = field._rinv(b[-1])
-    db = len(b) - 1
-    while len(a) - 1 >= db and a:
-        factor = field._rmul(a[-1], lead_inv)
-        shift = len(a) - 1 - db
-        for j in range(db + 1):
-            a[shift + j] = field._rsub(a[shift + j], field._rmul(factor, b[j]))
-        _rp_trim(field, a)
-    return a
-
-
-def _rp_mul(field: FiniteField, a: list, b: list) -> list:
-    if not a or not b:
-        return []
-    out = [field._rzero()] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if field._ris_zero(ai):
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] = field._radd(out[i + j], field._rmul(ai, bj))
-    return _rp_trim(field, out)
-
-
-def _rp_inv_mod(field: FiniteField, a: list, m: list) -> list:
-    """Inverse of a modulo m via the extended Euclidean algorithm."""
-    r0, r1 = list(m), _rp_rem(field, a, m)
-    t0, t1 = [], [field._rfrom_int(1)]
-    while r1:
-        lead_inv = field._rinv(r1[-1])
-        d0, d1 = len(r0) - 1, len(r1) - 1
-        if d0 < d1:
-            r0, r1, t0, t1 = r1, r0, t1, t0
-            continue
-        # one division step: r0 -= q * r1 with q a monomial
-        factor = field._rmul(r0[-1], lead_inv)
-        shift = d0 - d1
-        q = [field._rzero()] * shift + [factor]
-        new_r = list(r0)
-        for j in range(d1 + 1):
-            new_r[shift + j] = field._rsub(new_r[shift + j], field._rmul(factor, r1[j]))
-        _rp_trim(field, new_r)
-        qt1 = _rp_mul(field, q, t1)
-        new_t = [field._rzero()] * max(len(t0), len(qt1))
-        for i, c in enumerate(t0):
-            new_t[i] = c
-        for i, c in enumerate(qt1):
-            new_t[i] = field._rsub(new_t[i], c)
-        _rp_trim(field, new_t)
-        if len(new_r) - 1 < len(r1) - 1 or not new_r:
-            r0, r1 = r1, new_r
-            t0, t1 = t1, new_t
-        else:
-            r0, t0 = new_r, new_t
-    if len(r0) != 1:
-        raise ZeroDivisionError("element is not invertible modulo the modulus")
-    scale = field._rinv(r0[0])
-    return [field._rmul(scale, c) for c in t0]
-
-
-def _rp_pow_mod(field: FiniteField, base: list, exponent: int, m: list) -> list:
-    result = [field._rfrom_int(1)]
-    acc = _rp_rem(field, base, m)
-    while exponent:
-        if exponent & 1:
-            result = _rp_rem(field, _rp_mul(field, result, acc), m)
-        exponent >>= 1
-        if exponent:
-            acc = _rp_rem(field, _rp_mul(field, acc, acc), m)
-    return result
-
-
-def _rp_gcd(field: FiniteField, a: list, b: list) -> list:
-    a, b = list(a), list(b)
-    _rp_trim(field, a)
-    _rp_trim(field, b)
-    while b:
-        a, b = b, _rp_rem(field, a, b)
-    if a:
-        scale = field._rinv(a[-1])
-        a = [field._rmul(scale, c) for c in a]
-    return a
-
-
-def _modulus_irreducible(field: FiniteField, mod) -> bool:
-    """Rabin irreducibility test for a monic modulus over a finite field."""
-    n = len(mod) - 1
-    if n <= 0:
-        return False
-    if n == 1:
-        return True
-    q = field.order
-    x = [field._rzero(), field._rfrom_int(1)]
-    mod_list = list(mod)
-    # x^(q^n) == x mod m
-    probe = _rp_pow_mod(field, x, q**n, mod_list)
-    minus_x = [field._rzero(), field._rneg(field._rfrom_int(1))]
-    diff = [field._rzero()] * max(len(probe), 2)
-    for i, c in enumerate(probe):
-        diff[i] = c
-    for i, c in enumerate(minus_x):
-        diff[i] = field._radd(diff[i], c)
-    if _rp_trim(field, diff):
-        return False
-    # gcd(x^(q^(n/l)) - x, m) == 1 for every prime divisor l of n
-    for ell in sorted({f for f in _prime_factors(n)}):
-        probe = _rp_pow_mod(field, x, q ** (n // ell), mod_list)
-        diff = [field._rzero()] * max(len(probe), 2)
-        for i, c in enumerate(probe):
-            diff[i] = c
-        diff[1] = field._rsub(diff[1], field._rfrom_int(1))
-        _rp_trim(field, diff)
-        g = _rp_gcd(field, diff, mod_list)
-        if len(g) != 1:
-            return False
-    return True
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def adjoin_sqrt(field: FiniteField, a: FieldElement, name: str = "s"):

@@ -28,11 +28,17 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import univar, zpoly
-from .binform import BinaryForm, sylvester_resultant
+from .binform import BinaryForm, binary_gcd, dehomogenize, sylvester_resultant
 from .domains import ExtensionField, FieldElement, FiniteField, PrimeField
 from .errors import VerificationError
 from .multipoly import MultiPoly
-from .quartic import QuarticCoeffs, closure_square_witness, disc_delta, sem_d
+from .quartic import (
+    QuarticCoeffs,
+    closure_square_conditions,
+    closure_square_witness,
+    disc_delta,
+    sem_d,
+)
 
 PENCIL_VARS = ("x", "y", "t")
 MIN_PRIME = 1000
@@ -124,18 +130,11 @@ def member_coefficient_forms(f0: Curve34, f1: Curve34) -> list[MultiPoly]:
     """A..E of F0 + t F1 as polynomials in (x, y, t)."""
     if f0.fieldp != f1.fieldp:
         raise ValueError("pencil members live over different fields")
-    fieldp = f0.fieldp
-    out = []
-    for j in range(5):
-        terms = {}
-        for i in range(4):
-            c0, c1 = f0.coeffs[i][j], f1.coeffs[i][j]
-            if c0:
-                terms[(3 - i, i, 0)] = c0
-            if c1:
-                terms[(3 - i, i, 1)] = c1
-        out.append(MultiPoly(fieldp, PENCIL_VARS, terms))
-    return out
+    t = MultiPoly.variable(f0.fieldp, PENCIL_VARS, "t")
+    return [
+        a + t * b
+        for a, b in zip(f0.coefficient_forms(PENCIL_VARS), f1.coefficient_forms(PENCIL_VARS))
+    ]
 
 
 @functools.lru_cache(maxsize=64)
@@ -278,55 +277,21 @@ class _PointChecker:
         gbar = gcd_form
         if univar.deg(gbar) >= 1:
             gbar = univar.squarefree_part(gbar, self.field)
-            abar, bbar, cbar, dbar, ebar = (self._dehom(f) for f in self.abcde)
+            quartic = QuarticCoeffs(*self.abcde)
+            abar = _dehomogenized(quartic.A)
             g_a = univar.gcd(gbar, abar, self.field) if abar else gbar
-            g_main = univar.divmod_(gbar, g_a, self.field)[0]
-            # main branch (A != 0): B(4AC - B^2) = 8 A^2 D and (4AC - B^2)^2 = 64 A^3 E
-            if univar.deg(g_main) >= 1:
-                four_ac = univar.mul(
-                    univar.mul([self.field.elem(4)], abar, self.field), cbar, self.field
-                )
-                h = univar.sub(four_ac, univar.mul(bbar, bbar, self.field), self.field)
-                s1 = univar.sub(
-                    univar.mul(bbar, h, self.field),
-                    univar.mul(
-                        univar.mul([self.field.elem(8)], univar.mul(abar, abar, self.field), self.field),
-                        dbar,
-                        self.field,
-                    ),
-                    self.field,
-                )
-                s2 = univar.sub(
-                    univar.mul(h, h, self.field),
-                    univar.mul(
-                        univar.mul(
-                            [self.field.elem(64)],
-                            univar.mul(univar.mul(abar, abar, self.field), abar, self.field),
-                            self.field,
-                        ),
-                        ebar,
-                        self.field,
-                    ),
-                    self.field,
-                )
-                w = univar.gcd(g_main, s1, self.field) if s1 else g_main
-                w = univar.gcd(w, s2, self.field) if s2 else w
-                if univar.deg(w) >= 1:
-                    return True, self._witness_at_gcd_root(w)
-            # boundary branch (A = 0): B must vanish and D^2 = 4 C E
-            if univar.deg(g_a) >= 1:
-                g_ab = univar.gcd(g_a, bbar, self.field) if bbar else g_a
-                if univar.deg(g_ab) >= 1:
-                    s3 = univar.sub(
-                        univar.mul(dbar, dbar, self.field),
-                        univar.mul(
-                            univar.mul([self.field.elem(4)], cbar, self.field), ebar, self.field
-                        ),
-                        self.field,
-                    )
-                    w = univar.gcd(g_ab, s3, self.field) if s3 else g_ab
-                    if univar.deg(w) >= 1:
-                        return True, self._witness_at_gcd_root(w)
+            # main branch (A != 0), then the boundary branch (A = 0)
+            for g, branch in (
+                (univar.divmod_(gbar, g_a, self.field)[0], quartic),
+                (g_a, quartic._replace(A=0)),
+            ):
+                if univar.deg(g) < 1:
+                    continue
+                for condition in closure_square_conditions(branch):
+                    s = _dehomogenized(condition)
+                    g = univar.gcd(g, s, self.field) if s else g
+                if univar.deg(g) >= 1:
+                    return True, self._witness_at_gcd_root(g)
         return False, {"detail": "conditions share roots but no fiber is a perfect square"}
 
     def _condition_gcd(self) -> Optional[list]:
@@ -335,24 +300,17 @@ class _PointChecker:
         if delta_form is None and d_form is None:
             self._has_y_root = self._has_x_root = True
             return None
-        from .binform import binary_gcd
-
         if delta_form is None:
             g = d_form
         elif d_form is None:
             g = delta_form
         else:
             g = binary_gcd(delta_form, d_form)
-        coeffs = g.coefficient_list()
-        self._has_y_root = not coeffs[0]
-        self._has_x_root = not coeffs[-1]
-        dehom = [c for c in reversed(coeffs)]
-        while dehom and not dehom[0]:
-            dehom.pop(0)  # the [0:1] root is handled separately
-        return univar.trim(dehom)
-
-    def _dehom(self, form: MultiPoly) -> list:
-        return _dehomogenized(form)
+        # the [1:0] and [0:1] roots are handled separately
+        x_power, y_power, core = dehomogenize(g.coefficient_list())
+        self._has_y_root = y_power > 0
+        self._has_x_root = x_power > 0
+        return core
 
     def _witness_at_point(self, x0, y0, label: str, lift=None, root_field=None) -> Optional[dict]:
         root_field = root_field or self.field
@@ -375,21 +333,16 @@ class _PointChecker:
         }
 
     def _witness_at_gcd_root(self, w: list) -> dict:
-        if univar.deg(w) == 1:
+        h = w if univar.deg(w) == 1 else univar.ff_factor_squarefree(w, self.field, self.rng)[0]
+        if univar.deg(h) == 1:
             root_field, lift = self.field, None
-            root = -w[0] / w[1]
+            root = -h[0] / h[1]
         else:
-            factors = univar.ff_factor_squarefree(w, self.field, self.rng)
-            h = factors[0]
-            if univar.deg(h) == 1:
-                root_field, lift = self.field, None
-                root = -h[0] / h[1]
-            else:
-                root_field = ExtensionField(
-                    self.field, [c.value for c in h], name=f"w{absolute_degree(self.field)}", check=False
-                )
-                lift = root_field.from_base
-                root = root_field.generator()
+            root_field = ExtensionField(
+                self.field, [c.value for c in h], name=f"w{absolute_degree(self.field)}", check=False
+            )
+            lift = root_field.from_base
+            root = root_field.generator()
         one = root_field.one()
         outcome = self._witness_at_point(
             root, one, label=f"[{root!r}:1]", lift=lift, root_field=root_field

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .domains import FiniteField, Rationals, adjoin_sqrt
 
@@ -96,34 +96,13 @@ def perfect_square_witness(c: QuarticCoeffs, field) -> Optional[tuple]:
     exact square roots in the field; returns None when the quartic is not a
     square or the required square roots do not exist in the field.
     """
-    _check_char(field)
-    A, B, C, D, E = c
-    two = field.elem(2)
-    if A:
-        q0 = field.sqrt(A)
-        if q0 is None:
-            return None
-        q1 = B / (two * q0)
-        q2 = (C - q1 * q1) / (two * q0)
-        if two * q1 * q2 == D and q2 * q2 == E:
-            return (q0, q1, q2)
-        return None
-    if B:
-        return None
-    if C:
-        q1 = field.sqrt(C)
-        if q1 is None:
-            return None
-        q2 = D / (two * q1)
-        if q2 * q2 == E:
-            return (field.zero(), q1, q2)
-        return None
-    if D:
-        return None
-    q2 = field.sqrt(E)
-    if q2 is None:
-        return None
-    return (field.zero(), field.zero(), q2)
+
+    def root(a):
+        r = field.sqrt(a)
+        return None if r is None else (field, r, lambda x: x)
+
+    witness = _match_square(c, field, root)
+    return None if witness is None else (witness.q0, witness.q1, witness.q2)
 
 
 @dataclass(frozen=True)
@@ -152,10 +131,23 @@ def closure_square_witness(c: QuarticCoeffs, field: FiniteField) -> Optional[Clo
     the quadratic extension adjoining it is constructed and the witness is
     returned there.
     """
+    return _match_square(c, field, lambda a: adjoin_sqrt(field, a))
+
+
+def _match_square(c: QuarticCoeffs, field, root) -> Optional[ClosureWitness]:
+    """Coefficient matching q0^2 = A, 2 q0 q1 = B, and so on.
+
+    Only the first nonzero of A, C, E needs a square root; ``root(a)``
+    returns ``(field2, sqrt of a in field2, lift into field2)``, or None when
+    no root is available.
+    """
     _check_char(field)
     A, B, C, D, E = c
     if A:
-        field2, q0, lift = adjoin_sqrt(field, A)
+        found = root(A)
+        if found is None:
+            return None
+        field2, q0, lift = found
         two = field2.elem(2)
         q1 = lift(B) / (two * q0)
         q2 = (lift(C) - q1 * q1) / (two * q0)
@@ -165,16 +157,40 @@ def closure_square_witness(c: QuarticCoeffs, field: FiniteField) -> Optional[Clo
     if B:
         return None
     if C:
-        field2, q1, lift = adjoin_sqrt(field, C)
-        two = field2.elem(2)
-        q2 = lift(D) / (two * q1)
+        found = root(C)
+        if found is None:
+            return None
+        field2, q1, lift = found
+        q2 = lift(D) / (field2.elem(2) * q1)
         if q2 * q2 == lift(E):
             return ClosureWitness(field2, lift, field2.zero(), q1, q2)
         return None
     if D:
         return None
-    field2, q2, lift = adjoin_sqrt(field, E)
+    found = root(E)
+    if found is None:
+        return None
+    field2, q2, lift = found
     return ClosureWitness(field2, lift, field2.zero(), field2.zero(), q2)
+
+
+def closure_square_conditions(c: QuarticCoeffs) -> Iterator:
+    """Values that all vanish exactly when the quartic is a square over the closure.
+
+    Lazy and division-free, so the coefficients may be rationals, field
+    elements or polynomials (characteristic != 2), and a caller that only
+    needs the verdict stops at the first nonzero value.  With
+    h = 4AC - B^2 they are B h - 8 A^2 D and h^2 - 64 A^3 E when A != 0, and
+    B and D^2 - 4 C E when A = 0 (``c._replace(A=0)`` selects that branch).
+    """
+    A, B, C, D, E = c
+    if A:
+        h = 4 * A * C - B * B
+        yield B * h - 8 * A * A * D
+        yield h * h - 64 * A**3 * E
+    else:
+        yield B
+        yield D * D - 4 * C * E
 
 
 def is_square_over_closure(c: QuarticCoeffs, field) -> bool:
@@ -186,13 +202,7 @@ def is_square_over_closure(c: QuarticCoeffs, field) -> bool:
     not sufficient.
     """
     _check_char(field)
-    A, B, C, D, E = c
-    if A:
-        h = 4 * A * C - B * B
-        return B * h == 8 * A * A * D and h * h == 64 * A**3 * E
-    if B:
-        return False
-    return D * D == 4 * C * E
+    return not any(closure_square_conditions(c))
 
 
 #: joint vanishing of disc_delta and sem_d without being a square: the

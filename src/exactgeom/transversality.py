@@ -260,17 +260,13 @@ def _bidegree(P: MultiPoly) -> tuple[int, int]:
 def _rational_projective_roots(form: BinaryForm) -> tuple[list[tuple[Fraction, Fraction]], int]:
     """Rational projective roots of a nonzero (x, y)-form over QQ, plus the
     number of irreducible factors left unresolved (irrational root pairs)."""
-    coeffs = form.coefficient_list()
+    x_power, y_power, dehom = binform.dehomogenize(form.coefficient_list())
     roots = []
-    # [1:0] corresponds to vanishing of the pure x^deg coefficient
-    if not coeffs[0]:
+    if y_power:
         roots.append((Fraction(1), Fraction(0)))
-    dehom = [c for c in reversed(coeffs)]  # polynomial in x/y, low degree first
-    while dehom and not dehom[0]:
-        dehom.pop(0)  # [0:1] root
-        if (Fraction(0), Fraction(1)) not in roots:
-            roots.append((Fraction(0), Fraction(1)))
-    if not dehom or len(dehom) == 1:
+    if x_power:
+        roots.append((Fraction(0), Fraction(1)))
+    if len(dehom) <= 1:
         return roots, 0
     denom = math.lcm(*(c.denominator for c in dehom))
     ints = [int(c * denom) for c in dehom]

@@ -1,8 +1,15 @@
-"""Dense univariate polynomial helpers over any coefficient domain.
+"""Dense univariate polynomials over any coefficient domain.
 
-Functions here work at element level (Fractions or FieldElement wrappers)
-and power the Euclidean computations over extension fields; the raw GF(p)
-kernel lives in :mod:`exactgeom.zpoly`.
+This is one of the package's two univariate-polynomial representations:
+
+* :mod:`exactgeom.zpoly` -- raw ints modulo p, the hot GF(p) kernel;
+* this module -- field elements (Fractions or :class:`FieldElement`
+  wrappers) over QQ or any finite field, extension towers included.
+
+Nothing else in the package implements polynomial arithmetic: extension
+towers in :mod:`exactgeom.domains` multiply, reduce and invert through the
+functions here, and the distinct-degree plus Cantor-Zassenhaus splitter
+below serves both representations.
 
 Polynomials are lists of coefficients, low degree first, with no trailing
 zeros; ``[]`` is the zero polynomial.
@@ -10,9 +17,11 @@ zeros; ``[]`` is the zero polynomial.
 
 from __future__ import annotations
 
-from .domains import FiniteField
+from functools import partial
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-# --- element level -----------------------------------------------------------
+if TYPE_CHECKING:  # domains imports this module at run time
+    from .domains import FiniteField
 
 
 def trim(cs: list) -> list:
@@ -25,24 +34,11 @@ def deg(cs: list) -> int:
     return len(cs) - 1
 
 
-def add(a: list, b: list) -> list:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = out[i] + c
-    return trim(out)
-
-
 def sub(a: list, b: list, domain) -> list:
     out = list(a) + [domain.zero()] * max(0, len(b) - len(a))
     for i, c in enumerate(b):
         out[i] = out[i] - c
     return trim(out)
-
-
-def neg(a: list) -> list:
-    return [-c for c in a]
 
 
 def scale(a: list, s) -> list:
@@ -98,11 +94,17 @@ def gcd(a: list, b: list, domain) -> list:
     return monic(a, domain)
 
 
-def eval_at(cs: list, x, domain):
-    acc = domain.zero()
-    for c in reversed(cs):
-        acc = acc * x + c
-    return acc
+def inv_mod(a: list, m: list, domain) -> list:
+    """Inverse of a modulo m (extended Euclid); a must be coprime to m."""
+    r0, r1 = list(m), rem(a, m, domain)
+    t0, t1 = [], [domain.one()]
+    while r1:
+        q, r2 = divmod_(r0, r1, domain)
+        r0, r1 = r1, r2
+        t0, t1 = t1, sub(t0, mul(q, t1, domain), domain)
+    if deg(r0) != 0:
+        raise ZeroDivisionError("element is not invertible modulo the modulus")
+    return scale(t0, domain.one() / r0[0])
 
 
 def derivative(cs: list) -> list:
@@ -140,61 +142,102 @@ def _x(domain) -> list:
     return [domain.zero(), domain.one()]
 
 
-def ff_factor_squarefree(cs: list, field: FiniteField, rng) -> list[list]:
-    """Irreducible factors of a squarefree monic polynomial over a finite field.
+# --- factorization over a finite field ---------------------------------------
 
-    Distinct-degree splitting followed by Cantor-Zassenhaus; requires odd
-    characteristic.  Deterministic given ``rng``.
+
+class SplitOps(NamedTuple):
+    """The arithmetic :func:`split_squarefree` needs, bound to one finite field.
+
+    ``order`` is the field size q, ``x`` and ``one`` are the polynomials x
+    and 1, the two-argument operations act on polynomials of either
+    representation, and ``draw(n)`` returns n random coefficients.
     """
-    f = monic(cs, field)
+
+    order: int
+    x: list
+    one: list
+    sub: Callable
+    divmod_: Callable
+    rem: Callable
+    gcd: Callable
+    pow_mod: Callable
+    draw: Callable
+
+
+def split_squarefree(f: list, ops: SplitOps) -> list[list]:
+    """Irreducible factors of a squarefree monic polynomial, unsorted.
+
+    Distinct-degree splitting followed by Cantor-Zassenhaus equal-degree
+    splitting; requires odd characteristic.  Deterministic given the
+    random draws of ``ops``.
+    """
     if deg(f) <= 1:
         return [f] if deg(f) == 1 else []
-    q = field.order
-    x = _x(field)
     groups: list[tuple[list, int]] = []
     v = f
-    h = x
+    h = ops.x
     d = 0
     while deg(v) > 0:
         d += 1
         if 2 * d > deg(v):
             groups.append((v, deg(v)))
             break
-        h = pow_mod(h, q, v, field)
-        g = gcd(sub(h, x, field), v, field)
+        h = ops.pow_mod(h, ops.order, v)
+        g = ops.gcd(ops.sub(h, ops.x), v)
         if deg(g) > 0:
             groups.append((g, d))
-            v = divmod_(v, g, field)[0]
-            h = rem(h, v, field)
+            v = ops.divmod_(v, g)[0]
+            h = ops.rem(h, v)
     factors: list[list] = []
     for product, degree_each in groups:
-        factors.extend(_ff_equal_degree(product, degree_each, field, rng))
+        factors.extend(_equal_degree(product, degree_each, ops))
+    return factors
+
+
+def _equal_degree(f: list, d: int, ops: SplitOps) -> list[list]:
+    n = deg(f)
+    if n == d:
+        return [f]
+    exponent = (ops.order**d - 1) // 2
+    while True:
+        r = trim(ops.draw(n))
+        if deg(r) < 1:
+            continue
+        g = ops.gcd(r, f)
+        if 0 < deg(g) < n:
+            break
+        h = ops.pow_mod(r, exponent, f)
+        g = ops.gcd(ops.sub(h, ops.one), f)
+        if 0 < deg(g) < n:
+            break
+    other = ops.divmod_(f, g)[0]
+    return _equal_degree(g, d, ops) + _equal_degree(other, d, ops)
+
+
+def ff_factor_squarefree(cs: list, field: FiniteField, rng) -> list[list]:
+    """Irreducible factors of a squarefree polynomial over a finite field.
+
+    Monic factors sorted by (degree, coefficient reprs); deterministic given
+    ``rng``.
+    """
+    ops = SplitOps(
+        order=field.order,
+        x=_x(field),
+        one=[field.one()],
+        sub=partial(sub, domain=field),
+        divmod_=partial(divmod_, domain=field),
+        rem=partial(rem, domain=field),
+        gcd=partial(gcd, domain=field),
+        pow_mod=partial(pow_mod, domain=field),
+        draw=lambda n: [field.rand(rng) for _ in range(n)],
+    )
+    factors = split_squarefree(monic(cs, field), ops)
     factors.sort(key=lambda fac: (deg(fac), [repr(c) for c in fac]))
     return factors
 
 
-def _ff_equal_degree(f: list, d: int, field: FiniteField, rng) -> list[list]:
-    n = deg(f)
-    if n == d:
-        return [f]
-    exponent = (field.order**d - 1) // 2
-    while True:
-        r = trim([field.rand(rng) for _ in range(n)])
-        if deg(r) < 1:
-            continue
-        g = gcd(r, f, field)
-        if 0 < deg(g) < n:
-            break
-        h = pow_mod(r, exponent, f, field)
-        g = gcd(sub(h, [field.one()], field), f, field)
-        if 0 < deg(g) < n:
-            break
-    other = divmod_(f, g, field)[0]
-    return _ff_equal_degree(g, d, field, rng) + _ff_equal_degree(other, d, field, rng)
-
-
 def ff_is_irreducible(cs: list, field: FiniteField) -> bool:
-    """Rabin test at element level."""
+    """Rabin irreducibility test over a finite field."""
     n = deg(cs)
     if n <= 0:
         return False
@@ -204,7 +247,7 @@ def ff_is_irreducible(cs: list, field: FiniteField) -> bool:
     q = field.order
     x = _x(field)
     probe = pow_mod(x, q**n, f, field)
-    if trim(sub(probe, x, field)):
+    if sub(probe, x, field):
         return False
     primes = set()
     m, d = n, 2

@@ -1,12 +1,19 @@
 """Raw univariate arithmetic and factorization over GF(p).
 
-Polynomials are lists of ints in [0, p), low degree first, no trailing zeros
-(``[]`` is zero).  This is the speed-critical kernel: multiplication packs
-coefficients into one big integer (Kronecker substitution) so CPython's
-integer multiply performs the convolution.
+This is one of the package's two univariate-polynomial representations:
+lists of ints in [0, p), low degree first, no trailing zeros (``[]`` is
+zero).  The other, :mod:`exactgeom.univar`, holds field elements over any
+field; this module is the speed-critical GF(p) kernel.  Multiplication
+packs coefficients into one big integer (Kronecker substitution) so
+CPython's integer multiply performs the convolution, and factorization
+feeds these raw operations to the splitter shared with ``univar``.
 """
 
 from __future__ import annotations
+
+from functools import partial
+
+from . import univar
 
 
 def zp_trim(cs: list[int]) -> list[int]:
@@ -138,89 +145,24 @@ def zp_pow_mod(base: list[int], exponent: int, modulus: list[int], p: int) -> li
     return result
 
 
-def zp_eval(cs: list[int], x: int, p: int) -> int:
-    acc = 0
-    for c in reversed(cs):
-        acc = (acc * x + c) % p
-    return acc
-
-
 def zp_factor_squarefree(cs: list[int], p: int, rng) -> list[list[int]]:
     """Irreducible factors of a squarefree polynomial over GF(p), p odd.
 
-    Distinct-degree splitting followed by Cantor-Zassenhaus; output sorted by
-    (degree, coefficients) so it is deterministic for a seeded rng.
+    Runs the shared splitter :func:`exactgeom.univar.split_squarefree` on
+    raw-int operations; output sorted by (degree, coefficients) so it is
+    deterministic for a seeded rng.
     """
-    f = zp_monic(cs, p)
-    if zp_deg(f) <= 1:
-        return [f] if zp_deg(f) == 1 else []
-    x = [0, 1]
-    groups: list[tuple[list[int], int]] = []
-    v = f
-    h = x
-    d = 0
-    while zp_deg(v) > 0:
-        d += 1
-        if 2 * d > zp_deg(v):
-            groups.append((v, zp_deg(v)))
-            break
-        h = zp_pow_mod(h, p, v, p)
-        g = zp_gcd(zp_sub(h, x, p), v, p)
-        if zp_deg(g) > 0:
-            groups.append((g, d))
-            v = zp_divmod(v, g, p)[0]
-            h = zp_rem(h, v, p)
-    factors: list[list[int]] = []
-    for product, degree_each in groups:
-        factors.extend(_zp_equal_degree(product, degree_each, p, rng))
+    ops = univar.SplitOps(
+        order=p,
+        x=[0, 1],
+        one=[1],
+        sub=partial(zp_sub, p=p),
+        divmod_=partial(zp_divmod, p=p),
+        rem=partial(zp_rem, p=p),
+        gcd=partial(zp_gcd, p=p),
+        pow_mod=partial(zp_pow_mod, p=p),
+        draw=lambda n: [rng.randrange(p) for _ in range(n)],
+    )
+    factors = univar.split_squarefree(zp_monic(cs, p), ops)
     factors.sort(key=lambda fac: (zp_deg(fac), fac))
     return factors
-
-
-def _zp_equal_degree(f: list[int], d: int, p: int, rng) -> list[list[int]]:
-    n = zp_deg(f)
-    if n == d:
-        return [f]
-    exponent = (p**d - 1) // 2
-    while True:
-        r = zp_trim([rng.randrange(p) for _ in range(n)])
-        if zp_deg(r) < 1:
-            continue
-        g = zp_gcd(r, f, p)
-        if 0 < zp_deg(g) < n:
-            break
-        h = zp_pow_mod(r, exponent, f, p)
-        g = zp_gcd(zp_sub(h, [1], p), f, p)
-        if 0 < zp_deg(g) < n:
-            break
-    other = zp_divmod(f, g, p)[0]
-    return _zp_equal_degree(g, d, p, rng) + _zp_equal_degree(other, d, p, rng)
-
-
-def zp_is_irreducible(cs: list[int], p: int) -> bool:
-    """Rabin irreducibility test over GF(p)."""
-    n = zp_deg(cs)
-    if n <= 0:
-        return False
-    if n == 1:
-        return True
-    f = zp_monic(cs, p)
-    x = [0, 1]
-    probe = zp_pow_mod(x, p**n, f, p)
-    if zp_sub(probe, x, p):
-        return False
-    primes = set()
-    m, d = n, 2
-    while d * d <= m:
-        if m % d == 0:
-            primes.add(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        primes.add(m)
-    for ell in primes:
-        probe = zp_pow_mod(x, p ** (n // ell), f, p)
-        if zp_deg(zp_gcd(zp_sub(probe, x, p), f, p)) > 0:
-            return False
-    return True

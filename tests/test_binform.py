@@ -167,11 +167,11 @@ def test_resultant_specialization_commutes():
 
 
 def _divides(d: BinaryForm, f: BinaryForm) -> bool:
-    du, dv, dcore = binform._strip_pair_powers(d.coefficient_list())
-    fu, fv, fcore = binform._strip_pair_powers(f.coefficient_list())
+    du, dv, dcore = binform.dehomogenize(d.coefficient_list())
+    fu, fv, fcore = binform.dehomogenize(f.coefficient_list())
     if du > fu or dv > fv:
         return False
-    rem = univar.divmod_(binform._dehomogenize(fcore), binform._dehomogenize(dcore), QQ)[1]
+    rem = univar.divmod_(fcore, dcore, QQ)[1]
     return not rem
 
 

@@ -59,6 +59,16 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         run_main(["verify-pencil24", "--seed", "-3"])
     assert exc.value.code == 2
+    for bad in (
+        ["verify-pencil24", "--trials", "0", "--quiet"],
+        ["verify-pencil24", "--trials", "-1"],
+        ["verify-pencil24", "--trials", "two"],
+        ["verify-quartic-fuzz", "--fuzz-count", "-5"],
+        ["verify-quartic-fuzz", "--fuzz-count", "0"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run_main(bad)
+        assert exc.value.code == 2
 
 
 def test_check_failure_exits_1(monkeypatch):
