@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import univar
-from .domains import FieldElement, PrimeField, Rationals
+from .domains import PrimeField, Rationals
 from .errors import DomainMismatchError, InterpolationError
 from .multipoly import MultiPoly
 
@@ -80,11 +80,6 @@ class BinaryForm:
                 raise ValueError("form has non-constant coefficients")
             out.append(c.constant_value())
         return out
-
-    def evaluate_pair(self, u_value, v_value):
-        """Value at a point of the designated pair (parameters must be absent)."""
-        u, v = self.pair
-        return self.poly.evaluate({u: u_value, v: v_value})
 
     def __str__(self) -> str:
         return self.poly.to_text()
@@ -178,41 +173,14 @@ def _det_rational(m: list[list[Fraction]]) -> Fraction:
     return Fraction(_det_int(rows), 1) / scale
 
 
-def _det_field_generic(m: list[list[FieldElement]], field) -> FieldElement:
-    n = len(m)
-    if n == 0:
-        return field.one()
-    m = [list(row) for row in m]
-    sign = 1
-    prev = field.one()
-    for k in range(n - 1):
-        if not m[k][k]:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return field.zero()
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            factor = m[i][k]
-            for j in range(k + 1, n):
-                m[i][j] = (pivot * m[i][j] - factor * m[k][j]) / prev
-            m[i][k] = field.zero()
-        prev = pivot
-    value = m[n - 1][n - 1]
-    return value if sign == 1 else -value
-
-
 def det_constant(matrix, domain):
-    """Determinant of a matrix of domain elements."""
+    """Determinant of a matrix of elements of QQ or GF(p)."""
     if isinstance(domain, Rationals):
         return _det_rational([[Fraction(c) for c in row] for row in matrix])
     if isinstance(domain, PrimeField):
         rows = [[c.value for c in row] for row in matrix]
         return domain.wrap(_det_mod_p(rows, domain.p))
-    return _det_field_generic(matrix, domain)
+    raise DomainMismatchError(f"no constant determinant over {domain!r}")
 
 
 def det_polynomial_matrix(rows: list[list[MultiPoly]], sample_base: int = 0) -> MultiPoly:
@@ -266,17 +234,6 @@ def _newton_interpolate(name, points, values, domain, variables) -> MultiPoly:
 # --- resultants --------------------------------------------------------------
 
 
-def _sylvester_rows(fc: list[MultiPoly], gc: list[MultiPoly], zero: MultiPoly):
-    m, n = len(fc) - 1, len(gc) - 1
-    size = m + n
-    rows = []
-    for i in range(n):
-        rows.append([zero] * i + fc + [zero] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([zero] * i + gc + [zero] * (size - n - 1 - i))
-    return rows
-
-
 def sylvester_resultant(f: BinaryForm, g: BinaryForm, sample_base: int = 0) -> MultiPoly:
     """Resultant of two binary forms, eliminating the designated pair.
 
@@ -290,30 +247,12 @@ def sylvester_resultant(f: BinaryForm, g: BinaryForm, sample_base: int = 0) -> M
     if f.degree < 1 or g.degree < 1:
         raise ValueError("resultant requires nonzero forms of degree at least 1")
     zero = MultiPoly.zero(f.poly.domain, f.poly.variables)
-    rows = _sylvester_rows(f.coefficient_polys(), g.coefficient_polys(), zero)
+    m, n = f.degree, g.degree
+    fc, gc = f.coefficient_polys(), g.coefficient_polys()
+    rows = [[zero] * i + fc + [zero] * (n - 1 - i) for i in range(n)]
+    rows += [[zero] * i + gc + [zero] * (m - 1 - i) for i in range(m)]
     det = det_polynomial_matrix(rows, sample_base)
     return det.drop_vars(f.pair)
-
-
-def resultant_wrt(f: MultiPoly, g: MultiPoly, name: str) -> MultiPoly:
-    """Classical Sylvester resultant with respect to a single variable."""
-    f._check_compatible(g)
-    df, dg = f.degree_in(name), g.degree_in(name)
-    if df < 1 or dg < 1:
-        raise ValueError("resultant requires positive degree in the elimination variable")
-    idx = f._var_index(name)
-
-    def coeff_rows(poly: MultiPoly, d: int) -> list[MultiPoly]:
-        buckets: list[dict] = [{} for _ in range(d + 1)]
-        for ex, c in poly.terms.items():
-            stripped = list(ex)
-            stripped[idx] = 0
-            buckets[d - ex[idx]][tuple(stripped)] = c
-        return [MultiPoly(poly.domain, poly.variables, b) for b in buckets]
-
-    zero = MultiPoly.zero(f.domain, f.variables)
-    rows = _sylvester_rows(coeff_rows(f, df), coeff_rows(g, dg), zero)
-    return det_polynomial_matrix(rows).drop_vars([name])
 
 
 # --- gcd and squarefree part --------------------------------------------------

@@ -55,10 +55,15 @@ class RunConfig:
         }
 
 
-def _timed(func):
+def _run_check(check: str, claim: str, body) -> CheckResult:
+    """Time ``body() -> (witness, ok)``; a VerificationError fails the check
+    with the message as its witness instead of aborting the run."""
     start = time.monotonic()
-    result = func()
-    return result, time.monotonic() - start
+    try:
+        witness, ok = body()
+    except VerificationError as exc:
+        witness, ok = {"error": str(exc)}, False
+    return CheckResult(check, claim, PASS if ok else FAIL, witness, time.monotonic() - start)
 
 
 def check_intersection(config: RunConfig) -> list[CheckResult]:
@@ -77,15 +82,7 @@ def check_intersection(config: RunConfig) -> list[CheckResult]:
             "value": str(value),
             "monomial_values": monomials,
         }, value == 240
-    try:
-        (witness, ok), elapsed = _timed(body)
-    except VerificationError as exc:
-        return [CheckResult("symmetric-product-240", claim, FAIL, {"error": str(exc)})]
-    return [
-        CheckResult(
-            "symmetric-product-240", claim, PASS if ok else FAIL, witness, elapsed
-        )
-    ]
+    return [_run_check("symmetric-product-240", claim, body)]
 
 
 def check_lines(config: RunConfig) -> list[CheckResult]:
@@ -95,29 +92,29 @@ def check_lines(config: RunConfig) -> list[CheckResult]:
         "strongly regular (27,10,1,5); five coplanar pairs per line forming a perfect "
         "matching on its ten neighbours"
     )
-    summary, elapsed = _timed(lines.verification_summary)
-    ok = (
-        summary["line_count"] == 27
-        and summary["box_search_count"] == 27
-        and summary["weyl_order"] == 51840
-        and summary["stabilizer_order"] == 1920
-        and summary["orbit_sizes"] == [1, 10, 16]
-        and summary["orbits_match_incidence"]
-        and summary["weyl_transitive"]
-        and summary["generators_preserve_pairing"]
-        and summary["srg"] == [27, 10, 1, 5]
-        and summary["tritangent_pair_count"] == 5
-    )
-    if config.dot:
-        with open(config.dot, "w", encoding="utf-8") as handle:
-            handle.write(lines.incidence_dot() + "\n")
-        summary["dot_written_to"] = config.dot
-    return [CheckResult("line-configuration", claim, PASS if ok else FAIL, summary, elapsed)]
+    def body():
+        summary = lines.verification_summary()
+        ok = (
+            summary["line_count"] == 27
+            and summary["box_search_count"] == 27
+            and summary["weyl_order"] == 51840
+            and summary["stabilizer_order"] == 1920
+            and summary["orbit_sizes"] == [1, 10, 16]
+            and summary["orbits_match_incidence"]
+            and summary["weyl_transitive"]
+            and summary["generators_preserve_pairing"]
+            and summary["srg"] == [27, 10, 1, 5]
+            and summary["tritangent_pair_count"] == 5
+        )
+        if config.dot:
+            with open(config.dot, "w", encoding="utf-8") as handle:
+                handle.write(lines.incidence_dot() + "\n")
+            summary["dot_written_to"] = config.dot
+        return summary, ok
+    return [_run_check("line-configuration", claim, body)]
 
 
 def check_transversality(config: RunConfig) -> list[CheckResult]:
-    out = []
-
     claim_r = (
         "the eliminant R(alpha) of the discriminant/seminvariant conditions of the "
         "bitangent family is nonzero, vanishes at alpha = 0, and its degree and order "
@@ -134,8 +131,6 @@ def check_transversality(config: RunConfig) -> list[CheckResult]:
             and witness["spot_check_alpha_5"]
         )
         return witness, ok
-    (witness, ok), elapsed = _timed(body_r)
-    out.append(CheckResult("family-eliminant", claim_r, PASS if ok else FAIL, witness, elapsed))
 
     claim_s = (
         "the seminvariant along the marked section equals -16 alpha^2 - 32 alpha "
@@ -148,14 +143,6 @@ def check_transversality(config: RunConfig) -> list[CheckResult]:
             "linear_coefficient": str(section.linear_coefficient),
             "constant_term": str(section.constant_term),
         }, section.reduced and section.linear_coefficient == -32 and section.constant_term == 0
-    try:
-        (witness, ok), elapsed = _timed(body_s)
-    except VerificationError as exc:
-        out.append(CheckResult("section-seminvariant", claim_s, FAIL, {"error": str(exc)}))
-    else:
-        out.append(
-            CheckResult("section-seminvariant", claim_s, PASS if ok else FAIL, witness, elapsed)
-        )
 
     claim_m = (
         "the alpha = 0 member is certified smooth; the two singular control inputs "
@@ -175,11 +162,12 @@ def check_transversality(config: RunConfig) -> list[CheckResult]:
         }
         ok = cert.status == "smooth" and control1.status == "fail" and control2.status == "fail"
         return witness, ok
-    (witness, ok), elapsed = _timed(body_m)
-    out.append(
-        CheckResult("smoothness-certificate", claim_m, PASS if ok else FAIL, witness, elapsed)
-    )
-    return out
+
+    return [
+        _run_check("family-eliminant", claim_r, body_r),
+        _run_check("section-seminvariant", claim_s, body_s),
+        _run_check("smoothness-certificate", claim_m, body_m),
+    ]
 
 
 def check_pencil24(config: RunConfig) -> list[CheckResult]:
@@ -196,12 +184,7 @@ def check_pencil24(config: RunConfig) -> list[CheckResult]:
             f0, f1 = pencil24.random_pencil(p, seed)
             report = pencil24.pencil_intersection_count(f0, f1, p, seed=seed)
             return report.summary(), report.validated_count == 24
-        (witness, ok), elapsed = _timed(body)
-        out.append(
-            CheckResult(
-                f"pencil-count-p{p}-s{seed}", claim, PASS if ok else FAIL, witness, elapsed
-            )
-        )
+        out.append(_run_check(f"pencil-count-p{p}-s{seed}", claim, body))
     return out
 
 
@@ -226,8 +209,7 @@ def check_quartic_fuzz(config: RunConfig) -> list[CheckResult]:
             for rep in (field_report, rational_report)
         )
         return {"prime_field": field_report, "rationals": rational_report}, ok
-    (witness, ok), elapsed = _timed(body)
-    return [CheckResult("quartic-square-fuzz", claim, PASS if ok else FAIL, witness, elapsed)]
+    return [_run_check("quartic-square-fuzz", claim, body)]
 
 
 CHECK_RUNNERS = {

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import univar, zpoly
-from .binform import BinaryForm, binary_gcd, dehomogenize, sylvester_resultant
+from .binform import BinaryForm, dehomogenize, sylvester_resultant
 from .domains import ExtensionField, FieldElement, FiniteField, PrimeField
 from .errors import VerificationError
 from .multipoly import MultiPoly
@@ -216,161 +216,50 @@ def absolute_degree(field: FiniteField) -> int:
     return degree
 
 
-def _dehomogenized(form: MultiPoly) -> list:
-    """An (x, y)-polynomial over K to a univariate list in w = x/y (y = 1)."""
-    domain = form.domain
-    degree = max((ex[0] for ex in form.terms), default=-1)
-    out = [domain.zero()] * (degree + 1)
-    for (ex_x, ex_y), c in form.terms.items():
-        out[ex_x] = out[ex_x] + c
-    return univar.trim(out)
+def _split(form: MultiPoly) -> tuple[int, int, list]:
+    """:func:`binform.dehomogenize` of an (x, y)-form over K: (a, b, core in x/y)."""
+    coeffs = [form.domain.zero()] * (form.total_degree() + 1)
+    for (_, ex_y), c in form.terms.items():
+        coeffs[ex_y] = c
+    return dehomogenize(coeffs)
 
 
-def _evaluate_forms_at(forms: list[MultiPoly], x0, y0) -> QuarticCoeffs:
-    return QuarticCoeffs(*(f.evaluate({"x": x0, "y": y0}) for f in forms))
+def _fiber_witness(
+    abcde: list[MultiPoly], field: FiniteField, x0, y0, label: str
+) -> Optional[dict]:
+    """A verified perfect-square witness for the fiber quartic at [x0:y0], if any."""
+    fiber = QuarticCoeffs(*(f.evaluate({"x": x0, "y": y0}) for f in abcde))
+    witness = closure_square_witness(fiber, field)
+    if witness is None:
+        return None
+    if not witness.reproduces(fiber):
+        raise VerificationError("square witness failed to reproduce the fiber quartic")
+    disc = witness.q1 * witness.q1 - 4 * witness.q0 * witness.q2
+    return {
+        "detail": f"perfect-square fiber at {label}",
+        "root_field_degree": absolute_degree(witness.field),
+        "witness": f"({witness.q0!r})*u^2 + ({witness.q1!r})*u*v + ({witness.q2!r})*v^2",
+        "distinct_double_roots": bool(disc),
+    }
 
 
-@dataclass
-class _PointChecker:
-    """Decides whether the bitangent conditions of one member hold honestly.
-
-    Works over an arbitrary finite field K: the two condition forms must
-    share a root, and some shared root must carry a perfect-square fiber.
-    The search is root-free (gcds against the closure-square condition
-    polynomials, split by the A = 0 and B = 0 branches); only a validated
-    member has an explicit root and witness constructed, in a tower
-    extension when the root or the square root lives outside K.
-    """
-
-    delta: MultiPoly
-    d: MultiPoly
-    abcde: list[MultiPoly]
-    field: FiniteField
-    rng: random.Random
-    _has_y_root: bool = False
-    _has_x_root: bool = False
-
-    def run(self) -> tuple[bool, dict]:
-        gcd_form = self._condition_gcd()
-        if gcd_form is not None and (
-            univar.deg(gcd_form) == 0 and not self._has_y_root and not self._has_x_root
-        ):
-            return False, {"detail": "specialized conditions are coprime"}
-
-        # fibers at the ends of the projective line
-        for flag, point, label in (
-            (self._has_y_root, (self.field.one(), self.field.zero()), "[1:0]"),
-            (self._has_x_root, (self.field.zero(), self.field.one()), "[0:1]"),
-        ):
-            if flag:
-                outcome = self._witness_at_point(*point, label=label)
-                if outcome is not None:
-                    return True, outcome
-        if gcd_form is None:
-            # both conditions vanish identically in (x, y): degenerate member;
-            # probe one more fiber before giving up
-            outcome = self._witness_at_point(self.field.one(), self.field.one(), label="[1:1]")
-            if outcome is not None:
-                return True, outcome
-            return False, {"detail": "both condition forms vanish identically"}
-
-        gbar = gcd_form
-        if univar.deg(gbar) >= 1:
-            gbar = univar.squarefree_part(gbar, self.field)
-            quartic = QuarticCoeffs(*self.abcde)
-            abar = _dehomogenized(quartic.A)
-            g_a = univar.gcd(gbar, abar, self.field) if abar else gbar
-            # main branch (A != 0), then the boundary branch (A = 0)
-            for g, branch in (
-                (univar.divmod_(gbar, g_a, self.field)[0], quartic),
-                (g_a, quartic._replace(A=0)),
-            ):
-                if univar.deg(g) < 1:
-                    continue
-                for condition in closure_square_conditions(branch):
-                    s = _dehomogenized(condition)
-                    g = univar.gcd(g, s, self.field) if s else g
-                if univar.deg(g) >= 1:
-                    return True, self._witness_at_gcd_root(g)
-        return False, {"detail": "conditions share roots but no fiber is a perfect square"}
-
-    def _condition_gcd(self) -> Optional[list]:
-        delta_form = None if self.delta.is_zero() else BinaryForm(self.delta, ("x", "y"))
-        d_form = None if self.d.is_zero() else BinaryForm(self.d, ("x", "y"))
-        if delta_form is None and d_form is None:
-            self._has_y_root = self._has_x_root = True
-            return None
-        if delta_form is None:
-            g = d_form
-        elif d_form is None:
-            g = delta_form
-        else:
-            g = binary_gcd(delta_form, d_form)
-        # the [1:0] and [0:1] roots are handled separately
-        x_power, y_power, core = dehomogenize(g.coefficient_list())
-        self._has_y_root = y_power > 0
-        self._has_x_root = x_power > 0
-        return core
-
-    def _witness_at_point(self, x0, y0, label: str, lift=None, root_field=None) -> Optional[dict]:
-        root_field = root_field or self.field
-        if lift is None:
-            fiber = _evaluate_forms_at(self.abcde, x0, y0)
-        else:
-            lifted = [f.map_coefficients(root_field, lift) for f in self.abcde]
-            fiber = _evaluate_forms_at(lifted, x0, y0)
-        witness = closure_square_witness(fiber, root_field)
-        if witness is None:
-            return None
-        if not witness.reproduces(fiber):
-            raise VerificationError("square witness failed to reproduce the fiber quartic")
-        disc = witness.q1 * witness.q1 - 4 * witness.q0 * witness.q2
-        return {
-            "detail": f"perfect-square fiber at {label}",
-            "root_field_degree": absolute_degree(witness.field),
-            "witness": f"({witness.q0!r})*u^2 + ({witness.q1!r})*u*v + ({witness.q2!r})*v^2",
-            "distinct_double_roots": bool(disc),
-        }
-
-    def _witness_at_gcd_root(self, w: list) -> dict:
-        h = w if univar.deg(w) == 1 else univar.ff_factor_squarefree(w, self.field, self.rng)[0]
-        if univar.deg(h) == 1:
-            root_field, lift = self.field, None
-            root = -h[0] / h[1]
-        else:
-            root_field = ExtensionField(
-                self.field, [c.value for c in h], name=f"w{absolute_degree(self.field)}", check=False
-            )
-            lift = root_field.from_base
-            root = root_field.generator()
-        one = root_field.one()
-        outcome = self._witness_at_point(
-            root, one, label=f"[{root!r}:1]", lift=lift, root_field=root_field
+def _witness_at_gcd_root(abcde: list[MultiPoly], field: FiniteField, w: list, rng) -> dict:
+    """The witness at a root of w, adjoined in an extension when w has no linear factor."""
+    h = w if univar.deg(w) == 1 else univar.ff_factor_squarefree(w, field, rng)[0]
+    if univar.deg(h) == 1:
+        root = -h[0] / h[1]
+    else:
+        root_field = ExtensionField(
+            field, [c.value for c in h], name=f"w{absolute_degree(field)}", check=False
         )
-        if outcome is None:
-            # roots of the validated gcd satisfy the closure-square conditions
-            # by construction, so a missing witness is an internal contradiction
-            raise VerificationError("no square witness at a root of the validated gcd")
-        return outcome
-
-
-def _specialize_t(poly: MultiPoly, target: FiniteField, lift, tau) -> MultiPoly:
-    """Map an (x, y, t)-polynomial over GF(p) to an (x, y)-polynomial over the
-    extension, substituting t = tau."""
-    powers = {0: target.one()}
-    terms: dict = {}
-    for (ex_x, ex_y, ex_t), c in poly.terms.items():
-        power = powers.get(ex_t)
-        if power is None:
-            power = tau**ex_t
-            powers[ex_t] = power
-        value = lift(c) * power
-        if not value:
-            continue
-        key = (ex_x, ex_y)
-        acc = terms.get(key)
-        terms[key] = value if acc is None else acc + value
-    return MultiPoly(target, ("x", "y"), terms)
+        abcde = [f.map_coefficients(root_field, root_field.from_base) for f in abcde]
+        field, root = root_field, root_field.generator()
+    outcome = _fiber_witness(abcde, field, root, field.one(), f"[{root!r}:1]")
+    if outcome is None:
+        # roots of the validated gcd satisfy the closure-square conditions
+        # by construction, so a missing witness is an internal contradiction
+        raise VerificationError("no square witness at a root of the validated gcd")
+    return outcome
 
 
 @dataclass(frozen=True)
@@ -386,7 +275,6 @@ class PencilCountReport:
     extraneous_count: int
     factors: tuple[FactorReport, ...]
     infinity_validated: bool
-    infinity_detail: str
 
     def __post_init__(self) -> None:
         if self.validated_count > self.squarefree_degree:
@@ -410,9 +298,58 @@ def validate_member(
     delta: MultiPoly, d: MultiPoly, abcde: list[MultiPoly], field: FiniteField, rng: random.Random
 ) -> tuple[bool, dict]:
     """Does a single (3,4)-curve, given by its condition forms and fiber
-    coefficients over a finite field, carry an honest vertical bitangent?"""
-    checker = _PointChecker(delta=delta, d=d, abcde=abcde, field=field, rng=rng)
-    return checker.run()
+    coefficients over a finite field, carry an honest vertical bitangent?
+
+    The two condition forms must share a root, and some shared root must
+    carry a perfect-square fiber.  The search is root-free (gcds against the
+    closure-square condition polynomials, split by the A = 0 and B = 0
+    branches); only a validated member has an explicit root and witness
+    constructed, in a tower extension when the root or the square root lives
+    outside the field.
+    """
+    one, zero = field.one(), field.zero()
+    splits = [_split(form) for form in (delta, d) if not form.is_zero()]
+    if not splits:
+        # both conditions vanish identically in (x, y): degenerate member;
+        # probe the ends of the projective line and one more fiber
+        for x0, y0, label in ((one, zero, "[1:0]"), (zero, one, "[0:1]"), (one, one, "[1:1]")):
+            outcome = _fiber_witness(abcde, field, x0, y0, label)
+            if outcome is not None:
+                return True, outcome
+        return False, {"detail": "both condition forms vanish identically"}
+
+    # shared powers of x mark a common root at [0:1], shared powers of y one at [1:0]
+    x_power = min(split[0] for split in splits)
+    y_power = min(split[1] for split in splits)
+    core = splits[0][2] if len(splits) == 1 else univar.gcd(splits[0][2], splits[1][2], field)
+    if univar.deg(core) == 0 and not x_power and not y_power:
+        return False, {"detail": "specialized conditions are coprime"}
+    for power, x0, y0, label in ((y_power, one, zero, "[1:0]"), (x_power, zero, one, "[0:1]")):
+        if power:
+            outcome = _fiber_witness(abcde, field, x0, y0, label)
+            if outcome is not None:
+                return True, outcome
+
+    if univar.deg(core) >= 1:
+        gbar = univar.squarefree_part(core, field)
+        quartic = QuarticCoeffs(*abcde)
+        abar = _split(quartic.A)[2]
+        g_a = univar.gcd(gbar, abar, field) if abar else gbar
+        # main branch (A != 0), then the boundary branch (A = 0)
+        for g, branch in (
+            (univar.divmod_(gbar, g_a, field)[0], quartic),
+            (g_a, quartic._replace(A=0)),
+        ):
+            if univar.deg(g) < 1:
+                continue
+            for condition in closure_square_conditions(branch):
+                s = _split(condition)[2]
+                g = univar.gcd(g, s, field) if s else g
+                if univar.deg(g) < 1:
+                    break
+            else:
+                return True, _witness_at_gcd_root(abcde, field, g, rng)
+    return False, {"detail": "conditions share roots but no fiber is a perfect square"}
 
 
 def pencil_intersection_count(
@@ -452,28 +389,19 @@ def pencil_intersection_count(
             target = ExtensionField(fieldp, m, name="t", check=False)
             lift = target.from_base
             tau = target.generator()
-        delta_tau = _specialize_t(delta.poly, target, lift, tau)
-        d_tau = _specialize_t(d.poly, target, lift, tau)
-        abcde_tau = [_specialize_t(fm, target, lift, tau) for fm in member_forms]
-        ok, info = validate_member(delta_tau, d_tau, abcde_tau, target, rng)
-        reports.append(
-            FactorReport(
-                modulus=tuple(m),
-                degree=deg_m,
-                validated=ok,
-                detail=info.get("detail", ""),
-                root_field_degree=info.get("root_field_degree"),
-                witness=info.get("witness"),
-                distinct_double_roots=info.get("distinct_double_roots"),
-            )
+        delta_tau, d_tau, *abcde_tau = (
+            form.map_coefficients(target, lift).specialize({"t": tau})
+            for form in (delta.poly, d.poly, *member_forms)
         )
+        ok, info = validate_member(delta_tau, d_tau, abcde_tau, target, rng)
+        reports.append(FactorReport(tuple(m), deg_m, ok, **info))
         if ok:
             validated_total += deg_m
 
     # the t = infinity member is F1 itself; reported separately, never counted
     inf_forms = f1.coefficient_forms()
     inf_quartic = QuarticCoeffs(*inf_forms)
-    inf_ok, inf_info = validate_member(
+    inf_ok, _ = validate_member(
         disc_delta(inf_quartic), sem_d(inf_quartic), inf_forms, fieldp, rng
     )
 
@@ -487,7 +415,6 @@ def pencil_intersection_count(
         extraneous_count=sum(1 for rep in reports if not rep.validated),
         factors=tuple(reports),
         infinity_validated=inf_ok,
-        infinity_detail=inf_info.get("detail", ""),
     )
 
 

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .binform import BinaryForm, sylvester_resultant
-from . import binform
+from . import binform, univar
 from .domains import QQ
 from .errors import VerificationError
 from .multipoly import MultiPoly
@@ -258,18 +258,19 @@ def _bidegree(P: MultiPoly) -> tuple[int, int]:
 
 
 def _rational_projective_roots(form: BinaryForm) -> tuple[list[tuple[Fraction, Fraction]], int]:
-    """Rational projective roots of a nonzero (x, y)-form over QQ, plus the
-    number of irreducible factors left unresolved (irrational root pairs)."""
+    """Distinct rational projective roots of a nonzero (x, y)-form over QQ,
+    plus the number of its distinct non-rational roots (left unresolved)."""
     x_power, y_power, dehom = binform.dehomogenize(form.coefficient_list())
     roots = []
     if y_power:
         roots.append((Fraction(1), Fraction(0)))
     if x_power:
         roots.append((Fraction(0), Fraction(1)))
-    if len(dehom) <= 1:
+    core = univar.squarefree_part(dehom, QQ)
+    if len(core) <= 1:
         return roots, 0
-    denom = math.lcm(*(c.denominator for c in dehom))
-    ints = [int(c * denom) for c in dehom]
+    denom = math.lcm(*(c.denominator for c in core))
+    ints = [int(c * denom) for c in core]
     lead, const = abs(ints[-1]), abs(ints[0])
     rational = set()
     for num in _divisors(const):
@@ -282,9 +283,8 @@ def _rational_projective_roots(form: BinaryForm) -> tuple[list[tuple[Fraction, F
                 if value == 0:
                     rational.add(cand)
     roots.extend((r, Fraction(1)) for r in sorted(rational))
-    # degree not accounted for by rational roots signals irrational factors
-    unresolved = len(dehom) - 1 - len(rational)
-    return roots, max(unresolved, 0)
+    # the squarefree core has simple roots, so the rest of its degree is irrational
+    return roots, univar.deg(core) - len(rational)
 
 
 def _divisors(n: int) -> list[int]:

@@ -11,12 +11,11 @@ from exactgeom.binform import (
     binary_gcd,
     det_polynomial_matrix,
     form_from_coefficients,
-    resultant_wrt,
     squarefree_part,
     sylvester_resultant,
 )
-from exactgeom.domains import QQ, PrimeField
-from exactgeom.errors import InterpolationError
+from exactgeom.domains import QQ, ExtensionField, PrimeField
+from exactgeom.errors import DomainMismatchError, InterpolationError
 from exactgeom.multipoly import MultiPoly
 
 UV = ("u", "v")
@@ -56,8 +55,9 @@ def test_resultant_two_linear_forms():
 
 
 def test_resultant_single_variable():
-    u, t = MultiPoly.gens(QQ, ("u", "t"))
-    res = resultant_wrt(u**2 - t, u - 1, "u")
+    # Res(u^2 - t v^2, u - v) = 1 - t: the dehomogenized Res_u(u^2 - t, u - 1)
+    u, v, t = MultiPoly.gens(QQ, ("u", "v", "t"))
+    res = sylvester_resultant(BinaryForm(u**2 - t * v**2, UV), BinaryForm(u - v, UV))
     (t_only,) = MultiPoly.gens(QQ, ("t",))
     assert res == 1 - t_only
 
@@ -274,6 +274,12 @@ def test_det_constant_paths_agree():
         assert modular == F.elem(int(rational) % p)
         assert rational.denominator == 1
         assert cofactor_det([[Fraction(c) for c in row] for row in ints]) == rational
+
+
+def test_det_constant_rejects_other_domains():
+    K = ExtensionField(PrimeField(7), [1, 0, 1], name="t", check=False)  # t^2 + 1
+    with pytest.raises(DomainMismatchError):
+        binform.det_constant([[K.one()]], K)
 
 
 def test_interpolation_insufficient_points():

@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from exactgeom import cli
+from exactgeom import cli, lines, pencil24
+from exactgeom.errors import VerificationError
 from exactgeom.report import strip_timings
 
 
@@ -79,6 +80,28 @@ def test_check_failure_exits_1(monkeypatch):
 
     monkeypatch.setitem(cli.CHECK_RUNNERS, "verify-intersection", (broken,))
     assert run_main(["verify-intersection", "--quiet"]) == 1
+
+
+@pytest.mark.parametrize(
+    "command, module, name",
+    [
+        ("verify-lines", lines, "verification_summary"),
+        ("verify-pencil24", pencil24, "pencil_intersection_count"),
+    ],
+)
+def test_verification_error_fails_the_check(monkeypatch, tmp_path, command, module, name):
+    def failing(*args, **kwargs):
+        raise VerificationError("square witness failed to reproduce the fiber quartic")
+
+    monkeypatch.setattr(module, name, failing)
+    out = tmp_path / "report.json"
+    argv = [command, "--quiet", "--prime", "10007", "--seed", "3", "--out", str(out)]
+    assert run_main(argv) == 1
+    document = json.loads(out.read_text())
+    assert document["overall"] == "fail"
+    (entry,) = document["checks"]
+    assert entry["status"] == "fail"
+    assert entry["witness"] == {"error": "square witness failed to reproduce the fiber quartic"}
 
 
 def test_internal_error_exits_3(monkeypatch):

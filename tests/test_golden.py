@@ -1,4 +1,4 @@
-"""Golden report: a full ``exactgeom all`` run must reproduce a committed file.
+"""Golden reports: CLI runs must reproduce committed files.
 
 ``data/golden_all_p10007_s3.json`` is the stripped report (wall times removed
 by :func:`exactgeom.report.strip_timings`) of::
@@ -9,9 +9,16 @@ That pencil is the cheapest default-prime one whose validation builds tower
 extensions (extensions of extensions), so the file pins tower arithmetic,
 factor order and every witness string, not only the headline counts.
 
-Refactors must leave this file untouched.  Only a change that announces a
+``data/golden_pencil24_p31991_s1.json`` is the stripped report of::
+
+    exactgeom verify-pencil24 --prime 31991 --seed 1
+
+whose validated factors live in GF(p^9) and GF(p^15), so it pins member
+validation in large extensions.
+
+Refactors must leave these files untouched.  Only a change that announces a
 witness change (for example a different quadratic non-residue, which flips
-Tonelli-Shanks root signs) may regenerate it, and must say so in CHANGES.md.
+Tonelli-Shanks root signs) may regenerate them, and must say so in CHANGES.md.
 """
 
 import json
@@ -20,13 +27,23 @@ from pathlib import Path
 from exactgeom import cli
 from exactgeom.report import strip_timings
 
-GOLDEN = Path(__file__).parent / "data" / "golden_all_p10007_s3.json"
+DATA = Path(__file__).parent / "data"
 ARGV = ["all", "--prime", "10007", "--seed", "3", "--trials", "1", "--fuzz-count", "1000"]
 
 
-def test_all_report_matches_golden(tmp_path):
+def _stripped_report(tmp_path, argv) -> str:
     out = tmp_path / "report.json"
-    assert cli.main([*ARGV, "--quiet", "--out", str(out)]) == 0
+    assert cli.main([*argv, "--quiet", "--out", str(out)]) == 0
     stripped = strip_timings(json.loads(out.read_text(encoding="utf-8")))
-    text = json.dumps(stripped, indent=2, ensure_ascii=False) + "\n"
-    assert text == GOLDEN.read_text(encoding="utf-8")
+    return json.dumps(stripped, indent=2, ensure_ascii=False) + "\n"
+
+
+def test_all_report_matches_golden(tmp_path):
+    golden = DATA / "golden_all_p10007_s3.json"
+    assert _stripped_report(tmp_path, ARGV) == golden.read_text(encoding="utf-8")
+
+
+def test_pencil24_report_matches_golden(tmp_path):
+    golden = DATA / "golden_pencil24_p31991_s1.json"
+    argv = ["verify-pencil24", "--prime", "31991", "--seed", "1"]
+    assert _stripped_report(tmp_path, argv) == golden.read_text(encoding="utf-8")

@@ -1,11 +1,14 @@
 """Vertical-bitangent counting for pencils of (3,4)-curves over GF(p)."""
 
+import random
+
 import pytest
 
 from exactgeom import pencil24 as pc
 from exactgeom import zpoly
 from exactgeom.domains import PrimeField
 from exactgeom.multipoly import MultiPoly
+from exactgeom.quartic import QuarticCoeffs, disc_delta, sem_d, square_coefficients
 
 P = 10007
 
@@ -147,3 +150,29 @@ def test_factor_report_summary_shape():
     assert summary["prime"] == P
     assert {"factor", "degree", "validated", "detail"} <= set(summary["factors"][0])
     assert summary["validated_count"] == report.validated_count
+
+
+def test_validate_member_builds_the_root_in_an_extension():
+    # A..E_j = (x^2 + y^2)(x P_j + y P'_j) + S(x, y) [Q^2]_j: the roots of
+    # x^2 + y^2 lie in GF(p^2) only (-1 is a non-residue mod 10007), the fiber
+    # quartic there is S(w, 1) Q^2, and S(w, 1) needs a square root in GF(p^4)
+    F = PrimeField(P)
+    rng = random.Random(0)
+    x, y = MultiPoly.gens(F, ("x", "y"))
+    s = x**3 + 3 * x * y**2 + 5 * y**3
+    p1 = [F.rand(rng) for _ in range(5)]
+    p2 = [F.rand(rng) for _ in range(5)]
+    q_squared = square_coefficients(*(F.rand(rng) for _ in range(3)))
+    forms = [(x * x + y * y) * (p1[j] * x + p2[j] * y) + s * q_squared[j] for j in range(5)]
+    quartic = QuarticCoeffs(*forms)
+    ok, info = pc.validate_member(
+        disc_delta(quartic), sem_d(quartic), forms, F, random.Random("member")
+    )
+    # pinned values: a changed witness must be announced like a golden change
+    assert ok
+    assert info == {
+        "detail": "perfect-square fiber at [(w1):1]",
+        "root_field_degree": 4,
+        "witness": "((s))*u^2 + ((3558*s))*u*v + ((9788*s))*v^2",
+        "distinct_double_roots": True,
+    }

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from exactgeom import transversality as tv
-from exactgeom.binform import binary_gcd
+from exactgeom.binform import binary_gcd, form_from_coefficients
 from exactgeom.domains import QQ
 from exactgeom.multipoly import MultiPoly
 from exactgeom.quartic import QuarticCoeffs, perfect_square_witness
@@ -134,7 +134,25 @@ def test_conditions_share_marked_root_at_alpha_zero():
     delta0, d0 = tv.specialized_pair(0)
     g = binary_gcd(delta0, d0)
     assert g.degree >= 1
-    assert g.evaluate_pair(Fraction(1), Fraction(0)) == 0  # the shared root is [1:0]
+    assert g.poly.evaluate({"x": Fraction(1), "y": Fraction(0)}) == 0  # the shared root is [1:0]
+
+
+def _rational_roots(coeffs):
+    form = form_from_coefficients(QQ, ("x", "y"), ("x", "y"), [Fraction(c) for c in coeffs])
+    return tv._rational_projective_roots(form)
+
+
+def test_rational_projective_roots_counts_distinct_roots():
+    one, zero = Fraction(1), Fraction(0)
+    # x y (x - y)^2 (x^2 - 2 y^2): [1:0], [0:1], the double root [1:1] and an irrational pair
+    roots, unresolved = _rational_roots([0, 1, -2, -1, 4, -2, 0])
+    assert roots == [(one, zero), (zero, one), (one, one)]
+    assert unresolved == 2
+    # a repeated rational root leaves nothing unresolved
+    assert _rational_roots([1, -2, 1]) == ([(one, one)], 0)
+    # one irreducible factor over QQ, two distinct non-rational roots
+    assert _rational_roots([1, 0, -2]) == ([], 2)
+    assert _rational_roots([1, 0, -2, 0, 0]) == ([(zero, one)], 2)
 
 
 def test_family_is_marked_member_plus_parameter_times_correction():
