@@ -275,24 +275,10 @@ def dehomogenize(coeffs: list) -> tuple[int, int, list]:
     return trail, lead, list(reversed(coeffs[lead : len(coeffs) - trail]))
 
 
-def _rehomogenize(domain, variables, pair, univariate: list, extra_u: int, extra_v: int) -> BinaryForm:
-    coeffs = list(reversed(univariate))
-    form = form_from_coefficients(domain, variables, pair, coeffs)
-    u, v = pair
-    poly = form.poly
-    if extra_u:
-        poly = poly * MultiPoly.variable(domain, variables, u) ** extra_u
-    if extra_v:
-        poly = poly * MultiPoly.variable(domain, variables, v) ** extra_v
-    return BinaryForm(poly, pair)
-
-
-def _normalize_monic(form: BinaryForm) -> BinaryForm:
-    coeffs = form.coefficient_list()
-    lead = next((c for c in coeffs if c), None)
-    if lead is None:
-        return form
-    return BinaryForm(form.poly / lead, form.pair)
+def _homogenize(domain, variables, pair, a: int, b: int, core: list) -> BinaryForm:
+    """Inverse of :func:`dehomogenize`: the form u^a v^b * core."""
+    zero = domain.zero()
+    return form_from_coefficients(domain, variables, pair, [zero] * b + core[::-1] + [zero] * a)
 
 
 def binary_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
@@ -300,7 +286,8 @@ def binary_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
 
     Runs Euclid on dehomogenizations after stripping pure powers of the pair
     variables, then restores the stripped powers, so common roots at [1:0]
-    and [0:1] are preserved exactly.
+    and [0:1] are preserved exactly.  A zero argument yields the other form
+    divided by its first nonzero coefficient.
     """
     if f.pair != g.pair:
         raise DomainMismatchError("gcd of forms with different designated pairs")
@@ -308,16 +295,13 @@ def binary_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     if f.is_zero() and g.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
     if f.is_zero():
-        return _normalize_monic(g)
-    if g.is_zero():
-        return _normalize_monic(f)
-    domain, variables, pair = f.poly.domain, f.poly.variables, f.pair
-    uf, vf, pf = dehomogenize(f.coefficient_list())
-    ug, vg, pg = dehomogenize(g.coefficient_list())
-    h = univar.gcd(pf, pg, domain)
-    return _normalize_monic(
-        _rehomogenize(domain, variables, pair, h, min(uf, ug), min(vf, vg))
-    )
+        f, g = g, f
+    domain = f.poly.domain
+    a, b, core = dehomogenize(f.coefficient_list())
+    # a zero g keeps every power of u and v, and gcd(core, 0) is the monic core
+    ag, bg, core_g = (a, b, []) if g.is_zero() else dehomogenize(g.coefficient_list())
+    core = univar.gcd(core, core_g, domain)
+    return _homogenize(domain, f.poly.variables, f.pair, min(a, ag), min(b, bg), core)
 
 
 def squarefree_part(f: BinaryForm) -> BinaryForm:
@@ -332,8 +316,6 @@ def squarefree_part(f: BinaryForm) -> BinaryForm:
     char = domain.char
     if char and char <= f.degree:
         raise ValueError("squarefree part needs characteristic 0 or > deg f")
-    uf, vf, p = dehomogenize(f.coefficient_list())
-    s = univar.squarefree_part(p, domain)
-    return _normalize_monic(
-        _rehomogenize(domain, f.poly.variables, f.pair, s, min(uf, 1), min(vf, 1))
-    )
+    a, b, core = dehomogenize(f.coefficient_list())
+    s = univar.squarefree_part(core, domain)
+    return _homogenize(domain, f.poly.variables, f.pair, min(a, 1), min(b, 1), s)

@@ -237,8 +237,9 @@ def run(config: RunConfig) -> Report:
 
 def _validated_prime(text: str) -> int:
     value = int(text)
-    if value <= 1000 or not is_prime(value):
-        raise argparse.ArgumentTypeError(f"{value} is not a prime > 1000")
+    # bound first: PrimeField needs p < 2**31, and is_prime is exact only below 3215031751
+    if not 1000 < value < 2**31 or not is_prime(value):
+        raise argparse.ArgumentTypeError(f"{value} is not a prime with 1000 < p < 2^31")
     return value
 
 

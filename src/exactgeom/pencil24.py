@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import univar, zpoly
-from .binform import BinaryForm, dehomogenize, sylvester_resultant
-from .domains import ExtensionField, FieldElement, FiniteField, PrimeField
+from .binform import BinaryForm, dehomogenize, form_from_coefficients, sylvester_resultant
+from .domains import QQ, ExtensionField, FieldElement, FiniteField, PrimeField
 from .errors import VerificationError
 from .multipoly import MultiPoly
 from .quartic import (
@@ -57,18 +57,10 @@ class Curve34:
 
     def coefficient_forms(self, variables=("x", "y")) -> list[MultiPoly]:
         """The five (x, y)-cubics A..E (A multiplies u^4, E multiplies v^4)."""
-        out = []
-        for j in range(5):
-            terms = {}
-            for i in range(4):
-                c = self.coeffs[i][j]
-                if c:
-                    ex = [0] * len(variables)
-                    ex[0] = 3 - i
-                    ex[1] = i
-                    terms[tuple(ex)] = c
-            out.append(MultiPoly(self.fieldp, variables, terms))
-        return out
+        return [
+            form_from_coefficients(self.fieldp, variables, variables[:2], column).poly
+            for column in zip(*self.coeffs)
+        ]
 
     def is_proportional_to(self, other: "Curve34") -> bool:
         ratio = None
@@ -166,20 +158,6 @@ def raw_resultant(f0: Curve34, f1: Curve34) -> tuple[int, ...]:
 # --- validation of a single member --------------------------------------------
 
 
-def _poly_text(coeffs, name: str = "t") -> str:
-    parts = []
-    for e in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[e]
-        if not c:
-            continue
-        var = "" if e == 0 else (name if e == 1 else f"{name}^{e}")
-        if var and c == 1:
-            parts.append(var)
-        else:
-            parts.append(f"{c}*{var}" if var else str(c))
-    return " + ".join(parts) if parts else "0"
-
-
 @dataclass(frozen=True)
 class FactorReport:
     """Validation outcome for one irreducible factor of the squarefree eliminant."""
@@ -193,8 +171,10 @@ class FactorReport:
     distinct_double_roots: Optional[bool] = None
 
     def summary(self) -> dict:
+        # canonical ints in [0, p) print the same over QQ as over GF(p)
+        factor = MultiPoly(QQ, ("t",), {(e,): c for e, c in enumerate(self.modulus)})
         out = {
-            "factor": _poly_text(self.modulus),
+            "factor": factor.to_text(),
             "degree": self.degree,
             "validated": self.validated,
             "detail": self.detail,
@@ -218,10 +198,7 @@ def absolute_degree(field: FiniteField) -> int:
 
 def _split(form: MultiPoly) -> tuple[int, int, list]:
     """:func:`binform.dehomogenize` of an (x, y)-form over K: (a, b, core in x/y)."""
-    coeffs = [form.domain.zero()] * (form.total_degree() + 1)
-    for (_, ex_y), c in form.terms.items():
-        coeffs[ex_y] = c
-    return dehomogenize(coeffs)
+    return dehomogenize(BinaryForm(form, ("x", "y")).coefficient_list() if form else [])
 
 
 def _fiber_witness(

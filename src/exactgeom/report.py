@@ -15,7 +15,6 @@ from . import __version__
 
 PASS = "pass"
 FAIL = "fail"
-INCONCLUSIVE = "inconclusive"
 
 
 @dataclass

@@ -25,33 +25,38 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping
 
+from .domains import QQ
 from .errors import DomainMismatchError, VerificationError
+from .multipoly import MultiPoly
+
+XTHETA_VARS = ("x", "theta")
 
 
 @dataclass(frozen=True)
 class XThetaClass:
     """A truncated polynomial in x and theta on X^(d) for a genus-g curve.
 
-    ``coeffs`` maps (i, j) for the monomial x^i theta^j, i + j <= d, to exact
-    rationals.  ``truncated`` records whether a product ever dropped terms of
-    total degree above d (those do not contribute to integrals but dropping
-    them is flagged, never silent).
+    ``poly`` is a :class:`MultiPoly` over QQ in ``XTHETA_VARS`` whose
+    monomials x^i theta^j all have i + j <= d; sums, differences, products
+    and the text rendering are MultiPoly's.  ``truncated`` records whether a
+    product ever dropped terms of total degree above d (those do not
+    contribute to integrals but dropping them is flagged, never silent).
     """
 
     g: int
     d: int
-    coeffs: Mapping[tuple[int, int], Fraction]
+    poly: MultiPoly
     truncated: bool = False
 
     def __post_init__(self) -> None:
-        clean = {}
-        for (i, j), c in self.coeffs.items():
+        for i, j in self.poly.terms:
             if i < 0 or j < 0 or i + j > self.d:
                 raise ValueError(f"monomial x^{i} theta^{j} exceeds degree {self.d}")
-            c = Fraction(c)
-            if c:
-                clean[(i, j)] = c
-        object.__setattr__(self, "coeffs", MappingProxyType(clean))
+
+    @property
+    def coeffs(self) -> Mapping[tuple[int, int], Fraction]:
+        """Read-only view of the terms: (i, j) -> coefficient of x^i theta^j."""
+        return MappingProxyType(self.poly.terms)
 
     def _check(self, other: "XThetaClass") -> None:
         if (self.g, self.d) != (other.g, other.d):
@@ -59,65 +64,32 @@ class XThetaClass:
 
     def __add__(self, other: "XThetaClass") -> "XThetaClass":
         self._check(other)
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            out[key] = out.get(key, Fraction(0)) + c
-        return XThetaClass(self.g, self.d, out, self.truncated or other.truncated)
+        truncated = self.truncated or other.truncated
+        return XThetaClass(self.g, self.d, self.poly + other.poly, truncated)
 
     def __sub__(self, other: "XThetaClass") -> "XThetaClass":
         self._check(other)
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            out[key] = out.get(key, Fraction(0)) - c
-        return XThetaClass(self.g, self.d, out, self.truncated or other.truncated)
+        truncated = self.truncated or other.truncated
+        return XThetaClass(self.g, self.d, self.poly - other.poly, truncated)
 
     def __mul__(self, other) -> "XThetaClass":
         if isinstance(other, (int, Fraction)):
-            scalar = Fraction(other)
-            return XThetaClass(
-                self.g, self.d, {k: c * scalar for k, c in self.coeffs.items()}, self.truncated
-            )
+            return XThetaClass(self.g, self.d, self.poly * other, self.truncated)
         self._check(other)
-        out: dict = {}
-        dropped = False
-        for (i1, j1), c1 in self.coeffs.items():
-            for (i2, j2), c2 in other.coeffs.items():
-                i, j = i1 + i2, j1 + j2
-                if i + j > self.d:
-                    dropped = True
-                    continue
-                key = (i, j)
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return XThetaClass(self.g, self.d, out, self.truncated or other.truncated or dropped)
+        product = self.poly * other.poly
+        kept = {ex: c for ex, c in product.terms.items() if sum(ex) <= self.d}
+        # QQ[x, theta] has no zero divisors, so some term pair lands above d
+        # exactly when the product itself has degree above d
+        truncated = self.truncated or other.truncated or product.total_degree() > self.d
+        return XThetaClass(self.g, self.d, MultiPoly(QQ, XTHETA_VARS, kept), truncated)
 
     __rmul__ = __mul__
 
     def coefficient(self, i: int, j: int) -> Fraction:
-        return self.coeffs.get((i, j), Fraction(0))
+        return self.poly.coefficient((i, j))
 
     def to_text(self) -> str:
-        if not self.coeffs:
-            return "0"
-        ordered = sorted(self.coeffs, key=lambda k: (k[0] + k[1], k[0]), reverse=True)
-        pieces = []
-        for i, j in ordered:
-            c = self.coeffs[(i, j)]
-            mono = "*".join(
-                part
-                for part in (
-                    "x" if i == 1 else f"x^{i}" if i else "",
-                    "theta" if j == 1 else f"theta^{j}" if j else "",
-                )
-                if part
-            )
-            text = str(abs(c))
-            body = mono if text == "1" and mono else (f"{text}*{mono}" if mono else text)
-            pieces.append(("-" if c < 0 else "+", body))
-        sign, body = pieces[0]
-        out = body if sign == "+" else f"-{body}"
-        for sign, body in pieces[1:]:
-            out += f" {sign} {body}"
-        return out
+        return self.poly.to_text()
 
     __str__ = to_text
 
@@ -139,7 +111,8 @@ def eval_top(c: XThetaClass) -> Fraction:
 
 
 def xtheta(g: int, d: int, coeffs: Mapping[tuple[int, int], object]) -> XThetaClass:
-    return XThetaClass(g, d, {k: Fraction(v) for k, v in coeffs.items()})
+    terms = {k: Fraction(v) for k, v in coeffs.items()}
+    return XThetaClass(g, d, MultiPoly(QQ, XTHETA_VARS, terms))
 
 
 def class_c14() -> XThetaClass:

@@ -38,25 +38,12 @@ FAMILY_VARS = ("x", "y", "alpha")
 SURFACE_VARS = ("x", "y", "u", "v")
 
 
-@dataclass(frozen=True)
-class FamilyCoeffs:
-    """Fiber-quartic coefficients of the family, polynomials in (x, y, alpha)."""
-
-    A: MultiPoly
-    B: MultiPoly
-    C: MultiPoly
-    D: MultiPoly
-    E: MultiPoly
-
-    def as_quartic(self) -> QuarticCoeffs:
-        return QuarticCoeffs(self.A, self.B, self.C, self.D, self.E)
-
-
 @functools.cache
-def family_coeffs() -> FamilyCoeffs:
+def family_coeffs() -> QuarticCoeffs:
+    """Fiber-quartic coefficients of the family, polynomials in (x, y, alpha)."""
     x, y, alpha = MultiPoly.gens(QQ, FAMILY_VARS)
     one = MultiPoly.constant(QQ, FAMILY_VARS, 1)
-    return FamilyCoeffs(
+    return QuarticCoeffs(
         A=x**3 + y**3,
         B=-2 * x**3,
         C=(one - alpha) * x**3,
@@ -78,7 +65,7 @@ def family_polynomial() -> MultiPoly:
             terms[(ex_x, ex_y, 0, 0, ex_a)] = c
         return MultiPoly(QQ, fam_vars, terms)
 
-    fam = family_coeffs().as_quartic()
+    fam = family_coeffs()
     monomials = [u**4, u**3 * v, u**2 * v**2, u * v**3, v**4]
     return sum(
         (lift(coeff) * mono for coeff, mono in zip(fam, monomials)),
@@ -95,13 +82,13 @@ def p0_polynomial() -> MultiPoly:
 @functools.cache
 def delta_alpha() -> BinaryForm:
     """Discriminant condition of the family: degree 18 in (x, y), parameter alpha."""
-    return BinaryForm(disc_delta(family_coeffs().as_quartic()), ("x", "y"))
+    return BinaryForm(disc_delta(family_coeffs()), ("x", "y"))
 
 
 @functools.cache
 def d_alpha() -> BinaryForm:
     """Seminvariant condition of the family: degree 12 in (x, y), parameter alpha."""
-    return BinaryForm(sem_d(family_coeffs().as_quartic()), ("x", "y"))
+    return BinaryForm(sem_d(family_coeffs()), ("x", "y"))
 
 
 @dataclass(frozen=True)
@@ -137,12 +124,10 @@ def resultant_R(sample_base: int = 0) -> ResultantDiagnostics:
     """
     r = sylvester_resultant(delta_alpha(), d_alpha(), sample_base=sample_base)
     coeffs = {ex[0]: c for ex, c in r.terms.items()}
-    degree = max(coeffs, default=-1)
-    order = min(coeffs, default=-1)
     return ResultantDiagnostics(
         polynomial=r,
-        degree=degree,
-        order_at_zero=order if coeffs else -1,
+        degree=max(coeffs, default=-1),
+        order_at_zero=min(coeffs, default=-1),
         value_at_zero=coeffs.get(0, Fraction(0)),
         identically_zero=not coeffs,
         sample_base=sample_base,
@@ -208,7 +193,7 @@ def fiber_quartic(x0, y0, a0) -> QuarticCoeffs:
     if not x0 and not y0:
         raise ValueError("(x, y) = (0, 0) is not a point of the projective line")
     point = {"x": Fraction(x0), "y": Fraction(y0), "alpha": Fraction(a0)}
-    fam = family_coeffs().as_quartic()
+    fam = family_coeffs()
     return QuarticCoeffs(*(c.evaluate(point) for c in fam))
 
 

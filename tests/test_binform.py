@@ -213,6 +213,16 @@ def test_gcd_both_zero_rejected():
         binary_gcd(zero, zero)
 
 
+def test_gcd_with_zero_is_the_other_form_divided_by_its_first_coefficient():
+    # -3 u v^2 (u - 2v): the factors u and v^2 pad the coefficient list at both ends
+    u, v = MultiPoly.gens(QQ, UV)
+    f = BinaryForm(-3 * u * v**2 * (u - 2 * v), UV)
+    zero = BinaryForm(MultiPoly.zero(QQ, UV), UV)
+    expected = u * v**2 * (u - 2 * v)
+    assert binary_gcd(f, zero).poly == expected
+    assert binary_gcd(zero, f).poly == expected
+
+
 def test_squarefree_part_examples():
     u, v = MultiPoly.gens(QQ, UV)
     assert squarefree_part(qform([1, -1, -1, 1])).poly == (u - v) * (u + v)

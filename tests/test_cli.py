@@ -66,10 +66,18 @@ def test_usage_errors_exit_2():
         ["verify-pencil24", "--trials", "two"],
         ["verify-quartic-fuzz", "--fuzz-count", "-5"],
         ["verify-quartic-fuzz", "--fuzz-count", "0"],
+        # 2^31 + 11 is prime but too large for PrimeField; 3215031751 is
+        # composite, and the first number the Miller-Rabin bases misjudge
+        ["verify-pencil24", "--prime", "2147483659"],
+        ["verify-pencil24", "--prime", "3215031751"],
     ):
         with pytest.raises(SystemExit) as exc:
             run_main(bad)
         assert exc.value.code == 2
+
+
+def test_largest_admissible_prime_is_accepted():
+    assert cli._validated_prime("2147483647") == 2**31 - 1
 
 
 def test_check_failure_exits_1(monkeypatch):

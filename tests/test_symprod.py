@@ -87,6 +87,8 @@ def test_truncation_flagged():
     product = a * a  # theta^4 does not fit on X^(2)
     assert product.truncated
     assert not a.truncated
+    # degree exactly d: nothing is dropped
+    assert not (class_c14() * class_delta2()).truncated
 
 
 def test_invalid_monomial_rejected():
