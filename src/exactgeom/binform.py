@@ -2,10 +2,11 @@
 
 A :class:`BinaryForm` is a :class:`MultiPoly` that is homogeneous in a
 designated pair of variables; the remaining variables act as parameters.
-Resultants eliminate the designated pair.  Determinants with constant entries
-use fraction-free Bareiss elimination; determinants with polynomial entries
-are computed by evaluation-interpolation at integer sample points, with the
-degree bound taken as the sum over matrix rows of the maximal entry degree.
+Resultants eliminate the designated pair: the Sylvester determinant of forms
+of degrees m and n is interpolated at integer sample points, one parameter at
+a time, with degree bound n deg f + m deg g in that parameter.  Each
+coefficient is substituted once per point; only constant matrices are laid
+out, for Bareiss elimination.
 The point at infinity is handled explicitly throughout: the gcd strips and
 restores pure powers of either pair variable, so a common root at [1:0] or
 [0:1] is never lost.
@@ -183,26 +184,34 @@ def det_constant(matrix, domain):
     raise DomainMismatchError(f"no constant determinant over {domain!r}")
 
 
-def det_polynomial_matrix(rows: list[list[MultiPoly]], sample_base: int = 0) -> MultiPoly:
-    """Determinant of a square matrix of polynomials sharing domain/variables.
+def det_polynomial_matrix(
+    fc: list[MultiPoly], gc: list[MultiPoly], sample_base: int = 0
+) -> MultiPoly:
+    """Determinant of the Sylvester matrix of two coefficient sequences.
 
-    Entries that involve no variable are dispatched to Bareiss elimination;
-    otherwise the determinant is interpolated variable by variable at the
-    integer sample points sample_base, ..., sample_base + bound, where bound
-    is the sum over rows of the maximal entry degree in the active variable.
+    With m = len(fc) - 1 and n = len(gc) - 1, the matrix holds n shifted
+    copies of ``fc`` and m of ``gc``.  Constant coefficients are laid out and
+    dispatched to Bareiss elimination; otherwise the determinant is
+    interpolated in the first variable of positive degree at the integer
+    sample points sample_base, ..., sample_base + bound, where bound is
+    n * deg fc + m * deg gc in that variable.
     """
-    first = rows[0][0]
-    domain, variables = first.domain, first.variables
-    active = None
-    for name in variables:
-        if any(entry.degree_in(name) > 0 for row in rows for entry in row):
-            active = name
-            break
+    domain, variables = fc[0].domain, fc[0].variables
+    m, n = len(fc) - 1, len(gc) - 1
+    active = next(
+        (name for name in variables if any(c.degree_in(name) > 0 for c in fc + gc)), None
+    )
     if active is None:
-        mat = [[entry.constant_value() for entry in row] for row in rows]
+        fv = [c.constant_value() for c in fc]
+        gv = [c.constant_value() for c in gc]
+        zero = domain.zero()
+        mat = [[zero] * i + fv + [zero] * (n - 1 - i) for i in range(n)]
+        mat += [[zero] * i + gv + [zero] * (m - 1 - i) for i in range(m)]
         return MultiPoly.constant(domain, variables, det_constant(mat, domain))
 
-    bound = sum(max(max(entry.degree_in(active), 0) for entry in row) for row in rows)
+    # a sequence that vanishes at a sample point has degree -1; its rows add nothing
+    bound = n * max(0, max(c.degree_in(active) for c in fc))
+    bound += m * max(0, max(c.degree_in(active) for c in gc))
     if domain.order is not None and bound + 1 > domain.order:
         raise InterpolationError(
             f"need {bound + 1} sample points but the field has only {domain.order} elements"
@@ -212,8 +221,9 @@ def det_polynomial_matrix(rows: list[list[MultiPoly]], sample_base: int = 0) -> 
         raise InterpolationError("interpolation sample points are not distinct")
     values = []
     for pt in points:
-        specialized = [[entry.substitute(active, pt) for entry in row] for row in rows]
-        values.append(det_polynomial_matrix(specialized, sample_base))
+        fs = [c.substitute(active, pt) for c in fc]
+        gs = [c.substitute(active, pt) for c in gc]
+        values.append(det_polynomial_matrix(fs, gs, sample_base))
     return _newton_interpolate(active, points, values, domain, variables)
 
 
@@ -246,12 +256,7 @@ def sylvester_resultant(f: BinaryForm, g: BinaryForm, sample_base: int = 0) -> M
     f.poly._check_compatible(g.poly)
     if f.degree < 1 or g.degree < 1:
         raise ValueError("resultant requires nonzero forms of degree at least 1")
-    zero = MultiPoly.zero(f.poly.domain, f.poly.variables)
-    m, n = f.degree, g.degree
-    fc, gc = f.coefficient_polys(), g.coefficient_polys()
-    rows = [[zero] * i + fc + [zero] * (n - 1 - i) for i in range(n)]
-    rows += [[zero] * i + gc + [zero] * (m - 1 - i) for i in range(m)]
-    det = det_polynomial_matrix(rows, sample_base)
+    det = det_polynomial_matrix(f.coefficient_polys(), g.coefficient_polys(), sample_base)
     return det.drop_vars(f.pair)
 
 

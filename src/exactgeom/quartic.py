@@ -3,8 +3,7 @@
 Two classical covariant conditions are implemented exactly:
 
 * ``disc_delta`` -- the degree-6 discriminant, vanishing iff the quartic has
-  a repeated root.  It equals Res(f, df/du) / A for A != 0; the scalar
-  normalization factor is recorded as :data:`RESULTANT_NORMALIZATION`.
+  a repeated root.  It equals Res(f, df/du) / A for A != 0.
 * ``sem_d`` -- the degree-4 seminvariant 64A^3E - 16A^2C^2 + 16AB^2C
   - 16A^2BD - 3B^4.
 
@@ -28,10 +27,6 @@ from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from .domains import FiniteField, Rationals, adjoin_sqrt
-
-#: disc_delta(c) * A equals the 7x7 Sylvester resultant Res(f, df/du).
-RESULTANT_NORMALIZATION = Fraction(1)
-
 
 class QuarticCoeffs(NamedTuple):
     """Coefficients of A u^4 + B u^3 v + C u^2 v^2 + D u v^3 + E v^4."""

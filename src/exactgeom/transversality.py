@@ -104,7 +104,6 @@ class ResultantDiagnostics:
     order_at_zero: int
     value_at_zero: Fraction
     identically_zero: bool
-    sample_base: int
 
     def summary(self) -> dict:
         return {
@@ -130,7 +129,6 @@ def resultant_R(sample_base: int = 0) -> ResultantDiagnostics:
         order_at_zero=min(coeffs, default=-1),
         value_at_zero=coeffs.get(0, Fraction(0)),
         identically_zero=not coeffs,
-        sample_base=sample_base,
     )
 
 

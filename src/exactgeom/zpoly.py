@@ -26,13 +26,6 @@ def zp_deg(cs: list[int]) -> int:
     return len(cs) - 1
 
 
-def zp_add(a: list[int], b: list[int], p: int) -> list[int]:
-    out = list(a) + [0] * max(0, len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % p
-    return zp_trim(out)
-
-
 def zp_sub(a: list[int], b: list[int], p: int) -> list[int]:
     out = list(a) + [0] * max(0, len(b) - len(a))
     for i, c in enumerate(b):

@@ -9,7 +9,6 @@ from exactgeom import binform, univar
 from exactgeom.binform import (
     BinaryForm,
     binary_gcd,
-    det_polynomial_matrix,
     form_from_coefficients,
     squarefree_part,
     sylvester_resultant,
@@ -293,9 +292,37 @@ def test_det_constant_rejects_other_domains():
 
 
 def test_interpolation_insufficient_points():
+    # bound = 1 * deg_s (s^3 + 1) + 1 * deg_s s^2 = 5, so 6 points; GF(5) has 5
     F = PrimeField(5)
-    x, s = MultiPoly.gens(F, ("x", "s"))
-    entry = s**3 + 1
-    rows = [[entry, entry], [entry, entry + s**2]]
+    u, v, s = MultiPoly.gens(F, ("u", "v", "s"))
+    f = BinaryForm((s**3 + 1) * u + v, UV)
+    g = BinaryForm(u + s**2 * v, UV)
     with pytest.raises(InterpolationError):
-        det_polynomial_matrix(rows)
+        sylvester_resultant(f, g)
+
+
+def test_resultant_when_a_sequence_vanishes_at_a_sample_point():
+    # at s = 0 the first form vanishes, so the inner interpolation in t sees a
+    # zero sequence: its degree bound must not go negative
+    u, v, s, t = MultiPoly.gens(QQ, ("u", "v", "s", "t"))
+    res = sylvester_resultant(BinaryForm(s * u + s * t * v, UV), BinaryForm(u**2 + t * v**2, UV))
+    s_, t_ = MultiPoly.gens(QQ, ("s", "t"))
+    assert res == s_**2 * t_**2 + s_**2 * t_
+
+
+def test_resultant_substitutes_each_coefficient_once_per_point(monkeypatch):
+    from exactgeom.transversality import d_alpha, delta_alpha
+
+    f, g = delta_alpha(), d_alpha()
+    calls = 0
+    original = MultiPoly.substitute
+
+    def counting(self, name, value):
+        nonlocal calls
+        calls += 1
+        return original(self, name, value)
+
+    monkeypatch.setattr(MultiPoly, "substitute", counting)
+    sylvester_resultant(f, g)
+    # 19 + 13 coefficients at each of 85 sample points (bound 12 * 4 + 18 * 2)
+    assert calls <= 32 * 85
