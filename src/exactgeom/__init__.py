@@ -10,8 +10,3 @@ intersection number 240 on the fourth symmetric product of a genus-5 curve.
 """
 
 __version__ = "0.1.0"
-
-from .domains import QQ, ExtensionField, PrimeField  # noqa: E402,F401
-from .multipoly import MultiPoly  # noqa: E402,F401
-from .binform import BinaryForm, binary_gcd, squarefree_part, sylvester_resultant  # noqa: E402,F401
-from .quartic import QuarticCoeffs, disc_delta, perfect_square_witness, sem_d  # noqa: E402,F401

@@ -228,16 +228,32 @@ class FiniteField:
     def rand(self, rng) -> FieldElement:
         return FieldElement(self, self._rrand(rng))
 
-    def _element_iter(self) -> Iterator[FieldElement]:
-        """Deterministic enumeration of all field elements."""
-        for n in range(self.order):
+    def _element_iter(self, start: int = 0) -> Iterator[FieldElement]:
+        """Deterministic enumeration of the field elements from index ``start`` on."""
+        for n in range(start, self.order):
             yield FieldElement(self, self._rfrom_index(n))
 
     def _nonresidue(self) -> FieldElement:
-        """Smallest (in enumeration order) quadratic non-residue."""
+        """Smallest (in enumeration order) quadratic non-residue.
+
+        The search starts at index ``F.order``, where F is the largest field
+        of the tower with [K:F] even (index 0 if there is none).  Indices
+        below ``F.order`` enumerate exactly the elements of F, and each of
+        them is a square in K: for a in F*, a^((|K| - 1)/2) is a power of
+        a^(|F| - 1) = 1, because (|K| - 1)/(|F| - 1) = 1 + |F| + ... is a
+        sum of [K:F] odd terms, hence even.  So skipping that prefix returns
+        the same element as the full enumeration.
+        """
+        start, degree, field = 0, 1, self
+        while isinstance(field, ExtensionField):
+            degree *= field.degree
+            field = field.base
+            if degree % 2 == 0:
+                start = field.order
+                break
         half = (self.order - 1) // 2
         one = self.one()
-        for candidate in self._element_iter():
+        for candidate in self._element_iter(start):
             if candidate and candidate**half != one:
                 return candidate
         raise ArithmeticError("no quadratic non-residue found")  # unreachable for odd order

@@ -167,3 +167,49 @@ def test_extension_sqrt():
             found_square = True
             assert r * r == a
     assert found_square and found_nonsquare
+
+
+def _gf9():
+    return ExtensionField(PrimeField(3), [1, 0, 1], name="i")
+
+
+def _gf81_tower():
+    K = _gf9()
+    return ExtensionField(K, [-(K.generator() + 1), 0, 1], name="s")  # 1 + i generates GF(9)*
+
+
+def _gf729_tower():
+    K = _gf9()
+    return ExtensionField(K, [K.generator(), 1, 0, 1], name="s")
+
+
+NONRESIDUE_FIELDS = {
+    "GF(9)": _gf9,
+    "GF(169)": lambda: ExtensionField(PrimeField(13), [-2, 0, 1]),
+    "GF(125)": lambda: ExtensionField(PrimeField(5), [1, 1, 0, 1]),
+    "GF(7^4)": lambda: ExtensionField(PrimeField(7), [1, 0, 0, 1, 1]),
+    "GF(9)[s], order 81": _gf81_tower,
+    "GF(9)[s], order 729": _gf729_tower,
+}
+
+
+@pytest.mark.parametrize("build", NONRESIDUE_FIELDS.values(), ids=NONRESIDUE_FIELDS.keys())
+def test_nonresidue_is_first_nonresidue_of_the_enumeration(build):
+    K = build()
+    half = (K.order - 1) // 2
+    first = next(x for x in K._element_iter() if x and x**half != K.one())
+    assert K._nonresidue() == first
+
+
+def test_nonresidue_skips_the_prime_field_of_a_quadratic_extension(monkeypatch):
+    K = ExtensionField(PrimeField(10007), [5, 1, 1], name="t", check=True)
+    calls = []
+    original = ExtensionField._rfrom_index
+
+    def counting(self, n):
+        calls.append(n)
+        return original(self, n)
+
+    monkeypatch.setattr(ExtensionField, "_rfrom_index", counting)
+    assert K._nonresidue() == K.generator()
+    assert len(calls) <= 10

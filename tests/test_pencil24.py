@@ -93,12 +93,17 @@ def test_family_pencil_validates_the_marked_member():
     assert report.infinity_validated
 
 
-def test_validated_count_is_24_for_a_random_pencil():
-    f0, f1 = pc.random_pencil(P, 3)
-    report = pc.pencil_intersection_count(f0, f1, P, seed=3)
+@pytest.mark.parametrize(
+    "p, seed",
+    # 10007 and 2^31 - 1 are 3 mod 4; 1009, 10009 and 65537 are 1 mod 4
+    [(10007, 3), (1009, 1), (10009, 1), (65537, 1), (2**31 - 1, 1)],
+)
+def test_validated_count_is_24_for_a_random_pencil(p, seed):
+    f0, f1 = pc.random_pencil(p, seed)
+    report = pc.pencil_intersection_count(f0, f1, p, seed=seed)
     assert report.validated_count == 24
-    assert report.squarefree_degree >= 24
-    assert report.validated_count <= report.squarefree_degree
+    assert report.raw_degree == 144
+    assert report.squarefree_degree == 90
     assert report.extraneous_count == sum(1 for f in report.factors if not f.validated)
     # every validated factor carries a verified witness
     for rep in report.factors:
