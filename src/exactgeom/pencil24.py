@@ -7,6 +7,14 @@ discriminant and seminvariant conditions give forms Delta (degree 18) and d
 (degree 12) in (x, y), and eliminating (x, y) yields R(t), whose roots are
 the pencil members for which the two conditions share a fiber.
 
+R(t) is computed from integer evaluations (Collins 1971): at each of the
+points t = 0..144 (the degree bound 12 * 6 + 18 * 4), A..E are read at
+y = 1 as ints, Delta(x, 1) and d(x, 1) are interpolated from their values at
+x = 0..18, their resultant is taken by Euclid mod p (or, where a leading
+coefficient vanishes, as a Sylvester determinant), and the 145 values are
+interpolated in t.  The same table of conditions yields the symbolic forms
+Delta and d used for validation.
+
 The raw eliminant is heavily non-reduced and contains extraneous factors
 (leading-coefficient collapse, fibers where A and B both vanish, and the
 non-square branch of the joint discriminant/seminvariant locus), so the
@@ -27,10 +35,10 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from . import univar, zpoly
-from .binform import BinaryForm, dehomogenize, form_from_coefficients, sylvester_resultant
+from . import binform, univar, zpoly
+from .binform import BinaryForm, dehomogenize, form_from_coefficients
 from .domains import QQ, ExtensionField, FieldElement, FiniteField, PrimeField
-from .errors import VerificationError
+from .errors import InterpolationError, VerificationError
 from .multipoly import MultiPoly
 from .quartic import (
     QuarticCoeffs,
@@ -42,6 +50,11 @@ from .quartic import (
 
 PENCIL_VARS = ("x", "y", "t")
 MIN_PRIME = 1000
+# (x, y)-degrees of Delta and d, and their t-degrees (A..E are linear in t)
+DELTA_DEGREE, D_DEGREE = 18, 12
+DELTA_T_DEGREE, D_T_DEGREE = 6, 4
+# R(t) is a 30 x 30 Sylvester determinant: 12 rows of Delta, 18 rows of d
+ELIMINANT_POINTS = D_DEGREE * DELTA_T_DEGREE + DELTA_DEGREE * D_T_DEGREE + 1
 
 
 @dataclass(frozen=True)
@@ -130,29 +143,89 @@ def member_coefficient_forms(f0: Curve34, f1: Curve34) -> list[MultiPoly]:
 
 
 @functools.lru_cache(maxsize=64)
+def _condition_table(f0: Curve34, f1: Curve34) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """For t = 0..144: the coefficients of Delta(x, 1) and d(x, 1) for the
+    member F0 + t F1, as ints mod p, low degree first, all 19 and 13 of them
+    (so the leading coefficient may be 0).
+    """
+    if f0.fieldp != f1.fieldp:
+        raise ValueError("pencil members live over different fields")
+    p = f0.fieldp.p
+    if p < ELIMINANT_POINTS:
+        raise InterpolationError(
+            f"need {ELIMINANT_POINTS} sample points but the field has only {p} elements"
+        )
+    xs = range(DELTA_DEGREE + 1)
+    table = []
+    for t in range(ELIMINANT_POINTS):
+        rows = [
+            [(a.value + t * b.value) % p for a, b in zip(row0, row1)]
+            for row0, row1 in zip(f0.coeffs, f1.coeffs)
+        ]
+        # column j at y = 1 is the cubic c[0][j] x^3 + c[1][j] x^2 + c[2][j] x + c[3][j]
+        fibers = [
+            QuarticCoeffs(*(((c0 * x + c1) * x + c2) * x + c3 for c0, c1, c2, c3 in zip(*rows)))
+            for x in xs
+        ]
+        delta = zpoly.zp_interpolate(xs, [disc_delta(q) for q in fibers], p)
+        d = zpoly.zp_interpolate(xs[: D_DEGREE + 1], [sem_d(q) for q in fibers[: D_DEGREE + 1]], p)
+        table.append((_padded(delta, DELTA_DEGREE), _padded(d, D_DEGREE)))
+    return tuple(table)
+
+
+def _padded(cs: list[int], degree: int) -> tuple[int, ...]:
+    return tuple(cs) + (0,) * (degree + 1 - len(cs))
+
+
+@functools.lru_cache(maxsize=64)
 def bitangent_conditions(f0: Curve34, f1: Curve34) -> tuple[BinaryForm, BinaryForm]:
     """(Delta, d) of the pencil: forms in (x, y) with coefficients in GF(p)[t].
 
     Delta has (x, y)-degree 18 and t-degree at most 6; d has degree 12 and
-    t-degree at most 4.
+    t-degree at most 4.  Each coefficient is interpolated in t from the
+    condition table, over t = 0..6 for Delta and t = 0..4 for d.
     """
-    abcde = QuarticCoeffs(*member_coefficient_forms(f0, f1))
-    return (
-        BinaryForm(disc_delta(abcde), ("x", "y")),
-        BinaryForm(sem_d(abcde), ("x", "y")),
-    )
+    table = _condition_table(f0, f1)
+    fieldp = f0.fieldp
+    forms = []
+    shapes = ((DELTA_DEGREE, DELTA_T_DEGREE), (D_DEGREE, D_T_DEGREE))
+    for k, (degree, t_degree) in enumerate(shapes):
+        terms = {}
+        # column i holds the values of the x^i y^(degree - i) coefficient
+        for i, column in enumerate(zip(*(entry[k] for entry in table[: t_degree + 1]))):
+            for e, c in enumerate(zpoly.zp_interpolate(range(t_degree + 1), column, fieldp.p)):
+                terms[(i, degree - i, e)] = fieldp.wrap(c)
+        forms.append(BinaryForm(MultiPoly(fieldp, PENCIL_VARS, terms), ("x", "y")))
+    return forms[0], forms[1]
+
+
+def _sylvester_det(delta: tuple[int, ...], d: tuple[int, ...], fieldp: PrimeField) -> int:
+    """The 30 x 30 Sylvester determinant of Delta(x, 1) and d(x, 1) at their
+    formal degrees 18 and 12, Delta's rows first."""
+    zero = fieldp.zero()
+    fv, gv = ([fieldp.wrap(c) for c in reversed(cs)] for cs in (delta, d))
+    rows = [[zero] * i + fv + [zero] * (D_DEGREE - 1 - i) for i in range(D_DEGREE)]
+    rows += [[zero] * i + gv + [zero] * (DELTA_DEGREE - 1 - i) for i in range(DELTA_DEGREE)]
+    return binform.det_constant(rows, fieldp).value
 
 
 @functools.lru_cache(maxsize=64)
 def raw_resultant(f0: Curve34, f1: Curve34) -> tuple[int, ...]:
-    """R(t) = Res_(x,y)(Delta, d) as a coefficient tuple over GF(p)."""
-    delta, d = bitangent_conditions(f0, f1)
-    r = sylvester_resultant(delta, d)
-    degree = r.degree_in("t")
-    coeffs = [0] * (degree + 1) if degree >= 0 else []
-    for ex, c in r.terms.items():
-        coeffs[ex[0]] = c.value
-    return tuple(zpoly.zp_trim(coeffs))
+    """R(t) = Res_(x,y)(Delta, d) as a coefficient tuple over GF(p).
+
+    Interpolated from its values at t = 0..144.  A value is the Euclidean
+    resultant of Delta(x, 1) and d(x, 1) when both leading coefficients are
+    nonzero, and the Sylvester determinant at the formal degrees otherwise.
+    """
+    table = _condition_table(f0, f1)
+    fieldp = f0.fieldp
+    values = [
+        zpoly.zp_resultant(delta, d, fieldp.p)
+        if delta[-1] and d[-1]
+        else _sylvester_det(delta, d, fieldp)
+        for delta, d in table
+    ]
+    return tuple(zpoly.zp_interpolate(range(ELIMINANT_POINTS), values, fieldp.p))
 
 
 # --- validation of a single member --------------------------------------------

@@ -7,6 +7,11 @@ field; this module is the speed-critical GF(p) kernel.  Multiplication
 packs coefficients into one big integer (Kronecker substitution) so
 CPython's integer multiply performs the convolution, and factorization
 feeds these raw operations to the splitter shared with ``univar``.
+Modular powers, the core of distinct-degree factorization, reduce each
+product by a precomputed power-series inverse of the reversed modulus
+(von zur Gathen-Gerhard, Modern Computer Algebra, 9.1), so a reduction
+costs two multiplications.  Resultants (Euclid) and Newton interpolation
+let eliminants be computed from values at integer points.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 from functools import partial
 
 from . import univar
+from .errors import InterpolationError
 
 
 def zp_trim(cs: list[int]) -> list[int]:
@@ -126,16 +132,90 @@ def zp_squarefree_part(cs: list[int], p: int) -> list[int]:
     return zp_monic(zp_divmod(cs, g, p)[0], p)
 
 
+def _zp_series_inverse(a: list[int], n: int, p: int) -> list[int]:
+    """a^(-1) mod x^n for a[0] != 0, by Newton iteration g <- g (2 - a g)."""
+    g = [pow(a[0], -1, p)]
+    k = 1
+    while k < n:
+        k = min(2 * k, n)
+        error = zp_sub([2], zp_trim(zp_mul(a[:k], g, p)[:k]), p)
+        g = zp_trim(zp_mul(g, error, p)[:k])
+    return g[:n]
+
+
 def zp_pow_mod(base: list[int], exponent: int, modulus: list[int], p: int) -> list[int]:
-    result = [1]
     acc = zp_rem(base, modulus, p)
+    n = zp_deg(modulus)
+    # a product of two reduced polynomials has degree <= 2n - 2, so its
+    # quotient has at most n - 1 coefficients; their reversal is the top of
+    # the reversed product times rev(modulus)^(-1), truncated
+    inverse = _zp_series_inverse(modulus[::-1], n - 1, p)
+
+    def reduce(a: list[int]) -> list[int]:
+        k = len(a) - n
+        if k <= 0:
+            return a
+        q_rev = zp_trim(zp_mul(a[n:][::-1], inverse[:k], p)[:k])
+        q = [0] * (k - len(q_rev)) + q_rev[::-1]
+        return zp_sub(a, zp_mul(q, modulus, p), p)
+
+    result = [1]
     while exponent:
         if exponent & 1:
-            result = zp_rem(zp_mul(result, acc, p), modulus, p)
+            result = reduce(zp_mul(result, acc, p))
         exponent >>= 1
         if exponent:
-            acc = zp_rem(zp_mul(acc, acc, p), modulus, p)
+            acc = reduce(zp_mul(acc, acc, p))
     return result
+
+
+def zp_resultant(f: list[int], g: list[int], p: int) -> int:
+    """Res(f, g) at the true degrees m, n: the determinant of the Sylvester
+    matrix with the n rows of f first (coefficients highest degree first).
+
+    Euclid with Res(f, g) = (-1)^(mn) lc(g)^(m - deg r) Res(g, r) for
+    r = f mod g, ending at Res(f, c) = c^m for a constant c.
+    """
+    f, g = zp_trim(list(f)), zp_trim(list(g))
+    if not f or not g:
+        return 0
+    result = 1
+    while zp_deg(g) > 0:
+        r = zp_rem(f, g, p)
+        if not r:
+            return 0
+        m, n = zp_deg(f), zp_deg(g)
+        if m * n % 2:
+            result = -result
+        result = result * pow(g[-1], m - zp_deg(r), p) % p
+        f, g = g, r
+    return result * pow(g[0], zp_deg(f), p) % p
+
+
+def zp_interpolate(points, values, p: int) -> list[int]:
+    """The polynomial of degree < len(points) through (points[i], values[i])
+    over GF(p), by Newton's divided differences."""
+    xs = [x % p for x in points]
+    if len(xs) > p:
+        raise InterpolationError(
+            f"need {len(xs)} sample points but the field has only {p} elements"
+        )
+    if len(set(xs)) != len(xs):
+        raise InterpolationError("interpolation sample points are not distinct")
+    n = len(xs)
+    cs = [v % p for v in values]
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            cs[i] = (cs[i] - cs[i - 1]) * pow(xs[i] - xs[i - j], -1, p) % p
+    result: list[int] = []
+    for k in range(n - 1, -1, -1):
+        # result <- result * (x - xs[k]) + cs[k]
+        shifted = [0] + result
+        for i, c in enumerate(result):
+            shifted[i] -= xs[k] * c
+        shifted[0] += cs[k]
+        result = [c % p for c in shifted]
+    return zp_trim(result)
 
 
 def zp_factor_squarefree(cs: list[int], p: int, rng) -> list[list[int]]:

@@ -4,9 +4,11 @@ import random
 
 import pytest
 
+from exactgeom import binform, zpoly
 from exactgeom import pencil24 as pc
-from exactgeom import zpoly
+from exactgeom.binform import BinaryForm, sylvester_resultant
 from exactgeom.domains import PrimeField
+from exactgeom.errors import InterpolationError
 from exactgeom.multipoly import MultiPoly
 from exactgeom.quartic import QuarticCoeffs, disc_delta, sem_d, square_coefficients
 
@@ -181,3 +183,68 @@ def test_validate_member_builds_the_root_in_an_extension():
         "witness": "((s))*u^2 + ((3558*s))*u*v + ((9788*s))*v^2",
         "distinct_double_roots": True,
     }
+
+
+# --- the eliminant from integer evaluations ------------------------------------
+
+
+def _symbolic_conditions(f0, f1):
+    """Delta and d built symbolically in (x, y, t), independently of the
+    evaluation table behind bitangent_conditions and raw_resultant."""
+    quartic = QuarticCoeffs(*pc.member_coefficient_forms(f0, f1))
+    return BinaryForm(disc_delta(quartic), ("x", "y")), BinaryForm(sem_d(quartic), ("x", "y"))
+
+
+def _coefficient_tuple(r):
+    coeffs = [0] * (r.degree_in("t") + 1)
+    for ex, c in r.terms.items():
+        coeffs[ex[0]] = c.value
+    return tuple(zpoly.zp_trim(coeffs))
+
+
+@pytest.mark.parametrize("p, seed", [(10007, 1), (31991, 2), (65537, 1)])
+def test_raw_resultant_matches_the_symbolic_sylvester_resultant(p, seed):
+    f0, f1 = pc.random_pencil(p, seed)
+    delta, d = _symbolic_conditions(f0, f1)
+    assert pc.bitangent_conditions(f0, f1) == (delta, d)
+    assert pc.raw_resultant(f0, f1) == _coefficient_tuple(sylvester_resultant(delta, d))
+
+
+def test_raw_resultant_where_both_leading_coefficients_vanish(monkeypatch):
+    # row 0 of F0 is (1, -2, 1, 0, 0): the [1:0] fiber of the t = 0 member is
+    # u^2 (u - v)^2, so the x^18 coefficient of Delta and the x^12 coefficient
+    # of d both vanish there, and only that point takes the determinant
+    F = PrimeField(P)
+    rng = random.Random("leading-collapse")
+    f0, f1 = pc.random_curve(F, rng), pc.random_curve(F, rng)
+    f0 = pc.Curve34(F, (tuple(F.elem(c) for c in (1, -2, 1, 0, 0)),) + f0.coeffs[1:])
+    calls = []
+    det_constant = binform.det_constant
+    monkeypatch.setattr(
+        binform, "det_constant", lambda *args: calls.append(1) or det_constant(*args)
+    )
+    r = pc.raw_resultant(f0, f1)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    delta, d = _symbolic_conditions(f0, f1)
+    assert pc.bitangent_conditions(f0, f1) == (delta, d)
+    assert r == _coefficient_tuple(sylvester_resultant(delta, d))
+
+
+@pytest.mark.parametrize("p", [101, 139])
+def test_pencil_count_needs_145_sample_points(p):
+    # R(t) is interpolated at t = 0..144, which are not distinct mod p < 145
+    F = PrimeField(p)
+    rng = random.Random(p)
+    f0, f1 = pc.random_curve(F, rng), pc.random_curve(F, rng)
+    with pytest.raises(InterpolationError):
+        pc.pencil_intersection_count(f0, f1, p)
+
+
+def test_members_over_different_fields_are_rejected():
+    f0, _ = pc.random_pencil(P, 1)
+    other = pc.random_curve(PrimeField(31991), random.Random(1))
+    with pytest.raises(ValueError, match="different fields"):
+        pc.raw_resultant(f0, other)
+    with pytest.raises(ValueError, match="different fields"):
+        pc.bitangent_conditions(f0, other)

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from exactgeom import univar, zpoly
+from exactgeom import binform, univar, zpoly
 from exactgeom.domains import QQ, ExtensionField, PrimeField
+from exactgeom.errors import InterpolationError
 
 
 def frac(*coeffs):
@@ -129,3 +130,73 @@ def test_ff_is_irreducible():
     F = PrimeField(10007)
     assert univar.ff_is_irreducible([F.one(), F.zero(), F.one()], F)  # x^2 + 1
     assert not univar.ff_is_irreducible([F.elem(-1), F.zero(), F.one()], F)  # x^2 - 1
+
+
+def _sylvester_det(f, g, p):
+    """det of the Sylvester matrix of f, g (low degree first), f's rows first."""
+    F = PrimeField(p)
+    m, n = zpoly.zp_deg(f), zpoly.zp_deg(g)
+    fv, gv = [F.elem(c) for c in reversed(f)], [F.elem(c) for c in reversed(g)]
+    zero = F.zero()
+    rows = [[zero] * i + fv + [zero] * (n - 1 - i) for i in range(n)]
+    rows += [[zero] * i + gv + [zero] * (m - 1 - i) for i in range(m)]
+    return binform.det_constant(rows, F).value
+
+
+def test_zp_resultant_matches_the_sylvester_determinant():
+    p = 10007
+    rng = random.Random(6)
+
+    def rand(degree):
+        return [rng.randrange(p) for _ in range(degree)] + [rng.randrange(1, p)]
+
+    quartic = [1, 0, 0, 2, 3]
+    cases = [
+        (rand(3), rand(5)),  # odd * odd: the sign of every swap counts
+        (rand(5), rand(3)),
+        (rand(18), rand(12)),
+        (rand(4), rand(0)),  # constant second argument: lc^m
+        (rand(0), rand(4)),
+        # f mod g = x + 5 drops three degrees below deg g = 4
+        (zpoly.zp_sub(zpoly.zp_mul([0, 0, 1], quartic, p), [p - 5, p - 1], p), quartic),
+    ]
+    for f, g in cases:
+        assert zpoly.zp_resultant(f, g, p) == _sylvester_det(f, g, p)
+    # a common root x = 4 makes both sides vanish
+    f = zpoly.zp_mul([p - 4, 1], rand(6), p)
+    g = zpoly.zp_mul([p - 4, 1], rand(3), p)
+    assert zpoly.zp_resultant(f, g, p) == 0 == _sylvester_det(f, g, p)
+
+
+@pytest.mark.parametrize("p", [1009, 10007, 2**31 - 1])
+def test_zp_pow_mod_matches_square_and_multiply_with_zp_rem(p):
+    rng = random.Random(p)
+    for degree in (1, 2, 16, 29, 90):
+        modulus = [rng.randrange(p) for _ in range(degree)] + [rng.randrange(1, p)]
+        base = [rng.randrange(p) for _ in range(2 * degree + 3)]
+        exponent = rng.randrange(p**2)
+        result, acc, e = [1], zpoly.zp_rem(base, modulus, p), exponent
+        while e:
+            if e & 1:
+                result = zpoly.zp_rem(zpoly.zp_mul(result, acc, p), modulus, p)
+            e >>= 1
+            acc = zpoly.zp_rem(zpoly.zp_mul(acc, acc, p), modulus, p)
+        assert zpoly.zp_pow_mod(base, exponent, modulus, p) == result
+
+
+def test_zp_interpolate_round_trip():
+    p = 10007
+    rng = random.Random(7)
+    poly = [rng.randrange(p) for _ in range(30)] + [1]
+    points = rng.sample(range(p), 31)
+    values = [sum(c * x**i for i, c in enumerate(poly)) for x in points]
+    assert zpoly.zp_interpolate(points, values, p) == poly
+    assert zpoly.zp_interpolate(range(5), [3] * 5, p) == [3]
+    assert zpoly.zp_interpolate(range(5), [0] * 5, p) == []
+
+
+def test_zp_interpolate_needs_distinct_points():
+    with pytest.raises(InterpolationError, match="only 101 elements"):
+        zpoly.zp_interpolate(range(102), [0] * 102, 101)
+    with pytest.raises(InterpolationError, match="not distinct"):
+        zpoly.zp_interpolate([1, 102], [0, 0], 101)
