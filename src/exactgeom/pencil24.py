@@ -10,10 +10,9 @@ the pencil members for which the two conditions share a fiber.
 R(t) is computed from integer evaluations (Collins 1971): at each of the
 points t = 0..144 (the degree bound 12 * 6 + 18 * 4), A..E are read at
 y = 1 as ints, Delta(x, 1) and d(x, 1) are interpolated from their values at
-x = 0..18, their resultant is taken by Euclid mod p (or, where a leading
-coefficient vanishes, as a Sylvester determinant), and the 145 values are
-interpolated in t.  The same table of conditions yields the symbolic forms
-Delta and d used for validation.
+x = 0..18, their resultant at the formal degrees 18 and 12 is taken by Euclid
+mod p, and the 145 values are interpolated in t.  The same table of
+conditions yields the symbolic forms Delta and d used for validation.
 
 The raw eliminant is heavily non-reduced and contains extraneous factors
 (leading-coefficient collapse, fibers where A and B both vanish, and the
@@ -35,10 +34,10 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from . import binform, univar, zpoly
+from . import univar, zpoly
 from .binform import BinaryForm, dehomogenize, form_from_coefficients
 from .domains import QQ, ExtensionField, FieldElement, FiniteField, PrimeField
-from .errors import InterpolationError, VerificationError
+from .errors import VerificationError
 from .multipoly import MultiPoly
 from .quartic import (
     QuarticCoeffs,
@@ -151,10 +150,6 @@ def _condition_table(f0: Curve34, f1: Curve34) -> tuple[tuple[tuple[int, ...], .
     if f0.fieldp != f1.fieldp:
         raise ValueError("pencil members live over different fields")
     p = f0.fieldp.p
-    if p < ELIMINANT_POINTS:
-        raise InterpolationError(
-            f"need {ELIMINANT_POINTS} sample points but the field has only {p} elements"
-        )
     xs = range(DELTA_DEGREE + 1)
     table = []
     for t in range(ELIMINANT_POINTS):
@@ -199,33 +194,16 @@ def bitangent_conditions(f0: Curve34, f1: Curve34) -> tuple[BinaryForm, BinaryFo
     return forms[0], forms[1]
 
 
-def _sylvester_det(delta: tuple[int, ...], d: tuple[int, ...], fieldp: PrimeField) -> int:
-    """The 30 x 30 Sylvester determinant of Delta(x, 1) and d(x, 1) at their
-    formal degrees 18 and 12, Delta's rows first."""
-    zero = fieldp.zero()
-    fv, gv = ([fieldp.wrap(c) for c in reversed(cs)] for cs in (delta, d))
-    rows = [[zero] * i + fv + [zero] * (D_DEGREE - 1 - i) for i in range(D_DEGREE)]
-    rows += [[zero] * i + gv + [zero] * (DELTA_DEGREE - 1 - i) for i in range(DELTA_DEGREE)]
-    return binform.det_constant(rows, fieldp).value
-
-
 @functools.lru_cache(maxsize=64)
 def raw_resultant(f0: Curve34, f1: Curve34) -> tuple[int, ...]:
     """R(t) = Res_(x,y)(Delta, d) as a coefficient tuple over GF(p).
 
-    Interpolated from its values at t = 0..144.  A value is the Euclidean
-    resultant of Delta(x, 1) and d(x, 1) when both leading coefficients are
-    nonzero, and the Sylvester determinant at the formal degrees otherwise.
+    Interpolated from its values at t = 0..144, each the resultant of
+    Delta(x, 1) and d(x, 1) at the formal degrees 18 and 12.
     """
-    table = _condition_table(f0, f1)
-    fieldp = f0.fieldp
-    values = [
-        zpoly.zp_resultant(delta, d, fieldp.p)
-        if delta[-1] and d[-1]
-        else _sylvester_det(delta, d, fieldp)
-        for delta, d in table
-    ]
-    return tuple(zpoly.zp_interpolate(range(ELIMINANT_POINTS), values, fieldp.p))
+    p = f0.fieldp.p
+    values = [zpoly.zp_resultant(delta, d, p) for delta, d in _condition_table(f0, f1)]
+    return tuple(zpoly.zp_interpolate(range(ELIMINANT_POINTS), values, p))
 
 
 # --- validation of a single member --------------------------------------------

@@ -170,16 +170,27 @@ def zp_pow_mod(base: list[int], exponent: int, modulus: list[int], p: int) -> li
 
 
 def zp_resultant(f: list[int], g: list[int], p: int) -> int:
-    """Res(f, g) at the true degrees m, n: the determinant of the Sylvester
-    matrix with the n rows of f first (coefficients highest degree first).
+    """Res(f, g) at the formal degrees M = len(f) - 1 and N = len(g) - 1: the
+    determinant of the Sylvester matrix with the N rows of f first
+    (coefficients highest degree first); 0 if f or g is zero.
 
-    Euclid with Res(f, g) = (-1)^(mn) lc(g)^(m - deg r) Res(g, r) for
-    r = f mod g, ending at Res(f, c) = c^m for a constant c.
+    A vanishing leading coefficient of f leaves (-1)^N lc(g) in the first
+    column, one of g leaves lc(f); when both vanish that column is zero.
+    The rest is Euclid at the true degrees, with
+    Res(f, g) = (-1)^(mn) lc(g)^(m - deg r) Res(g, r) for r = f mod g,
+    ending at Res(f, c) = c^m for a constant c.
     """
+    formal_m, formal_n = zp_deg(f), zp_deg(g)
     f, g = zp_trim(list(f)), zp_trim(list(g))
     if not f or not g:
         return 0
-    result = 1
+    drop_f, drop_g = formal_m - zp_deg(f), formal_n - zp_deg(g)
+    if drop_f and drop_g:
+        return 0
+    if drop_f:
+        result = pow(-g[-1] if formal_n % 2 else g[-1], drop_f, p)
+    else:
+        result = pow(f[-1], drop_g, p)
     while zp_deg(g) > 0:
         r = zp_rem(f, g, p)
         if not r:

@@ -133,7 +133,8 @@ def test_ff_is_irreducible():
 
 
 def _sylvester_det(f, g, p):
-    """det of the Sylvester matrix of f, g (low degree first), f's rows first."""
+    """det of the Sylvester matrix of f, g (low degree first) at the formal
+    degrees len - 1, f's rows first."""
     F = PrimeField(p)
     m, n = zpoly.zp_deg(f), zpoly.zp_deg(g)
     fv, gv = [F.elem(c) for c in reversed(f)], [F.elem(c) for c in reversed(g)]
@@ -162,6 +163,18 @@ def test_zp_resultant_matches_the_sylvester_determinant():
     ]
     for f, g in cases:
         assert zpoly.zp_resultant(f, g, p) == _sylvester_det(f, g, p)
+    # formal degrees above the true ones (trailing zeros): each vanishing
+    # leading coefficient of f scales by (-1)^N lc(g), each of g by lc(f)
+    formal = [
+        (rand(4) + [0], rand(3)),  # one drop with N odd: the sign counts
+        (rand(4) + [0, 0], rand(3)),
+        (rand(4) + [0], rand(6)),
+        (rand(5), rand(2) + [0, 0, 0]),
+        (rand(18) + [0], rand(12) + [0]),  # both vanish: zero first column
+    ]
+    for f, g in formal:
+        assert zpoly.zp_resultant(f, g, p) == _sylvester_det(f, g, p)
+    assert _sylvester_det(*formal[-1], p) == 0
     # a common root x = 4 makes both sides vanish
     f = zpoly.zp_mul([p - 4, 1], rand(6), p)
     g = zpoly.zp_mul([p - 4, 1], rand(3), p)
