@@ -16,7 +16,11 @@ representations: :mod:`exactgeom.zpoly` (raw ints) for towers of height one,
 the hot path, and :mod:`exactgeom.univar` (field elements) above that.
 
 All elements support ``+ - * / **`` and compare exactly; there is no floating
-point anywhere.  Domains and elements are immutable and safe to share.
+point anywhere.  ``a ** e`` works on raw values through the field's
+``_rpow`` hook: a prime field calls the built-in three-argument ``pow``, an
+extension runs square-and-multiply over its own ``_rmul``, and a negative
+exponent inverts first, so ``0 ** -1`` raises ``ZeroDivisionError``.
+Domains and elements are immutable and safe to share.
 """
 
 from __future__ import annotations
@@ -89,9 +93,6 @@ class Rationals:
         if rn * rn == n and rd * rd == d:
             return Fraction(rn, rd)
         return None
-
-    def rand(self, rng, span: int = 100) -> Fraction:
-        return Fraction(rng.randrange(-span, span + 1))
 
     def __repr__(self) -> str:
         return "QQ"
@@ -172,19 +173,11 @@ class FieldElement:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
             return NotImplemented
-        base = self
+        field, raw = self.field, self.value
         if exponent < 0:
-            base = FieldElement(self.field, self.field._rinv(self.value))
+            raw = field._rinv(raw)
             exponent = -exponent
-        result = self.field.one()
-        acc = base
-        while exponent:
-            if exponent & 1:
-                result = result * acc
-            exponent >>= 1
-            if exponent:
-                acc = acc * acc
-        return result
+        return FieldElement(field, field._rpow(raw, exponent))
 
     def __bool__(self) -> bool:
         return not self.field._ris_zero(self.value)
@@ -227,6 +220,17 @@ class FiniteField:
 
     def rand(self, rng) -> FieldElement:
         return FieldElement(self, self._rrand(rng))
+
+    def _rpow(self, a, exponent: int):
+        """``a**exponent`` on raw values for exponent >= 0, by square-and-multiply."""
+        result = self._rfrom_int(1)
+        while exponent:
+            if exponent & 1:
+                result = self._rmul(result, a)
+            exponent >>= 1
+            if exponent:
+                a = self._rmul(a, a)
+        return result
 
     def _element_iter(self, start: int = 0) -> Iterator[FieldElement]:
         """Deterministic enumeration of the field elements from index ``start`` on."""
@@ -350,6 +354,9 @@ class PrimeField(FiniteField):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p)
+
+    def _rpow(self, a: int, exponent: int) -> int:
+        return pow(a, exponent, self.p)
 
     def _rrand(self, rng) -> int:
         return rng.randrange(self.p)

@@ -17,7 +17,10 @@ variant adjoins the single missing square root when the base field lacks it.
 
 Both condition polynomials are evaluated with plain ring arithmetic, so the
 coefficients may be rationals, finite-field elements, or multivariate
-polynomials.
+polynomials.  They may also be plain ints whose values are then reduced
+mod p: the formulas have integer coefficients, so that gives the value over
+GF(p).  ``fuzz_square_criterion`` works this way over GF(p), and wraps the
+coefficients as field elements only for the witness search.
 """
 
 from __future__ import annotations
@@ -207,6 +210,20 @@ BOUNDARY_NON_SQUARE = QuarticCoeffs(0, 0, 1, 0, 1)
 SPURIOUS_NON_SQUARE = QuarticCoeffs(1, 0, 6, 16, 9)
 
 
+def _verdicts(c: QuarticCoeffs, reduce) -> tuple:
+    """Both sides of the fuzz's equivalence for one quartic.
+
+    Returns (disc_delta and sem_d both vanish, square over the closure), each
+    value tested after ``reduce``.  The formulas have integer coefficients,
+    so integer coefficients with ``reduce = lambda v: v % p`` give the
+    verdicts over GF(p); ``c.A`` must already be reduced, because it picks
+    the branch of ``closure_square_conditions``.
+    """
+    both_vanish = not reduce(disc_delta(c)) and not reduce(sem_d(c))
+    square = not any(map(reduce, closure_square_conditions(c)))
+    return both_vanish, square
+
+
 def fuzz_square_criterion(field, count: int, rng, square_count: Optional[int] = None) -> dict:
     """Randomized check that the two-condition criterion matches the witness.
 
@@ -215,15 +232,39 @@ def fuzz_square_criterion(field, count: int, rng, square_count: Optional[int] = 
     ``square_count`` random perfect squares and verifies both sides hold,
     with an explicit witness that reproduces the quartic.  Any discrepancy
     is collected, never averaged away.
+
+    ``field`` is QQ or a prime field GF(p).  Over GF(p) the coefficients are
+    drawn as ints in [0, p), and the conditions run on plain ints and are
+    tested mod p; only the witness search wraps them as field elements.
+    Over QQ the same loop runs on ``Fraction`` values, unreduced.
     """
     if square_count is None:
         square_count = count
-    rational = isinstance(field, Rationals)
+    if isinstance(field, Rationals):
 
-    def draw():
-        if rational:
+        def draw():
             return Fraction(rng.randrange(-60, 61), rng.randrange(1, 8))
-        return field.rand(rng)
+
+        def reduce(value):
+            return value
+
+        def witnessed(c):
+            witness = perfect_square_witness(c, field)
+            return witness is not None and square_coefficients(*witness) == c
+
+    else:
+        p = field.p
+
+        def draw():
+            return rng.randrange(p)
+
+        def reduce(value):
+            return value % p
+
+        def witnessed(c):
+            c = QuarticCoeffs(*map(field.wrap, c))
+            witness = closure_square_witness(c, field)
+            return witness is not None and witness.reproduces(c)
 
     discrepancies = []
     for _ in range(count):
@@ -232,8 +273,7 @@ def fuzz_square_criterion(field, count: int, rng, square_count: Optional[int] = 
             if a:
                 break
         coeffs = QuarticCoeffs(a, draw(), draw(), draw(), draw())
-        both_vanish = not disc_delta(coeffs) and not sem_d(coeffs)
-        square = is_square_over_closure(coeffs, field)
+        both_vanish, square = _verdicts(coeffs, reduce)
         if both_vanish != square:
             discrepancies.append(tuple(map(str, coeffs)))
 
@@ -241,34 +281,18 @@ def fuzz_square_criterion(field, count: int, rng, square_count: Optional[int] = 
     for _ in range(square_count):
         q0, q1, q2 = draw(), draw(), draw()
         if not (q0 or q1 or q2):
-            q0 = field.elem(1)
-        coeffs = square_coefficients(q0, q1, q2)
-        ok = (
-            not disc_delta(coeffs)
-            and not sem_d(coeffs)
-            and is_square_over_closure(coeffs, field)
-        )
-        if ok:
-            if rational:
-                witness = perfect_square_witness(coeffs, field)
-                ok = witness is not None and square_coefficients(*witness) == coeffs
-            else:
-                witness = closure_square_witness(coeffs, field)
-                ok = witness is not None and witness.reproduces(coeffs)
+            q0 = 1
+        coeffs = QuarticCoeffs(*map(reduce, square_coefficients(q0, q1, q2)))
+        ok = all(_verdicts(coeffs, reduce)) and witnessed(coeffs)
         if not ok:
             square_failures.append(tuple(map(str, coeffs)))
 
-    boundary = QuarticCoeffs(*(field.elem(int(v)) for v in BOUNDARY_NON_SQUARE))
-    boundary_ok = (
-        not disc_delta(boundary)
-        and not sem_d(boundary)
-        and not is_square_over_closure(boundary, field)
-    )
+    both_vanish, square = _verdicts(BOUNDARY_NON_SQUARE, reduce)
     return {
         "random_cases": count,
         "square_cases": square_count,
         "equivalence_discrepancies": discrepancies,
         "square_failures": square_failures,
         "boundary_case": "(0,0,1,0,1)",
-        "boundary_joint_vanishing_without_square": boundary_ok,
+        "boundary_joint_vanishing_without_square": both_vanish and not square,
     }

@@ -213,3 +213,71 @@ def test_nonresidue_skips_the_prime_field_of_a_quadratic_extension(monkeypatch):
     monkeypatch.setattr(ExtensionField, "_rfrom_index", counting)
     assert K._nonresidue() == K.generator()
     assert len(calls) <= 10
+
+
+def _gf10007_squared():
+    return ExtensionField(PrimeField(10007), [5, 1, 1], name="t")
+
+
+def _repeated_product(a, exponent):
+    one = a.field.one()
+    if exponent < 0:
+        a, exponent = one / a, -exponent
+    result = one
+    for _ in range(exponent):
+        result = result * a
+    return result
+
+
+POWER_FIELDS = {"GF(10007)": lambda: PrimeField(10007), "GF(10007^2)": _gf10007_squared}
+
+
+@pytest.mark.parametrize("build", POWER_FIELDS.values(), ids=POWER_FIELDS.keys())
+def test_power_matches_repeated_multiplication(build):
+    K = build()
+    p = K.char
+    rng = random.Random(41)
+    elements = [K.rand(rng) for _ in range(2)]
+    assert all(elements)
+    for a in elements:
+        for exponent in (0, 1, 2, 7, -1, -3, p - 1, p):
+            power = a**exponent
+            assert power.field == K
+            assert power == _repeated_product(a, exponent), exponent
+    zero = K.zero()
+    assert zero**0 == K.one()
+    with pytest.raises(ZeroDivisionError):
+        zero**-1
+
+
+# The square root is deterministic; these pin which of the two roots it
+# returns (None for a non-square), so a change in how powers are computed
+# cannot swap them unnoticed.
+PINNED_PRIME_ROOTS = {
+    10009: {2: 4419, 3: 3766, 7: None, 1234: 1872, 10008: 3303, 9109: 1000, 5783: 6944},
+    65537: {2: 4080, 3: None, 1234: 17041, 65536: 256, 16945: 1000, 50618: 26137},
+    2**31 - 1: {2: 65536, 3: None, 2**31 - 2: None, 10**6: 2147482647, 123456789: 535399271},
+}
+PINNED_EXTENSION_ROOTS = {
+    (0, 1): None,
+    (2, 3): None,
+    (5, 16): (5, 2),
+    (7, 0): (2626, 5252),
+    (10006, 0): (8232, 6457),
+    (14, 10003): (9292, 5615),
+}
+
+
+@pytest.mark.parametrize("p", PINNED_PRIME_ROOTS)
+def test_prime_sqrt_returns_the_pinned_root(p):
+    F = PrimeField(p)
+    for a, root in PINNED_PRIME_ROOTS[p].items():
+        found = F.sqrt(F.elem(a))
+        assert (None if found is None else found.value) == root, a
+
+
+def test_extension_sqrt_returns_the_pinned_root():
+    K = _gf10007_squared()
+    for a, root in PINNED_EXTENSION_ROOTS.items():
+        found = K.sqrt(K.wrap(a))
+        assert (None if found is None else found.value) == root, a

@@ -13,6 +13,7 @@ from exactgeom.quartic import (
     BOUNDARY_NON_SQUARE,
     SPURIOUS_NON_SQUARE,
     QuarticCoeffs,
+    _verdicts,
     closure_square_witness,
     disc_delta,
     fuzz_square_criterion,
@@ -170,7 +171,10 @@ def _normalized_square_table(K):
     """All squares of quadratics over GF(169), scaled so the first nonzero
     coefficient is 1.  A quartic over GF(13) is a square over the closure iff
     it is one over GF(169), because the square root of a quartic is unique up
-    to sign and so has coefficients in a quadratic extension."""
+    to sign and so has coefficients in a quadratic extension.
+
+    Every quadratic is taken with its first nonzero coefficient 1, so its
+    square already starts with 1 and needs no division."""
     one, zero = K.one(), K.zero()
     elements = list(K._element_iter())
     candidates = [(one, a, b) for a in elements for b in elements]
@@ -179,8 +183,8 @@ def _normalized_square_table(K):
     table = set()
     for q in candidates:
         sq = square_coefficients(*q)
-        first = next(c for c in sq if c)
-        table.add(tuple((c / first).value for c in sq))
+        assert next(c for c in sq if c) == one
+        table.add(tuple(c.value for c in sq))
     return table
 
 
@@ -225,3 +229,48 @@ def test_fuzz_square_criterion_smoke():
     assert not report_q["equivalence_discrepancies"]
     assert not report_q["square_failures"]
     assert report_q["boundary_joint_vanishing_without_square"]
+
+
+class _ScriptedRng:
+    """An rng whose ``randrange`` returns the given values in order."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def randrange(self, *bounds):
+        value = next(self._values)
+        assert value in range(*bounds)
+        return value
+
+
+def test_planted_discrepancy_is_collected():
+    expected = [("1", "0", "6", "16", "9")]
+    report = fuzz_square_criterion(F, 1, _ScriptedRng(SPURIOUS_NON_SQUARE), 0)
+    assert report["equivalence_discrepancies"] == expected
+    # over QQ each coefficient is drawn as a numerator, then a denominator
+    draws = [v for c in SPURIOUS_NON_SQUARE for v in (c, 1)]
+    report_q = fuzz_square_criterion(QQ, 1, _ScriptedRng(draws), 0)
+    assert report_q["equivalence_discrepancies"] == expected
+
+
+@pytest.mark.parametrize("p", [10007, 10009])  # 3 and 1 mod 4
+def test_int_verdicts_match_field_element_verdicts(p):
+    field = PrimeField(p)
+    rng = random.Random(f"verdicts:{p}")
+
+    def squared(q0, q1, q2):
+        return tuple(v % p for v in square_coefficients(q0, q1, q2))
+
+    cases = [tuple(rng.randrange(p) for _ in range(5)) for _ in range(300)]
+    cases += [squared(*(rng.randrange(p) for _ in range(3))) for _ in range(20)]
+    cases += [squared(0, rng.randrange(p), rng.randrange(p)) for _ in range(20)]
+    cases += [squared(0, 0, rng.randrange(p)) for _ in range(5)]
+    cases += [BOUNDARY_NON_SQUARE, SPURIOUS_NON_SQUARE]
+    seen = set()
+    for raw in cases:
+        elems = QuarticCoeffs(*map(field.elem, raw))
+        oracle = (not disc_delta(elems) and not sem_d(elems), is_square_over_closure(elems, field))
+        verdicts = _verdicts(QuarticCoeffs(*raw), lambda v: v % p)
+        assert verdicts == oracle, raw
+        seen.add(verdicts)
+    assert seen == {(False, False), (True, True), (True, False)}
