@@ -2,11 +2,15 @@
 
 A :class:`BinaryForm` is a :class:`MultiPoly` that is homogeneous in a
 designated pair of variables; the remaining variables act as parameters.
-Resultants eliminate the designated pair: the Sylvester determinant of forms
-of degrees m and n is interpolated at integer sample points, one parameter at
-a time, with degree bound n deg f + m deg g in that parameter.  Each
-coefficient is substituted once per point; only constant matrices are laid
-out, for Bareiss elimination.
+Resultants eliminate the designated pair.  The coefficients of the two
+forms are read once into ints (over QQ each form is scaled by the lcm of its
+denominators, which is divided out at the end), evaluated on one grid of
+integer sample points, bound + 1 per parameter with degree bound
+n deg f + m deg g for forms of degrees m and n, and the Sylvester
+determinant at each point is taken by Bareiss elimination on ints (modulo p
+over GF(p)).  The grid of values is interpolated one parameter axis at a
+time, straight into the terms of the result, by Newton's divided
+differences; over QQ they stay ints, scaled by bound! per axis.
 The point at infinity is handled explicitly throughout: the gcd strips and
 restores pure powers of either pair variable, so a common root at [1:0] or
 [0:1] is never lost.
@@ -14,11 +18,12 @@ restores pure powers of either pair variable, so a common root at [1:0] or
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import univar
+from . import univar, zpoly
 from .domains import PrimeField, Rationals
 from .errors import DomainMismatchError, InterpolationError
 from .multipoly import MultiPoly
@@ -164,24 +169,66 @@ def _det_mod_p(m: list[list[int]], p: int) -> int:
     return sign * m[n - 1][n - 1] % p
 
 
-def _det_rational(m: list[list[Fraction]]) -> Fraction:
-    scale = Fraction(1)
-    rows = []
-    for row in m:
-        denom = math.lcm(*(c.denominator for c in row)) if row else 1
-        scale *= denom
-        rows.append([int(c * denom) for c in row])
-    return Fraction(_det_int(rows), 1) / scale
-
-
 def det_constant(matrix, domain):
     """Determinant of a matrix of elements of QQ or GF(p)."""
     if isinstance(domain, Rationals):
-        return _det_rational([[Fraction(c) for c in row] for row in matrix])
+        # each row is scaled to ints by the lcm of its denominators
+        scale = 1
+        rows = []
+        for row in matrix:
+            denom = math.lcm(*(c.denominator for c in row))
+            scale *= denom
+            rows.append([c.numerator * (denom // c.denominator) for c in row])
+        return Fraction(_det_int(rows), scale)
     if isinstance(domain, PrimeField):
         rows = [[c.value for c in row] for row in matrix]
         return domain.wrap(_det_mod_p(rows, domain.p))
     raise DomainMismatchError(f"no constant determinant over {domain!r}")
+
+
+def _raw_sequence(cs: list[MultiPoly], active: list[int], p) -> tuple[list, int]:
+    """Coefficients as lists of (int, exponents of the active variables).
+
+    Over QQ (``p`` = 0) the whole sequence is multiplied by the lcm of
+    its denominators, which is returned as the scale; over GF(p) the scale
+    is 1.
+    """
+    scale = 1 if p else math.lcm(*(c.denominator for poly in cs for c in poly.terms.values()))
+    seq = [
+        [
+            (c.value if p else c.numerator * (scale // c.denominator), tuple(ex[i] for i in active))
+            for ex, c in poly.terms.items()
+        ]
+        for poly in cs
+    ]
+    return seq, scale
+
+
+def _int_interpolate(x0: int, ys: list[int]) -> list[int]:
+    """(N-1)! times the polynomial of degree < N through (x0 + i, ys[i]),
+    low degree first, for N integer values ys at consecutive integers.
+
+    Newton's forward differences d_k of integer values are integers, and
+    the Newton coefficients are d_k / k!; scaling by (N-1)! keeps the whole
+    computation in ints.
+    """
+    n = len(ys)
+    ds = list(ys)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            ds[i] -= ds[i - 1]
+    result = [ds[-1]]
+    weight = 1  # (N-1)! / k!
+    for k in range(n - 2, -1, -1):
+        weight *= k + 1
+        # result <- result * (x - x0 - k) + weight * ds[k]
+        xk = x0 + k
+        shifted = [0] + result
+        for i, c in enumerate(result):
+            shifted[i] -= xk * c
+        shifted[0] += weight * ds[k]
+        result = shifted
+    return result
 
 
 def det_polynomial_matrix(
@@ -190,55 +237,96 @@ def det_polynomial_matrix(
     """Determinant of the Sylvester matrix of two coefficient sequences.
 
     With m = len(fc) - 1 and n = len(gc) - 1, the matrix holds n shifted
-    copies of ``fc`` and m of ``gc``.  Constant coefficients are laid out and
-    dispatched to Bareiss elimination; otherwise the determinant is
-    interpolated in the first variable of positive degree at the integer
-    sample points sample_base, ..., sample_base + bound, where bound is
-    n * deg fc + m * deg gc in that variable.
+    copies of ``fc`` and m of ``gc``.  A variable is active when some
+    coefficient has positive degree in it; each active variable gets the
+    integer sample points sample_base, ..., sample_base + bound, where bound
+    is n * deg fc + m * deg gc in that variable.  The coefficients are read
+    once into ints (over QQ each sequence is scaled by the lcm D of its
+    denominators, so the determinant is scaled by D_f^n D_g^m), evaluated at
+    every point of the grid of sample points, and the determinant at each
+    point is taken by Bareiss elimination on ints (modulo p over GF(p)).
+    The grid of values is then interpolated one axis at a time, from the
+    last active variable to the first: over GF(p) by ``zp_interpolate``,
+    over QQ by :func:`_int_interpolate` on ints, whose factor bound! per
+    axis is divided out with D_f^n D_g^m at the end.  With no active
+    variable the result is the constant determinant, a ``Fraction`` over QQ.
     """
     domain, variables = fc[0].domain, fc[0].variables
+    if not isinstance(domain, (Rationals, PrimeField)):
+        raise DomainMismatchError(f"no constant determinant over {domain!r}")
+    p = domain.char  # 0 over QQ
     m, n = len(fc) - 1, len(gc) - 1
-    active = next(
-        (name for name in variables if any(c.degree_in(name) > 0 for c in fc + gc)), None
-    )
-    if active is None:
-        fv = [c.constant_value() for c in fc]
-        gv = [c.constant_value() for c in gc]
-        zero = domain.zero()
-        mat = [[zero] * i + fv + [zero] * (n - 1 - i) for i in range(n)]
-        mat += [[zero] * i + gv + [zero] * (m - 1 - i) for i in range(m)]
-        return MultiPoly.constant(domain, variables, det_constant(mat, domain))
 
-    # a sequence that vanishes at a sample point has degree -1; its rows add nothing
-    bound = n * max(0, max(c.degree_in(active) for c in fc))
-    bound += m * max(0, max(c.degree_in(active) for c in gc))
-    if domain.order is not None and bound + 1 > domain.order:
+    def degrees(cs: list[MultiPoly]) -> list[int]:
+        width = len(variables)
+        return [max((ex[i] for c in cs for ex in c.terms), default=0) for i in range(width)]
+
+    deg_f, deg_g = degrees(fc), degrees(gc)
+    active = [i for i in range(len(variables)) if deg_f[i] or deg_g[i]]
+    bounds = [n * deg_f[i] + m * deg_g[i] for i in active]
+    if p and max(bounds, default=0) >= p:
+        # checked before the grid: a nonzero determinant can vanish at every point
         raise InterpolationError(
-            f"need {bound + 1} sample points but the field has only {domain.order} elements"
+            f"need {max(bounds) + 1} sample points but the field has only {p} elements"
         )
-    points = [domain.elem(sample_base + i) for i in range(bound + 1)]
-    if len(set(points)) != len(points):
-        raise InterpolationError("interpolation sample points are not distinct")
-    values = []
-    for pt in points:
-        fs = [c.substitute(active, pt) for c in fc]
-        gs = [c.substitute(active, pt) for c in gc]
-        values.append(det_polynomial_matrix(fs, gs, sample_base))
-    return _newton_interpolate(active, points, values, domain, variables)
+    fs, scale_f = _raw_sequence(fc, active, p)
+    gs, scale_g = _raw_sequence(gc, active, p)
 
+    # powers[a][k][e] = (sample_base + k)^e, for axis a of the grid
+    powers = [
+        [
+            [pow(x, e, p) if p else x**e for e in range(max(deg_f[i], deg_g[i]) + 1)]
+            for x in range(sample_base, sample_base + bound + 1)
+        ]
+        for i, bound in zip(active, bounds)
+    ]
 
-def _newton_interpolate(name, points, values, domain, variables) -> MultiPoly:
-    coeffs = list(values)
-    n = len(points)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            denominator = points[i] - points[i - j]
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / denominator
-    x = MultiPoly.variable(domain, variables, name)
-    result = coeffs[-1]
-    for k in range(n - 2, -1, -1):
-        result = result * (x - MultiPoly.constant(domain, variables, points[k])) + coeffs[k]
-    return result
+    def evaluate(seq: list, point: tuple) -> list[int]:
+        tables = [powers[a][k] for a, k in enumerate(point)]
+        values = []
+        for terms in seq:
+            total = 0
+            for c, ex in terms:
+                for table, e in zip(tables, ex):
+                    c *= table[e]
+                total += c
+            values.append(total % p if p else total)
+        return values
+
+    table: dict = {}
+    for point in itertools.product(*(range(bound + 1) for bound in bounds)):
+        fv, gv = evaluate(fs, point), evaluate(gs, point)
+        mat = [[0] * i + fv + [0] * (n - 1 - i) for i in range(n)]
+        mat += [[0] * i + gv + [0] * (m - 1 - i) for i in range(m)]
+        det = _det_mod_p(mat, p) if p else _det_int(mat)
+        if det:
+            table[point] = det
+
+    # interpolate along each axis in turn; a key holds grid indices for the
+    # axes still to do and exponents for the axes done.  Over QQ the values
+    # stay ints: each axis multiplies them by bound!, divided out at the end
+    scale = scale_f**n * scale_g**m
+    for a in reversed(range(len(active))):
+        xs = list(range(sample_base, sample_base + bounds[a] + 1))
+        lines: dict = {}
+        for key, value in table.items():
+            lines.setdefault(key[:a] + key[a + 1 :], [0] * len(xs))[key[a]] = value
+        table = {}
+        for rest, ys in lines.items():
+            cs = zpoly.zp_interpolate(xs, ys, p) if p else _int_interpolate(sample_base, ys)
+            for e, c in enumerate(cs):
+                if c:
+                    table[rest[:a] + (e,) + rest[a:]] = c
+        if not p:
+            scale *= math.factorial(bounds[a])
+
+    terms = {}
+    for key, c in table.items():
+        ex = [0] * len(variables)
+        for i, e in zip(active, key):
+            ex[i] = e
+        terms[tuple(ex)] = domain.wrap(c) if p else Fraction(c, scale)
+    return MultiPoly(domain, variables, terms)
 
 
 # --- resultants --------------------------------------------------------------

@@ -283,6 +283,15 @@ def test_det_constant_paths_agree():
         assert modular == F.elem(int(rational) % p)
         assert rational.denominator == 1
         assert cofactor_det([[Fraction(c) for c in row] for row in ints]) == rational
+    # entries with denominators: each row is scaled to ints by its own lcm
+    for n in (1, 3, 5):
+        matrix = [
+            [Fraction(rng.randrange(-30, 31), rng.randrange(1, 13)) for _ in range(n)]
+            for _ in range(n)
+        ]
+        assert binform.det_constant(matrix, QQ) == cofactor_det(matrix)
+    halves = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(1, 7)]]
+    assert binform.det_constant(halves, QQ) == Fraction(1, 210)
 
 
 def test_det_constant_rejects_other_domains():
@@ -299,6 +308,9 @@ def test_interpolation_insufficient_points():
     g = BinaryForm(u + s**2 * v, UV)
     with pytest.raises(InterpolationError):
         sylvester_resultant(f, g)
+    # Res(u + s^5 v, u + s v) = s - s^5 is nonzero but vanishes on all of GF(5)
+    with pytest.raises(InterpolationError):
+        sylvester_resultant(BinaryForm(u + s**5 * v, UV), BinaryForm(u + s * v, UV))
 
 
 def test_resultant_when_a_sequence_vanishes_at_a_sample_point():
@@ -314,15 +326,81 @@ def test_resultant_substitutes_each_coefficient_once_per_point(monkeypatch):
     from exactgeom.transversality import d_alpha, delta_alpha
 
     f, g = delta_alpha(), d_alpha()
-    calls = 0
-    original = MultiPoly.substitute
+    substitutions = determinants = 0
+    original_substitute = MultiPoly.substitute
+    original_det = binform._det_int
 
-    def counting(self, name, value):
-        nonlocal calls
-        calls += 1
-        return original(self, name, value)
+    def counting_substitute(self, name, value):
+        nonlocal substitutions
+        substitutions += 1
+        return original_substitute(self, name, value)
 
-    monkeypatch.setattr(MultiPoly, "substitute", counting)
+    def counting_det(m):
+        nonlocal determinants
+        determinants += 1
+        return original_det(m)
+
+    monkeypatch.setattr(MultiPoly, "substitute", counting_substitute)
+    monkeypatch.setattr(binform, "_det_int", counting_det)
     sylvester_resultant(f, g)
-    # 19 + 13 coefficients at each of 85 sample points (bound 12 * 4 + 18 * 2)
-    assert calls <= 32 * 85
+    # the coefficients are read once into ints, never substituted; one integer
+    # determinant at each of 85 sample points (bound 12 * 4 + 18 * 2)
+    assert substitutions == 0
+    assert determinants == 85
+
+
+def _grid_forms(domain):
+    """Forms of degrees 2 and 3 in (u, v) whose coefficients are polynomials
+    in s and t with non-integer rational coefficients."""
+    u, v, s, t = MultiPoly.gens(domain, ("u", "v", "s", "t"))
+
+    def c(num, den):
+        return domain.elem(num) / domain.elem(den)
+
+    f = (c(1, 2) * s + t) * u**2 + (s * t - c(3, 4)) * u * v + (t**2 + c(2, 3) * s) * v**2
+    g = (
+        u**3
+        + (c(5, 6) * s**2 - t) * u**2 * v
+        + c(7, 3) * u * v**2
+        + (s - c(1, 5) * t**2 + 1) * v**3
+    )
+    return BinaryForm(f, UV), BinaryForm(g, UV)
+
+
+def _specialized_sylvester_det(f, g, point, domain):
+    fc = [c.evaluate(point) for c in f.coefficient_polys()]
+    gc = [c.evaluate(point) for c in g.coefficient_polys()]
+    m, n = len(fc) - 1, len(gc) - 1
+    zero = domain.zero()
+    rows = [[zero] * i + fc + [zero] * (n - 1 - i) for i in range(n)]
+    rows += [[zero] * i + gc + [zero] * (m - 1 - i) for i in range(m)]
+    return binform.det_constant(rows, domain)
+
+
+@pytest.mark.parametrize("domain", [QQ, PrimeField(10007)], ids=["QQ", "GF(10007)"])
+def test_resultant_on_a_grid_of_two_parameters(domain):
+    f, g = _grid_forms(domain)
+    res = sylvester_resultant(f, g, sample_base=-4)
+    assert res.variables == ("s", "t")
+    assert res == sylvester_resultant(f, g)
+    rng = random.Random(23)
+    points = [(0, 0), (-4, 3), (1, -1)] + [
+        (rng.randrange(-40, 41), rng.randrange(-40, 41)) for _ in range(6)
+    ]
+    for s0, t0 in points:
+        point = {"s": domain.elem(s0), "t": domain.elem(t0)}
+        assert res.evaluate(point) == _specialized_sylvester_det(f, g, point, domain)
+
+
+def test_resultant_without_parameters_is_a_fraction():
+    f = qform([Fraction(1, 2), Fraction(-1, 3), 2])
+    g = qform([Fraction(3, 4), 1])
+    res = sylvester_resultant(f, g).constant_value()
+    assert isinstance(res, Fraction)
+    assert res == cofactor_det(
+        [
+            [Fraction(1, 2), Fraction(-1, 3), Fraction(2)],
+            [Fraction(3, 4), Fraction(1), Fraction(0)],
+            [Fraction(0), Fraction(3, 4), Fraction(1)],
+        ]
+    )
