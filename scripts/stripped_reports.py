@@ -27,8 +27,9 @@ COMMANDS = [
     ("verify-quartic-fuzz-2000", ["verify-quartic-fuzz", "--fuzz-count", "2000"]),
 ] + [
     (f"verify-pencil24-p{p}-s{s}", ["verify-pencil24", "--prime", str(p), "--seed", str(s)])
-    for p in (10007, 31991)
-    for s in (1, 2, 3)
+    # the default primes are 3 mod 4; 65537 (1 mod 4) takes square roots by
+    # Tonelli-Shanks, and 2^31 - 1 interpolates 31-bit values
+    for p, s in [(p, s) for p in (10007, 31991) for s in (1, 2, 3)] + [(65537, 1), (2**31 - 1, 1)]
 ]
 
 

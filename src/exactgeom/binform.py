@@ -1,16 +1,18 @@
-"""Binary forms: Sylvester resultants, gcds, and squarefree parts.
+"""Binary forms: Sylvester resultants and gcds.
 
 A :class:`BinaryForm` is a :class:`MultiPoly` that is homogeneous in a
 designated pair of variables; the remaining variables act as parameters.
 Resultants eliminate the designated pair.  The coefficients of the two
 forms are read once into ints (over QQ each form is scaled by the lcm of its
-denominators, which is divided out at the end), evaluated on one grid of
+denominators; over GF(p) they are reduced mod p), evaluated on one grid of
 integer sample points, bound + 1 per parameter with degree bound
 n deg f + m deg g for forms of degrees m and n, and the Sylvester
-determinant at each point is taken by Bareiss elimination on ints (modulo p
-over GF(p)).  The grid of values is interpolated one parameter axis at a
-time, straight into the terms of the result, by Newton's divided
-differences; over QQ they stay ints, scaled by bound! per axis.
+determinant at each point is taken by Bareiss elimination on ints, the
+package's only determinant routine.  The grid of values is interpolated one
+parameter axis at a time, straight into the terms of the result, by
+:func:`exactgeom.zpoly.int_interpolate`: Newton's forward differences on
+ints, scaled by bound! per axis.  The scales are divided out once at the
+end, over GF(p) by an inverse mod p.
 The point at infinity is handled explicitly throughout: the gcd strips and
 restores pure powers of either pair variable, so a common root at [1:0] or
 [0:1] is never lost.
@@ -141,34 +143,6 @@ def _det_int(m: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _det_mod_p(m: list[list[int]], p: int) -> int:
-    """Bareiss elimination carried out modulo p (entries are ints in [0, p))."""
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev_inv = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        row_k = m[k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            factor = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (pivot * row_i[j] - factor * row_k[j]) * prev_inv % p
-            row_i[k] = 0
-        prev_inv = pow(pivot, p - 2, p)
-    return sign * m[n - 1][n - 1] % p
-
-
 def det_constant(matrix, domain):
     """Determinant of a matrix of elements of QQ or GF(p)."""
     if isinstance(domain, Rationals):
@@ -181,8 +155,7 @@ def det_constant(matrix, domain):
             rows.append([c.numerator * (denom // c.denominator) for c in row])
         return Fraction(_det_int(rows), scale)
     if isinstance(domain, PrimeField):
-        rows = [[c.value for c in row] for row in matrix]
-        return domain.wrap(_det_mod_p(rows, domain.p))
+        return domain.elem(_det_int([[c.value for c in row] for row in matrix]))
     raise DomainMismatchError(f"no constant determinant over {domain!r}")
 
 
@@ -204,33 +177,6 @@ def _raw_sequence(cs: list[MultiPoly], active: list[int], p) -> tuple[list, int]
     return seq, scale
 
 
-def _int_interpolate(x0: int, ys: list[int]) -> list[int]:
-    """(N-1)! times the polynomial of degree < N through (x0 + i, ys[i]),
-    low degree first, for N integer values ys at consecutive integers.
-
-    Newton's forward differences d_k of integer values are integers, and
-    the Newton coefficients are d_k / k!; scaling by (N-1)! keeps the whole
-    computation in ints.
-    """
-    n = len(ys)
-    ds = list(ys)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            ds[i] -= ds[i - 1]
-    result = [ds[-1]]
-    weight = 1  # (N-1)! / k!
-    for k in range(n - 2, -1, -1):
-        weight *= k + 1
-        # result <- result * (x - x0 - k) + weight * ds[k]
-        xk = x0 + k
-        shifted = [0] + result
-        for i, c in enumerate(result):
-            shifted[i] -= xk * c
-        shifted[0] += weight * ds[k]
-        result = shifted
-    return result
-
-
 def det_polynomial_matrix(
     fc: list[MultiPoly], gc: list[MultiPoly], sample_base: int = 0
 ) -> MultiPoly:
@@ -244,12 +190,14 @@ def det_polynomial_matrix(
     once into ints (over QQ each sequence is scaled by the lcm D of its
     denominators, so the determinant is scaled by D_f^n D_g^m), evaluated at
     every point of the grid of sample points, and the determinant at each
-    point is taken by Bareiss elimination on ints (modulo p over GF(p)).
-    The grid of values is then interpolated one axis at a time, from the
-    last active variable to the first: over GF(p) by ``zp_interpolate``,
-    over QQ by :func:`_int_interpolate` on ints, whose factor bound! per
-    axis is divided out with D_f^n D_g^m at the end.  With no active
-    variable the result is the constant determinant, a ``Fraction`` over QQ.
+    point is taken by Bareiss elimination on ints (over GF(p) on the
+    entries reduced mod p, then reduced itself).  The grid of values is
+    then interpolated one axis at a time, from the last active variable to
+    the first, by ``zpoly.int_interpolate`` on ints.  Its factor bound! per
+    axis is divided out with D_f^n D_g^m at the end: over QQ as the
+    denominator of each coefficient, over GF(p) by one inverse mod p, which
+    exists because every bound is below p.  With no active variable the
+    result is the constant determinant, a ``Fraction`` over QQ.
     """
     domain, variables = fc[0].domain, fc[0].variables
     if not isinstance(domain, (Rationals, PrimeField)):
@@ -298,34 +246,34 @@ def det_polynomial_matrix(
         fv, gv = evaluate(fs, point), evaluate(gs, point)
         mat = [[0] * i + fv + [0] * (n - 1 - i) for i in range(n)]
         mat += [[0] * i + gv + [0] * (m - 1 - i) for i in range(m)]
-        det = _det_mod_p(mat, p) if p else _det_int(mat)
+        det = _det_int(mat) % p if p else _det_int(mat)
         if det:
             table[point] = det
 
     # interpolate along each axis in turn; a key holds grid indices for the
-    # axes still to do and exponents for the axes done.  Over QQ the values
-    # stay ints: each axis multiplies them by bound!, divided out at the end
+    # axes still to do and exponents for the axes done.  The values stay
+    # ints: each axis multiplies them by bound!, divided out at the end
     scale = scale_f**n * scale_g**m
     for a in reversed(range(len(active))):
-        xs = list(range(sample_base, sample_base + bounds[a] + 1))
         lines: dict = {}
         for key, value in table.items():
-            lines.setdefault(key[:a] + key[a + 1 :], [0] * len(xs))[key[a]] = value
+            lines.setdefault(key[:a] + key[a + 1 :], [0] * (bounds[a] + 1))[key[a]] = value
         table = {}
         for rest, ys in lines.items():
-            cs = zpoly.zp_interpolate(xs, ys, p) if p else _int_interpolate(sample_base, ys)
-            for e, c in enumerate(cs):
+            for e, c in enumerate(zpoly.int_interpolate(sample_base, ys)):
+                if p:
+                    c %= p
                 if c:
                     table[rest[:a] + (e,) + rest[a:]] = c
-        if not p:
-            scale *= math.factorial(bounds[a])
+        scale *= math.factorial(bounds[a])
 
+    inverse = pow(scale, -1, p) if p else None
     terms = {}
     for key, c in table.items():
         ex = [0] * len(variables)
         for i, e in zip(active, key):
             ex[i] = e
-        terms[tuple(ex)] = domain.wrap(c) if p else Fraction(c, scale)
+        terms[tuple(ex)] = domain.wrap(c * inverse % p) if p else Fraction(c, scale)
     return MultiPoly(domain, variables, terms)
 
 
@@ -348,7 +296,7 @@ def sylvester_resultant(f: BinaryForm, g: BinaryForm, sample_base: int = 0) -> M
     return det.drop_vars(f.pair)
 
 
-# --- gcd and squarefree part --------------------------------------------------
+# --- gcd ---------------------------------------------------------------------
 
 
 def dehomogenize(coeffs: list) -> tuple[int, int, list]:
@@ -395,20 +343,3 @@ def binary_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     ag, bg, core_g = (a, b, []) if g.is_zero() else dehomogenize(g.coefficient_list())
     core = univar.gcd(core, core_g, domain)
     return _homogenize(domain, f.poly.variables, f.pair, min(a, ag), min(b, bg), core)
-
-
-def squarefree_part(f: BinaryForm) -> BinaryForm:
-    """Product of the distinct irreducible factors of a nonzero binary form.
-
-    Computed as f / gcd(f, f') on the dehomogenization; requires field
-    coefficients of characteristic 0 or larger than deg f.
-    """
-    if f.is_zero():
-        raise ValueError("squarefree part of the zero form")
-    domain = f.poly.domain
-    char = domain.char
-    if char and char <= f.degree:
-        raise ValueError("squarefree part needs characteristic 0 or > deg f")
-    a, b, core = dehomogenize(f.coefficient_list())
-    s = univar.squarefree_part(core, domain)
-    return _homogenize(domain, f.poly.variables, f.pair, min(a, 1), min(b, 1), s)

@@ -162,8 +162,8 @@ def _condition_table(f0: Curve34, f1: Curve34) -> tuple[tuple[tuple[int, ...], .
             QuarticCoeffs(*(((c0 * x + c1) * x + c2) * x + c3 for c0, c1, c2, c3 in zip(*rows)))
             for x in xs
         ]
-        delta = zpoly.zp_interpolate(xs, [disc_delta(q) for q in fibers], p)
-        d = zpoly.zp_interpolate(xs[: D_DEGREE + 1], [sem_d(q) for q in fibers[: D_DEGREE + 1]], p)
+        delta = zpoly.zp_interpolate(0, [disc_delta(q) for q in fibers], p)
+        d = zpoly.zp_interpolate(0, [sem_d(q) for q in fibers[: D_DEGREE + 1]], p)
         table.append((_padded(delta, DELTA_DEGREE), _padded(d, D_DEGREE)))
     return tuple(table)
 
@@ -188,7 +188,7 @@ def bitangent_conditions(f0: Curve34, f1: Curve34) -> tuple[BinaryForm, BinaryFo
         terms = {}
         # column i holds the values of the x^i y^(degree - i) coefficient
         for i, column in enumerate(zip(*(entry[k] for entry in table[: t_degree + 1]))):
-            for e, c in enumerate(zpoly.zp_interpolate(range(t_degree + 1), column, fieldp.p)):
+            for e, c in enumerate(zpoly.zp_interpolate(0, column, fieldp.p)):
                 terms[(i, degree - i, e)] = fieldp.wrap(c)
         forms.append(BinaryForm(MultiPoly(fieldp, PENCIL_VARS, terms), ("x", "y")))
     return forms[0], forms[1]
@@ -203,7 +203,7 @@ def raw_resultant(f0: Curve34, f1: Curve34) -> tuple[int, ...]:
     """
     p = f0.fieldp.p
     values = [zpoly.zp_resultant(delta, d, p) for delta, d in _condition_table(f0, f1)]
-    return tuple(zpoly.zp_interpolate(range(ELIMINANT_POINTS), values, p))
+    return tuple(zpoly.zp_interpolate(0, values, p))
 
 
 # --- validation of a single member --------------------------------------------

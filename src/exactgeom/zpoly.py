@@ -11,11 +11,16 @@ Modular powers, the core of distinct-degree factorization, reduce each
 product by a precomputed power-series inverse of the reversed modulus
 (von zur Gathen-Gerhard, Modern Computer Algebra, 9.1), so a reduction
 costs two multiplications.  Resultants (Euclid) and Newton interpolation
-let eliminants be computed from values at integer points.
+let eliminants be computed from values at integer points.  The Newton
+interpolator is the package's only one: :func:`int_interpolate` takes
+forward differences on ints at consecutive points, and both the GF(p)
+eliminants (through :func:`zp_interpolate`) and the resultants of
+:mod:`exactgeom.binform` over QQ and GF(p) use it.
 """
 
 from __future__ import annotations
 
+import math
 from functools import partial
 
 from . import univar
@@ -203,30 +208,42 @@ def zp_resultant(f: list[int], g: list[int], p: int) -> int:
     return result * pow(g[0], zp_deg(f), p) % p
 
 
-def zp_interpolate(points, values, p: int) -> list[int]:
-    """The polynomial of degree < len(points) through (points[i], values[i])
-    over GF(p), by Newton's divided differences."""
-    xs = [x % p for x in points]
-    if len(xs) > p:
-        raise InterpolationError(
-            f"need {len(xs)} sample points but the field has only {p} elements"
-        )
-    if len(set(xs)) != len(xs):
-        raise InterpolationError("interpolation sample points are not distinct")
-    n = len(xs)
-    cs = [v % p for v in values]
+def int_interpolate(x0: int, ys: list[int]) -> list[int]:
+    """(N-1)! times the polynomial of degree < N through (x0 + i, ys[i]),
+    low degree first, for N integer values ys at consecutive integers.
+
+    Newton's forward differences d_k of integer values are integers, and
+    the Newton coefficients are d_k / k!; scaling by (N-1)! keeps the whole
+    computation in ints.
+    """
+    n = len(ys)
+    ds = list(ys)
     for j in range(1, n):
         for i in range(n - 1, j - 1, -1):
-            cs[i] = (cs[i] - cs[i - 1]) * pow(xs[i] - xs[i - j], -1, p) % p
-    result: list[int] = []
-    for k in range(n - 1, -1, -1):
-        # result <- result * (x - xs[k]) + cs[k]
+            ds[i] -= ds[i - 1]
+    result = [ds[-1]]
+    weight = 1  # (N-1)! / k!
+    for k in range(n - 2, -1, -1):
+        weight *= k + 1
+        # result <- result * (x - x0 - k) + weight * ds[k]
+        xk = x0 + k
         shifted = [0] + result
         for i, c in enumerate(result):
-            shifted[i] -= xs[k] * c
-        shifted[0] += cs[k]
-        result = [c % p for c in shifted]
-    return zp_trim(result)
+            shifted[i] -= xk * c
+        shifted[0] += weight * ds[k]
+        result = shifted
+    return result
+
+
+def zp_interpolate(x0: int, values: list[int], p: int) -> list[int]:
+    """The polynomial of degree < N through (x0 + i, values[i]) over GF(p),
+    for N values at consecutive points: :func:`int_interpolate` times
+    ((N-1)!)^(-1) mod p, which needs N <= p."""
+    n = len(values)
+    if n > p:
+        raise InterpolationError(f"need {n} sample points but the field has only {p} elements")
+    scale = pow(math.factorial(n - 1), -1, p)
+    return zp_trim([c * scale % p for c in int_interpolate(x0, [v % p for v in values])])
 
 
 def zp_factor_squarefree(cs: list[int], p: int, rng) -> list[list[int]]:

@@ -1,4 +1,4 @@
-"""Binary forms: resultants against independent oracles, gcd, squarefree parts."""
+"""Binary forms: resultants against independent oracles, gcd."""
 
 import random
 from fractions import Fraction
@@ -10,7 +10,6 @@ from exactgeom.binform import (
     BinaryForm,
     binary_gcd,
     form_from_coefficients,
-    squarefree_part,
     sylvester_resultant,
 )
 from exactgeom.domains import QQ, ExtensionField, PrimeField
@@ -25,11 +24,12 @@ def qform(coeffs, variables=UV, pair=UV):
 
 
 def cofactor_det(matrix):
-    """Naive cofactor expansion; the independent determinant oracle."""
+    """Naive cofactor expansion over QQ or GF(p); the independent determinant
+    oracle."""
     n = len(matrix)
     if n == 1:
         return matrix[0][0]
-    total = Fraction(0)
+    total = 0
     for j in range(n):
         if not matrix[0][j]:
             continue
@@ -222,52 +222,6 @@ def test_gcd_with_zero_is_the_other_form_divided_by_its_first_coefficient():
     assert binary_gcd(zero, f).poly == expected
 
 
-def test_squarefree_part_examples():
-    u, v = MultiPoly.gens(QQ, UV)
-    assert squarefree_part(qform([1, -1, -1, 1])).poly == (u - v) * (u + v)
-    # squarefree input is only normalized
-    f = qform([2, 0, 2])
-    assert squarefree_part(f).poly == u**2 + v**2
-    # u^2 (u - v)^2 -> u (u - v); the expected value comes from the factorization
-    g = BinaryForm(u**2 * (u - v) ** 2, UV)
-    assert squarefree_part(g).poly == u * (u - v)
-
-
-def test_squarefree_part_idempotent():
-    f = qform([1, 3, 1, -2])
-    once = squarefree_part(f)
-    assert squarefree_part(once).poly == once.poly
-
-
-def test_square_of_squarefree_part_divides_only_repeated_inputs():
-    rng = random.Random(47)
-    for _ in range(15):
-        coeffs = [Fraction(rng.randrange(-5, 6)) for _ in range(5)]
-        if not any(coeffs):
-            continue
-        f = qform(coeffs)
-        sf = squarefree_part(f)
-        squared = BinaryForm(sf.poly * sf.poly, UV)
-        had_repeated_factor = sf.degree < f.degree
-        if not had_repeated_factor:
-            assert not _divides(squared, f)
-    # and when the input is an exact square, the squared part divides it
-    square = qform([1, 4, 4])  # (u + 2v)^2
-    assert _divides(
-        BinaryForm(squarefree_part(square).poly ** 2, UV), square
-    )
-
-
-def test_squarefree_char_guard():
-    F = PrimeField(10007)
-    small = PrimeField(3)
-    form = form_from_coefficients(small, UV, UV, [1, 0, 0, 0, 1])
-    with pytest.raises(ValueError):
-        squarefree_part(form)
-    ok = form_from_coefficients(F, UV, UV, [1, 0, 0, 0, 1])
-    assert squarefree_part(ok).degree >= 1
-
-
 def test_det_constant_paths_agree():
     rng = random.Random(19)
     p = 10007
@@ -277,10 +231,8 @@ def test_det_constant_paths_agree():
         rational = binform.det_constant(
             [[Fraction(c) for c in row] for row in ints], QQ
         )
-        modular = binform.det_constant(
-            [[F.elem(c) for c in row] for row in ints], F
-        )
-        assert modular == F.elem(int(rational) % p)
+        elements = [[F.elem(c) for c in row] for row in ints]
+        assert binform.det_constant(elements, F) == cofactor_det(elements)
         assert rational.denominator == 1
         assert cofactor_det([[Fraction(c) for c in row] for row in ints]) == rational
     # entries with denominators: each row is scaled to ints by its own lcm

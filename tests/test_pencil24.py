@@ -210,6 +210,19 @@ def test_raw_resultant_matches_the_symbolic_sylvester_resultant(p, seed):
     assert pc.raw_resultant(f0, f1) == _coefficient_tuple(sylvester_resultant(delta, d))
 
 
+def test_symbolic_family_resultant_is_reduction_of_the_rational_one():
+    # both sides take integer Sylvester determinants at t = 0..84 and
+    # interpolate them: here the entries are reduced mod p, over QQ they are not
+    from exactgeom import transversality as tv
+
+    delta, d = _symbolic_conditions(*pc.family_pencil(P))
+    rational = tv.resultant_R().polynomial
+    expected = [0] * (rational.degree_in("alpha") + 1)
+    for ex, c in rational.terms.items():
+        expected[ex[0]] = c.numerator * pow(c.denominator, -1, P) % P
+    assert _coefficient_tuple(sylvester_resultant(delta, d)) == tuple(zpoly.zp_trim(expected))
+
+
 def test_raw_resultant_where_both_leading_coefficients_vanish():
     # row 0 of F0 is (1, -2, 1, 0, 0): the [1:0] fiber of the t = 0 member is
     # u^2 (u - v)^2, so the x^18 coefficient of Delta and the x^12 coefficient
