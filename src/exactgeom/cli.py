@@ -99,6 +99,7 @@ def check_lines(config: RunConfig) -> list[CheckResult]:
             and summary["box_search_count"] == 27
             and summary["weyl_order"] == 51840
             and summary["stabilizer_order"] == 1920
+            and summary["stabilizer_type"] == "D5"
             and summary["orbit_sizes"] == [1, 10, 16]
             and summary["orbits_match_incidence"]
             and summary["weyl_transitive"]

@@ -8,11 +8,14 @@ fifteen cij = h - ei - ej.  Two distinct lines meet exactly when their
 pairing is 1, giving the 10-regular strongly regular incidence graph with
 parameters (27, 10, 1, 5).
 
-The symmetry group is generated by the six reflections in the roots
-e1-e2, ..., e5-e6, h-e1-e2-e3 (norm -2, orthogonal to K); full enumeration
-by closure gives the group of order 51840 acting on the 27 labels.  The
-stabilizer of a line has order 1920 and splits the remaining lines into
-orbits of sizes 10 (the incident lines) and 16 (the skew ones).  Through
+The symmetry group W(E6) is generated by the six reflections in the roots
+e1-e2, ..., e5-e6, h-e1-e2-e3 (norm -2, orthogonal to K).  It is held as a
+stabilizer chain, never enumerated: the orbit of the line a1 with a Schreier
+tree, and the stabilizer H of a1, the closure of the reflections in the five
+roots orthogonal to e1 (a D5 diagram).  Every Schreier generator lies in H,
+so H is the whole stabilizer (Schreier's lemma) and the order is
+27 * 1920 = 51840.  H splits the remaining lines into orbits of sizes 10
+(the incident lines) and 16 (the skew ones).  Through
 each line pass exactly five tritangent planes, pairing up its ten incident
 lines into five coplanar pairs {m, m'} with l + m + m' = -K.
 """
@@ -88,14 +91,21 @@ def exhaustive_box_solutions() -> list[PicClass]:
 
     Independent of the constructive list above; used to cross-check that the
     equations <l,l> = <l,K> = -1 have exactly the 27 known solutions there.
+    For l = (a0, a1, ..., a6) they read a1 + ... + a6 = 1 - 3 a0 and
+    a1^2 + ... + a6^2 = a0^2 + 1, so one pass over the 5^6 tails, bucketed
+    by (sum, sum of squares), finds every solution for every a0.
     """
+    buckets: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+    for rest in itertools.product(range(-2, 3), repeat=6):
+        key = (sum(rest), sum(x * x for x in rest))
+        buckets.setdefault(key, []).append(rest)
     out = []
-    span = range(-2, 3)
     for a0 in range(-3, 4):
-        for rest in itertools.product(span, repeat=6):
+        for rest in buckets.get((1 - 3 * a0, a0 * a0 + 1), ()):
             vec = (a0, *rest)
-            if is_line_class(vec):
-                out.append(vec)
+            if not is_line_class(vec):
+                raise VerificationError(f"box search hit {vec} is not a line class")
+            out.append(vec)
     return out
 
 
@@ -178,6 +188,33 @@ def perm_to_label_map(p: Perm) -> dict[str, str]:
     return {LABELS[i]: LABELS[p[i]] for i in range(len(LABELS))}
 
 
+def invert(p: Perm) -> Perm:
+    inverse = [0] * len(p)
+    for i, image in enumerate(p):
+        inverse[image] = i
+    return tuple(inverse)
+
+
+def generator_orbits(generators: tuple[Perm, ...]) -> list[frozenset[str]]:
+    """The orbits of the group the generators span, by search on the 27 points."""
+    seen: set[int] = set()
+    out = []
+    for start in range(len(LABELS)):
+        if start in seen:
+            continue
+        orbit = {start}
+        frontier = [start]
+        while frontier:
+            point = frontier.pop()
+            for g in generators:
+                if g[point] not in orbit:
+                    orbit.add(g[point])
+                    frontier.append(g[point])
+        seen |= orbit
+        out.append(frozenset(LABELS[i] for i in orbit))
+    return out
+
+
 @dataclass(frozen=True)
 class PermGroup:
     """A permutation group on the 27 labels, enumerated by closure."""
@@ -189,20 +226,8 @@ class PermGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def orbit(self, label: str) -> frozenset[str]:
-        idx = _INDEX[label]
-        return frozenset(LABELS[g[idx]] for g in self.elements)
-
     def orbits(self) -> list[frozenset[str]]:
-        seen: set[str] = set()
-        out = []
-        for label in LABELS:
-            if label in seen:
-                continue
-            orb = self.orbit(label)
-            seen |= orb
-            out.append(orb)
-        return out
+        return generator_orbits(self.generators)
 
 
 def enumerate_closure(generators: tuple[Perm, ...]) -> frozenset[Perm]:
@@ -221,20 +246,188 @@ def enumerate_closure(generators: tuple[Perm, ...]) -> frozenset[Perm]:
     return frozenset(elements)
 
 
-@functools.cache
-def weyl_group() -> PermGroup:
-    """The full symmetry group of the configuration, order 51840."""
-    generators = tuple(_reflection_perm(root) for root in SIMPLE_ROOTS)
+@dataclass(frozen=True)
+class StabilizerChain:
+    """A group as the orbit of a base line and the enumerated stabilizer of it.
+
+    ``transversal[x]`` is a word (i1, ..., ik) of generator indices whose
+    product u_x = g_ik ... g_i1 maps the base to x.  The order is
+    |orbit| * |stabilizer| by orbit-stabilizer; no other element is listed.
+    """
+
+    generators: tuple[Perm, ...]
+    base: str
+    transversal: dict[str, tuple[int, ...]]
+    stabilizer: PermGroup
+
+    @property
+    def order(self) -> int:
+        return len(self.transversal) * self.stabilizer.order
+
+    def orbits(self) -> list[frozenset[str]]:
+        return generator_orbits(self.generators)
+
+
+def stabilizer_chain(
+    generators: tuple[Perm, ...], base: str, stabilizer: PermGroup
+) -> StabilizerChain:
+    """Certify ``stabilizer`` as the full stabilizer of ``base`` in <generators>.
+
+    A Schreier tree on the orbit of the base gives the transversal.  By
+    Schreier's lemma the Schreier generators u_{s(x)}^-1 s u_x, one per orbit
+    point x and generator s, generate the stabilizer of the base (Sims 1970),
+    so the stabilizer is no larger than ``stabilizer`` when each of them lies
+    in it.  The caller must know that ``stabilizer`` fixes the base and lies
+    in <generators>.
+    """
+    base_idx = _INDEX[base]
+    words = {base_idx: ()}
+    perms = {base_idx: identity_perm()}
+    frontier = [base_idx]
+    while frontier:
+        fresh = []
+        for x in frontier:
+            for i, g in enumerate(generators):
+                y = g[x]
+                if y not in words:
+                    words[y] = (*words[x], i)
+                    perms[y] = compose(g, perms[x])
+                    fresh.append(y)
+        frontier = fresh
+    for x, u in perms.items():
+        for i, g in enumerate(generators):
+            schreier = compose(invert(perms[g[x]]), compose(g, u))
+            if schreier not in stabilizer.elements:
+                raise VerificationError(
+                    f"Schreier generator at {LABELS[x]}, generator {i} "
+                    f"is not in the given stabilizer of {base}"
+                )
+    transversal = {LABELS[x]: word for x, word in words.items()}
+    return StabilizerChain(generators, base, transversal, stabilizer)
+
+
+MARKED_LINE = "a1"
+
+# A base of the roots orthogonal to a1 = e1: e2-e3, ..., e5-e6 and h-e2-e3-e4.
+MARKED_ROOTS: tuple[PicClass, ...] = SIMPLE_ROOTS[1:5] + ((1, 0, -1, -1, -1, 0, 0),)
+
+
+def _fixing_group(roots: tuple[PicClass, ...], label: str) -> PermGroup:
+    """The closure of the reflections in ``roots``, each checked to fix ``label``."""
+    generators = tuple(_reflection_perm(root) for root in roots)
+    idx = _INDEX[label]
+    for root, g in zip(roots, generators):
+        if g[idx] != idx:
+            raise VerificationError(f"reflection in {root} moves {label}")
     return PermGroup(generators, enumerate_closure(generators))
+
+
+def _root_orbit() -> set[PicClass]:
+    """The images w(r) of the simple roots r under W(E6): the 72 roots.
+
+    The reflection in w(r) is w s_r w^-1, so it lies in W(E6).
+    """
+    seen = set(SIMPLE_ROOTS)
+    frontier = list(SIMPLE_ROOTS)
+    while frontier:
+        vec = frontier.pop()
+        for simple in SIMPLE_ROOTS:
+            image = reflect(vec, simple)
+            if image not in seen:
+                seen.add(image)
+                frontier.append(image)
+    return seen
+
+
+@functools.cache
+def weyl_group() -> StabilizerChain:
+    """The full symmetry group of the configuration, order 27 * 1920 = 51840.
+
+    The stabilizer of the marked line is the closure of the reflections in
+    ``MARKED_ROOTS``, which fix it and lie in W(E6) since the roots are images
+    of simple roots; the Schreier check in ``stabilizer_chain`` proves it is
+    the whole stabilizer, so W(E6) itself is never enumerated.
+    """
+    missing = set(MARKED_ROOTS) - _root_orbit()
+    if missing:
+        raise VerificationError(f"{sorted(missing)} are not images of simple roots")
+    generators = tuple(_reflection_perm(root) for root in SIMPLE_ROOTS)
+    return stabilizer_chain(
+        generators, MARKED_LINE, _fixing_group(MARKED_ROOTS, MARKED_LINE)
+    )
+
+
+@functools.cache
+def stabilizer_roots(label: str) -> tuple[PicClass, ...]:
+    """Five roots whose reflections generate the stabilizer of a line.
+
+    They are u_x(r) for r in ``MARKED_ROOTS``, applying the transversal word
+    of the line x; the reflection in u_x(r) is u_x s_r u_x^-1.
+    """
+    word = weyl_group().transversal[label]
+    roots = []
+    for root in MARKED_ROOTS:
+        for i in word:
+            root = reflect(root, SIMPLE_ROOTS[i])
+        roots.append(root)
+    return tuple(roots)
 
 
 @functools.cache
 def stabilizer(label: str) -> PermGroup:
-    """The subgroup fixing one line, order 1920, found by filtering."""
-    idx = _INDEX[label]
-    elements = frozenset(g for g in weyl_group().elements if g[idx] == idx)
-    # found by filtering the full enumeration; no generating set is tracked
-    return PermGroup((), elements)
+    """The subgroup fixing one line, order 1920, closed from five reflections."""
+    group = weyl_group()
+    if label == group.base:
+        return group.stabilizer
+    return _fixing_group(stabilizer_roots(label), label)
+
+
+def cartan_matrix(roots: tuple[PicClass, ...]) -> list[list[int]]:
+    """The matrix <ri, rj> of pairings (-2 on the diagonal for roots)."""
+    return [[pairing(r, s) for s in roots] for r in roots]
+
+
+def dynkin_type(cartan: list[list[int]]) -> str | None:
+    """The ADE type of a simply-laced Cartan matrix in this sign convention.
+
+    Nodes are the roots, edges the pairs with <ri, rj> = 1.  A path of n
+    nodes is An; a tree with one node of degree 3 and arms of lengths
+    1, 1, n - 3 is Dn, and arms 1, 2, 2 / 1, 2, 3 / 1, 2, 4 give E6 / E7 / E8.
+    Anything else (not roots, an obtuse pair, a cycle, a disconnected
+    diagram) gives None.
+    """
+    n = len(cartan)
+    if n == 0 or any(cartan[i][i] != -2 for i in range(n)):
+        return None
+    if any(cartan[i][j] not in (0, 1) for i in range(n) for j in range(n) if i != j):
+        return None
+    neighbors = [[j for j in range(n) if j != i and cartan[i][j] == 1] for i in range(n)]
+    reached, frontier = {0}, [0]
+    while frontier:
+        for j in neighbors[frontier.pop()]:
+            if j not in reached:
+                reached.add(j)
+                frontier.append(j)
+    if sum(len(nb) for nb in neighbors) != 2 * (n - 1) or len(reached) != n:
+        return None
+    branch = [i for i in range(n) if len(neighbors[i]) >= 3]
+    if not branch:
+        return f"A{n}"
+    if len(branch) > 1 or len(neighbors[branch[0]]) > 3:
+        return None
+    arms = []
+    for start in neighbors[branch[0]]:
+        length, previous, node = 1, branch[0], start
+        while len(neighbors[node]) == 2:
+            previous, node = node, next(j for j in neighbors[node] if j != previous)
+            length += 1
+        arms.append(length)
+    arms.sort()
+    if arms[:2] == [1, 1]:
+        return f"D{n}"
+    if arms[:2] == [1, 2] and arms[2] in (2, 3, 4):
+        return f"E{n}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -296,7 +489,8 @@ def verification_summary(marked: str = "a1") -> dict:
         "box_search_count": len(exhaustive_box_solutions()),
         "weyl_order": group.order,
         "stabilizer_order": stab.order,
-        "index": group.order // stab.order,
+        "stabilizer_type": dynkin_type(cartan_matrix(stabilizer_roots(marked))),
+        "index": len(group.transversal),
         "orbit_sizes": orbit_sizes,
         "orbits_match_incidence": orbit_sets == incidence_sets,
         "weyl_transitive": len(group.orbits()) == 1,

@@ -1,15 +1,23 @@
 """The 27-line configuration: classes, incidence, Weyl orbits, coplanar pairs."""
 
+import functools
 import itertools
 import random
 
 import pytest
 
 from exactgeom import lines
+from exactgeom.errors import VerificationError
 from exactgeom.lines import (
     CANONICAL_CLASS,
     LABELS,
+    MARKED_ROOTS,
+    SIMPLE_ROOTS,
+    PermGroup,
+    cartan_matrix,
     classify_fiber,
+    dynkin_type,
+    enumerate_closure,
     exhaustive_box_solutions,
     incidence,
     incidence_dot,
@@ -18,9 +26,17 @@ from exactgeom.lines import (
     pairing,
     srg_parameters,
     stabilizer,
+    stabilizer_chain,
+    stabilizer_roots,
     tritangent_pairs,
     weyl_group,
 )
+
+
+@functools.cache
+def full_closure() -> frozenset:
+    """Test-only oracle: all 51840 elements of W(E6), enumerated by closure."""
+    return enumerate_closure(weyl_group().generators)
 
 
 def test_named_classes():
@@ -42,6 +58,17 @@ def test_exhaustive_box_search_matches_constructed_lines():
     solutions = set(exhaustive_box_solutions())
     assert len(solutions) == 27
     assert solutions == set(lines.all_lines().values())
+
+
+def test_box_search_matches_product_filter():
+    # the 7 * 5^6 filter the bucketed search replaced, in the same order
+    expected = [
+        (a0, *rest)
+        for a0 in range(-3, 4)
+        for rest in itertools.product(range(-2, 3), repeat=6)
+        if lines.is_line_class((a0, *rest))
+    ]
+    assert exhaustive_box_solutions() == expected
 
 
 def test_incidence_examples():
@@ -79,12 +106,60 @@ def test_reflection_in_triple_root():
 
 
 def test_identity_fixes_everything():
-    assert lines.identity_perm() in weyl_group().elements
+    assert lines.identity_perm() in full_closure()
     assert lines.perm_to_label_map(lines.identity_perm()) == {x: x for x in LABELS}
 
 
 def test_weyl_group_order():
     assert weyl_group().order == 51840
+
+
+def test_chain_matches_full_closure_oracle():
+    elements = full_closure()
+    assert len(elements) == 51840 == weyl_group().order
+    a1 = LABELS.index("a1")
+    assert frozenset(g for g in elements if g[a1] == a1) == stabilizer("a1").elements
+
+
+def test_transversal_words_reach_every_line():
+    group = weyl_group()
+    assert group.base == "a1" and sorted(group.transversal) == sorted(LABELS)
+    for label, word in group.transversal.items():
+        vec = line_class("a1")
+        for i in word:
+            vec = lines.reflect(vec, SIMPLE_ROOTS[i])
+        assert vec == line_class(label)
+
+
+def test_schreier_check_rejects_a_proper_subgroup():
+    # without h - e2 - e3 - e4 the four roots span S5 (order 120), which
+    # fixes a1 but is not its whole stabilizer
+    roots = MARKED_ROOTS[:4]
+    generators = tuple(lines._reflection_perm(r) for r in roots)
+    small = PermGroup(generators, enumerate_closure(generators))
+    assert small.order == 120
+    with pytest.raises(VerificationError, match="Schreier generator"):
+        stabilizer_chain(weyl_group().generators, "a1", small)
+
+
+def test_stabilizer_roots_form_a_d5_diagram():
+    roots = lines._root_orbit()
+    assert len(roots) == 72 and set(MARKED_ROOTS) <= roots
+    assert dynkin_type(cartan_matrix(MARKED_ROOTS)) == "D5"
+    assert dynkin_type(cartan_matrix(SIMPLE_ROOTS)) == "E6"
+    assert dynkin_type(cartan_matrix(SIMPLE_ROOTS[:5])) == "A5"
+    for label in LABELS:
+        roots = stabilizer_roots(label)
+        assert all(pairing(r, line_class(label)) == 0 for r in roots)
+        assert dynkin_type(cartan_matrix(roots)) == "D5"
+
+
+def test_dynkin_type_rejects_non_diagrams():
+    # a cycle e1-e2, e2-e3, e3-e1; two orthogonal roots; a class of norm -1
+    cycle = (SIMPLE_ROOTS[0], SIMPLE_ROOTS[1], (0, -1, 0, 1, 0, 0, 0))
+    assert dynkin_type(cartan_matrix(cycle)) is None
+    assert dynkin_type(cartan_matrix((SIMPLE_ROOTS[0], SIMPLE_ROOTS[2]))) is None
+    assert dynkin_type(cartan_matrix((line_class("a1"),))) is None
 
 
 def test_weyl_group_transitive():
@@ -98,8 +173,9 @@ def test_stabilizer_order_and_index():
 
 
 def test_stabilizer_orbits_match_incidence_partition():
-    for marked in ("a1", "b3", "c25"):
+    for marked in LABELS:
         stab = stabilizer(marked)
+        assert stab.order == 1920
         orbits = {frozenset(o) for o in stab.orbits()}
         fiber = classify_fiber(marked)
         assert orbits == {frozenset((marked,)), fiber.meeting, fiber.skew}
@@ -123,7 +199,7 @@ def test_group_preserves_pairing():
         for i, j in pairs:
             assert pairing(classes[g[i]], classes[g[j]]) == pairing(classes[i], classes[j])
     rng = random.Random(31)
-    sample = rng.sample(sorted(group.elements), 100)
+    sample = rng.sample(sorted(full_closure()), 100)
     for g in sample:
         for i, j in rng.sample(pairs, 40):
             assert pairing(classes[g[i]], classes[g[j]]) == pairing(classes[i], classes[j])
@@ -178,6 +254,8 @@ def test_verification_summary():
     summary = lines.verification_summary()
     assert summary["weyl_order"] == 51840
     assert summary["stabilizer_order"] == 1920
+    assert summary["stabilizer_type"] == "D5"
+    assert summary["index"] == 27
     assert summary["orbit_sizes"] == [1, 10, 16]
     assert summary["orbits_match_incidence"]
     assert summary["srg"] == [27, 10, 1, 5]
