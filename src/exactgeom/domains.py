@@ -94,6 +94,25 @@ class Rationals:
             return Fraction(rn, rd)
         return None
 
+    # the raw-value hooks of FiniteField; a rational is its own raw value
+    def wrap(self, raw) -> Fraction:
+        return raw
+
+    def _ris_zero(self, a) -> bool:
+        return a == 0
+
+    def _rfrom_int(self, n: int) -> Fraction:
+        return Fraction(n)
+
+    def _rsub(self, a, b):
+        return a - b
+
+    def _rmul(self, a, b):
+        return a * b
+
+    def _rinv(self, a) -> Fraction:
+        return Fraction(1, a)
+
     def __repr__(self) -> str:
         return "QQ"
 

@@ -14,22 +14,29 @@ a square, and there is a second non-square branch with A != 0 (for instance
 perfect-square *witness*: an explicit quadratic whose square reproduces the
 quartic, searched by coefficient matching with exact square roots.  A closure
 variant adjoins the single missing square root when the base field lacks it.
+The matching itself (``_match_square``) runs on raw field values through the
+field's raw hooks (``_rmul``, ``_rinv`` and so on; a rational is its own raw
+value), and the public searches wrap only the witness they return.
 
 Both condition polynomials are evaluated with plain ring arithmetic, so the
 coefficients may be rationals, finite-field elements, or multivariate
 polynomials.  They may also be plain ints whose values are then reduced
 mod p: the formulas have integer coefficients, so that gives the value over
-GF(p).  ``fuzz_square_criterion`` works this way over GF(p), and wraps the
-coefficients as field elements only for the witness search.
+GF(p).  ``fuzz_square_criterion`` runs on ints end to end: over GF(p) it
+works this way, over QQ it clears the denominators of each draw (the
+conditions are homogeneous), and it calls the raw witness search on the
+same ints.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple, Optional
 
-from .domains import FiniteField, Rationals, adjoin_sqrt
+from .domains import FieldElement, FiniteField, Rationals, adjoin_sqrt
+
 
 class QuarticCoeffs(NamedTuple):
     """Coefficients of A u^4 + B u^3 v + C u^2 v^2 + D u v^3 + E v^4."""
@@ -86,6 +93,25 @@ def _check_char(field) -> None:
         raise ValueError("square detection is not supported in characteristic 2")
 
 
+def _identity(x):
+    return x
+
+
+def _raw(x):
+    """The raw value of a field element; a rational is its own raw value."""
+    return x.value if isinstance(x, FieldElement) else x
+
+
+def _field_root(field):
+    """A ``root`` for :func:`_match_square` that stays in ``field`` itself."""
+
+    def root(a):
+        r = field.sqrt(field.wrap(a))
+        return None if r is None else (field, _raw(r), _identity)
+
+    return root
+
+
 def perfect_square_witness(c: QuarticCoeffs, field) -> Optional[tuple]:
     """A quadratic (q0, q1, q2) with square equal to the quartic, if one exists
     with coordinates in the given field.
@@ -94,13 +120,8 @@ def perfect_square_witness(c: QuarticCoeffs, field) -> Optional[tuple]:
     exact square roots in the field; returns None when the quartic is not a
     square or the required square roots do not exist in the field.
     """
-
-    def root(a):
-        r = field.sqrt(a)
-        return None if r is None else (field, r, lambda x: x)
-
-    witness = _match_square(c, field, root)
-    return None if witness is None else (witness.q0, witness.q1, witness.q2)
+    found = _match_square(tuple(map(_raw, c)), field, _field_root(field))
+    return None if found is None else tuple(map(field.wrap, found[1:]))
 
 
 @dataclass(frozen=True)
@@ -129,47 +150,64 @@ def closure_square_witness(c: QuarticCoeffs, field: FiniteField) -> Optional[Clo
     the quadratic extension adjoining it is constructed and the witness is
     returned there.
     """
-    return _match_square(c, field, lambda a: adjoin_sqrt(field, a))
+
+    def root(a):
+        field2, r, lift = adjoin_sqrt(field, field.wrap(a))
+        if field2 is field:
+            return field, r.value, _identity
+        return field2, r.value, lambda x: lift(field.wrap(x)).value
+
+    found = _match_square(tuple(map(_raw, c)), field, root)
+    if found is None:
+        return None
+    field2, *q = found
+    lift = _identity if field2 is field else field2.from_base
+    return ClosureWitness(field2, lift, *map(field2.wrap, q))
 
 
-def _match_square(c: QuarticCoeffs, field, root) -> Optional[ClosureWitness]:
-    """Coefficient matching q0^2 = A, 2 q0 q1 = B, and so on.
+def _match_square(c: tuple, field, root) -> Optional[tuple]:
+    """Coefficient matching q0^2 = A, 2 q0 q1 = B, and so on, on raw values.
 
-    Only the first nonzero of A, C, E needs a square root; ``root(a)``
-    returns ``(field2, sqrt of a in field2, lift into field2)``, or None when
-    no root is available.
+    ``c`` holds raw values of ``field`` and the arithmetic runs through the
+    field's raw hooks.  Only the first nonzero of A, C, E needs a square
+    root; ``root(a)`` returns ``(field2, raw sqrt of a in field2, raw lift
+    from field into field2)``, or None when no root is available.  Returns
+    ``(field2, q0, q1, q2)`` with raw values of field2, or None.
     """
     _check_char(field)
     A, B, C, D, E = c
-    if A:
+    if not field._ris_zero(A):
         found = root(A)
         if found is None:
             return None
         field2, q0, lift = found
-        two = field2.elem(2)
-        q1 = lift(B) / (two * q0)
-        q2 = (lift(C) - q1 * q1) / (two * q0)
-        if two * q1 * q2 == lift(D) and q2 * q2 == lift(E):
-            return ClosureWitness(field2, lift, q0, q1, q2)
+        mul, two = field2._rmul, field2._rfrom_int(2)
+        inv = field2._rinv(mul(two, q0))
+        q1 = mul(lift(B), inv)
+        q2 = mul(field2._rsub(lift(C), mul(q1, q1)), inv)
+        if mul(two, mul(q1, q2)) == lift(D) and mul(q2, q2) == lift(E):
+            return field2, q0, q1, q2
         return None
-    if B:
+    if not field._ris_zero(B):
         return None
-    if C:
+    if not field._ris_zero(C):
         found = root(C)
         if found is None:
             return None
         field2, q1, lift = found
-        q2 = lift(D) / (field2.elem(2) * q1)
-        if q2 * q2 == lift(E):
-            return ClosureWitness(field2, lift, field2.zero(), q1, q2)
+        mul = field2._rmul
+        q2 = mul(lift(D), field2._rinv(mul(field2._rfrom_int(2), q1)))
+        if mul(q2, q2) == lift(E):
+            return field2, field2._rfrom_int(0), q1, q2
         return None
-    if D:
+    if not field._ris_zero(D):
         return None
     found = root(E)
     if found is None:
         return None
-    field2, q2, lift = found
-    return ClosureWitness(field2, lift, field2.zero(), field2.zero(), q2)
+    field2, q2, _ = found
+    zero = field2._rfrom_int(0)
+    return field2, zero, zero, q2
 
 
 def closure_square_conditions(c: QuarticCoeffs) -> Iterator:
@@ -224,6 +262,12 @@ def _verdicts(c: QuarticCoeffs, reduce) -> tuple:
     return both_vanish, square
 
 
+def _cleared(values) -> tuple:
+    """Rationals times the lcm of their denominators, as ints."""
+    scale = math.lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (scale // v.denominator) for v in values)
+
+
 def fuzz_square_criterion(field, count: int, rng, square_count: Optional[int] = None) -> dict:
     """Randomized check that the two-condition criterion matches the witness.
 
@@ -233,10 +277,15 @@ def fuzz_square_criterion(field, count: int, rng, square_count: Optional[int] = 
     with an explicit witness that reproduces the quartic.  Any discrepancy
     is collected, never averaged away.
 
-    ``field`` is QQ or a prime field GF(p).  Over GF(p) the coefficients are
-    drawn as ints in [0, p), and the conditions run on plain ints and are
-    tested mod p; only the witness search wraps them as field elements.
-    Over QQ the same loop runs on ``Fraction`` values, unreduced.
+    ``field`` is QQ or a prime field GF(p), and both run on plain ints.
+    Over GF(p) the coefficients are drawn as ints in [0, p) and the
+    conditions are tested mod p.  Over QQ they are drawn as ``Fraction``
+    values and each quartic (or each quadratic, before squaring) is
+    multiplied by the lcm of its denominators: every condition is
+    homogeneous and the scaling keeps A != 0, so the verdicts are those of
+    the drawn quartic, and a squared quadratic stays a square.  The witness
+    search runs on the same ints, as raw values of the field.  Reported
+    coefficients are the drawn ones.
     """
     if square_count is None:
         square_count = count
@@ -245,12 +294,7 @@ def fuzz_square_criterion(field, count: int, rng, square_count: Optional[int] = 
         def draw():
             return Fraction(rng.randrange(-60, 61), rng.randrange(1, 8))
 
-        def reduce(value):
-            return value
-
-        def witnessed(c):
-            witness = perfect_square_witness(c, field)
-            return witness is not None and square_coefficients(*witness) == c
+        cleared, reduce = _cleared, _identity
 
     else:
         p = field.p
@@ -261,10 +305,13 @@ def fuzz_square_criterion(field, count: int, rng, square_count: Optional[int] = 
         def reduce(value):
             return value % p
 
-        def witnessed(c):
-            c = QuarticCoeffs(*map(field.wrap, c))
-            witness = closure_square_witness(c, field)
-            return witness is not None and witness.reproduces(c)
+        cleared = _identity
+
+    root = _field_root(field)
+
+    def witnessed(c):
+        found = _match_square(c, field, root)
+        return found is not None and tuple(map(reduce, square_coefficients(*found[1:]))) == c
 
     discrepancies = []
     for _ in range(count):
@@ -272,20 +319,20 @@ def fuzz_square_criterion(field, count: int, rng, square_count: Optional[int] = 
             a = draw()
             if a:
                 break
-        coeffs = QuarticCoeffs(a, draw(), draw(), draw(), draw())
-        both_vanish, square = _verdicts(coeffs, reduce)
+        drawn = (a, draw(), draw(), draw(), draw())
+        both_vanish, square = _verdicts(QuarticCoeffs(*cleared(drawn)), reduce)
         if both_vanish != square:
-            discrepancies.append(tuple(map(str, coeffs)))
+            discrepancies.append(tuple(map(str, drawn)))
 
     square_failures = []
     for _ in range(square_count):
-        q0, q1, q2 = draw(), draw(), draw()
-        if not (q0 or q1 or q2):
-            q0 = 1
-        coeffs = QuarticCoeffs(*map(reduce, square_coefficients(q0, q1, q2)))
+        q = (draw(), draw(), draw())
+        if not any(q):
+            q = (1, *q[1:])
+        coeffs = QuarticCoeffs(*map(reduce, square_coefficients(*cleared(q))))
         ok = all(_verdicts(coeffs, reduce)) and witnessed(coeffs)
         if not ok:
-            square_failures.append(tuple(map(str, coeffs)))
+            square_failures.append(tuple(map(str, map(reduce, square_coefficients(*q)))))
 
     both_vanish, square = _verdicts(BOUNDARY_NON_SQUARE, reduce)
     return {

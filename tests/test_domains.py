@@ -90,6 +90,19 @@ def test_rational_sqrt():
     assert QQ.sqrt(Fraction(-4)) is None
 
 
+def test_rational_raw_hooks_stay_exact():
+    # a rational is its own raw value, and an int inverts to a Fraction, not a float
+    inverse = QQ._rinv(3)
+    assert type(inverse) is Fraction and inverse == Fraction(1, 3)
+    assert QQ._rinv(Fraction(-2, 5)) == Fraction(-5, 2)
+    with pytest.raises(ZeroDivisionError):
+        QQ._rinv(0)
+    assert type(QQ._rfrom_int(2)) is Fraction
+    assert QQ._rmul(Fraction(1, 2), 4) == 2 and QQ._rsub(1, Fraction(1, 3)) == Fraction(2, 3)
+    assert QQ._ris_zero(Fraction(0)) and not QQ._ris_zero(Fraction(1, 7))
+    assert QQ.wrap(Fraction(1, 2)) == Fraction(1, 2)
+
+
 def test_extension_field_gf9():
     F3 = PrimeField(3)
     K = ExtensionField(F3, [1, 0, 1], name="i")  # i^2 = -1

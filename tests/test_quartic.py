@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from exactgeom.binform import BinaryForm, sylvester_resultant
-from exactgeom.domains import QQ, PrimeField
+from exactgeom.domains import QQ, ExtensionField, PrimeField
 from exactgeom.multipoly import MultiPoly
+from exactgeom.pencil24 import absolute_degree
 from exactgeom.quartic import (
     BOUNDARY_NON_SQUARE,
     SPURIOUS_NON_SQUARE,
     QuarticCoeffs,
+    _cleared,
     _verdicts,
     closure_square_witness,
     disc_delta,
@@ -100,6 +102,86 @@ def test_nonsquare_branch_with_nonzero_lead():
     assert perfect_square_witness(coeffs, QQ) is None
     over_f = QuarticCoeffs(*(F.elem(int(c)) for c in SPURIOUS_NON_SQUARE))
     assert closure_square_witness(over_f, F) is None
+
+
+def _pinned_field(name):
+    if name == "GF(13)[z]/(z^2 - 2)":
+        return ExtensionField(PrimeField(13), [-2 % 13, 0, 1], name="z")
+    return PrimeField(int(name[3:-1]))
+
+
+def _pinned_quartic(field, shape):
+    def e(n):
+        return field.wrap(field._rfrom_index(n))
+
+    zero, nonresidue = field.zero(), field._nonresidue()
+
+    def scaled(*q):
+        return QuarticCoeffs(*(nonresidue * x for x in square_coefficients(*q)))
+
+    return {
+        "residue lead": lambda: square_coefficients(e(3), e(5), e(7)),
+        "generic residue lead": lambda: square_coefficients(e(123), e(45), e(67)),
+        "non-residue lead": lambda: scaled(e(1), e(2), e(5)),
+        "generic non-residue lead": lambda: scaled(e(123), e(45), e(67)),
+        "zero lead, residue C": lambda: square_coefficients(zero, e(4), e(6)),
+        "zero lead, non-residue C": lambda: scaled(zero, e(1), e(3)),
+        "only E, residue": lambda: QuarticCoeffs(zero, zero, zero, zero, e(9)),
+        "only E, non-residue": lambda: QuarticCoeffs(zero, zero, zero, zero, nonresidue),
+        "B without A": lambda: QuarticCoeffs(zero, e(1), e(2), e(3), e(4)),
+        "spurious": lambda: QuarticCoeffs(*map(field.elem, SPURIOUS_NON_SQUARE)),
+    }[shape]()
+
+
+# (field, shape, (absolute degree of witness.field, repr of q0, q1, q2) or None);
+# GF(10009) is 1 mod 4, so its square roots go through Tonelli-Shanks, and the
+# pencil report prints witnesses with exactly these reprs
+PINNED_WITNESSES = [
+    ('GF(10007)', 'residue lead', (1, '3', '5', '7')),
+    ('GF(10007)', 'generic residue lead', (1, '9884', '9962', '9940')),
+    ('GF(10007)', 'non-residue lead', (2, '(s)', '(2*s)', '(5*s)')),
+    ('GF(10007)', 'generic non-residue lead', (2, '(s)', '(8787*s)', '(3743*s)')),
+    ('GF(10007)', 'zero lead, residue C', (1, '0', '4', '6')),
+    ('GF(10007)', 'zero lead, non-residue C', (2, '0', '(s)', '(3*s)')),
+    ('GF(10007)', 'only E, residue', (1, '0', '0', '3')),
+    ('GF(10007)', 'only E, non-residue', (2, '0', '0', '(s)')),
+    ('GF(10007)', 'B without A', None),
+    ('GF(10007)', 'spurious', None),
+    ('GF(10009)', 'residue lead', (1, '10006', '10004', '10002')),
+    ('GF(10009)', 'generic residue lead', (1, '9886', '9964', '9942')),
+    ('GF(10009)', 'non-residue lead', (2, '(s)', '(2*s)', '(5*s)')),
+    ('GF(10009)', 'generic non-residue lead', (2, '(s)', '(9277*s)', '(3581*s)')),
+    ('GF(10009)', 'zero lead, residue C', (1, '0', '10005', '10003')),
+    ('GF(10009)', 'zero lead, non-residue C', (2, '0', '(s)', '(3*s)')),
+    ('GF(10009)', 'only E, residue', (1, '0', '0', '10006')),
+    ('GF(10009)', 'only E, non-residue', (2, '0', '0', '(s)')),
+    ('GF(10009)', 'B without A', None),
+    ('GF(10009)', 'spurious', None),
+    ('GF(13)[z]/(z^2 - 2)', 'residue lead', (2, '3', '5', '7')),
+    ('GF(13)[z]/(z^2 - 2)', 'generic residue lead', (2, '(9*z + 6)', '(3*z + 6)', '(5*z + 2)')),
+    ('GF(13)[z]/(z^2 - 2)', 'non-residue lead', (4, '(s)', '(2*s)', '(5*s)')),
+    ('GF(13)[z]/(z^2 - 2)', 'generic non-residue lead', (4, '(s)', '((4*z + 2)*s)', '((3*z)*s)')),
+    ('GF(13)[z]/(z^2 - 2)', 'zero lead, residue C', (2, '0', '9', '7')),
+    ('GF(13)[z]/(z^2 - 2)', 'zero lead, non-residue C', (4, '0', '(s)', '(3*s)')),
+    ('GF(13)[z]/(z^2 - 2)', 'only E, residue', (2, '0', '0', '3')),
+    ('GF(13)[z]/(z^2 - 2)', 'only E, non-residue', (4, '0', '0', '(s)')),
+    ('GF(13)[z]/(z^2 - 2)', 'B without A', None),
+    ('GF(13)[z]/(z^2 - 2)', 'spurious', None),
+]
+
+
+@pytest.mark.parametrize("field_name, shape, expected", PINNED_WITNESSES)
+def test_closure_witness_pinned(field_name, shape, expected):
+    field = _pinned_field(field_name)
+    coeffs = _pinned_quartic(field, shape)
+    witness = closure_square_witness(coeffs, field)
+    if expected is None:
+        assert witness is None
+        return
+    assert witness is not None and witness.reproduces(coeffs)
+    assert (witness.field is field) == (expected[0] == absolute_degree(field))
+    got = (absolute_degree(witness.field), repr(witness.q0), repr(witness.q1), repr(witness.q2))
+    assert got == expected
 
 
 small_fracs = st.fractions(
@@ -251,6 +333,43 @@ def test_planted_discrepancy_is_collected():
     draws = [v for c in SPURIOUS_NON_SQUARE for v in (c, 1)]
     report_q = fuzz_square_criterion(QQ, 1, _ScriptedRng(draws), 0)
     assert report_q["equivalence_discrepancies"] == expected
+
+
+def test_planted_discrepancy_reports_the_drawn_fractions():
+    # SPURIOUS_NON_SQUARE / 2, drawn as (numerator, denominator) pairs; the
+    # verdicts run on the cleared ints (1, 0, 6, 16, 9), the report shows the draws
+    draws = [1, 2, 0, 1, 3, 1, 8, 1, 9, 2]
+    report = fuzz_square_criterion(QQ, 1, _ScriptedRng(draws), 0)
+    assert report["equivalence_discrepancies"] == [("1/2", "0", "3", "8", "9/2")]
+
+
+def test_cleared_verdicts_match_rational_verdicts():
+    rng = random.Random("verdicts:qq")
+
+    def frac():
+        return Fraction(rng.randrange(-60, 61), rng.randrange(1, 8))
+
+    def nonzero_frac():
+        return next(f for f in iter(frac, None) if f)
+
+    cases = [qq(nonzero_frac(), *(frac() for _ in range(4))) for _ in range(300)]
+    for special in (BOUNDARY_NON_SQUARE, SPURIOUS_NON_SQUARE):
+        cases += [qq(*(nonzero_frac() * c for c in special)) for _ in range(20)]
+    squares = [(Fraction(1, 2), Fraction(1, 3), Fraction(1, 7))]
+    squares += [(Fraction(0), Fraction(-5, 6), Fraction(2, 5)), (Fraction(0), Fraction(0), Fraction(3, 4))]
+    squares += [tuple(frac() for _ in range(3)) for _ in range(40)]
+    for q in squares:
+        cases.append(square_coefficients(*q))
+        # squares of the cleared quadratic: what the fuzz feeds the witness search
+        cleared = QuarticCoeffs(*square_coefficients(*_cleared(q)))
+        witness = perfect_square_witness(cleared, QQ)
+        assert witness is not None and square_coefficients(*witness) == cleared, q
+    seen = set()
+    for coeffs in cases:
+        verdicts = _verdicts(coeffs, lambda v: v)
+        assert _verdicts(QuarticCoeffs(*_cleared(coeffs)), lambda v: v) == verdicts, coeffs
+        seen.add(verdicts)
+    assert seen == {(False, False), (True, True), (True, False)}
 
 
 @pytest.mark.parametrize("p", [10007, 10009])  # 3 and 1 mod 4
