@@ -294,11 +294,13 @@ class FiniteField:
         q = self.order
         if q % 2 == 0:
             raise ValueError("square roots unsupported in characteristic 2")
+        if q % 4 == 3:
+            # r^2 = a * a^((q - 1)/2), which is a for a square and -a != a otherwise
+            r = a ** ((q + 1) // 4)
+            return r if r * r == a else None
         one = self.one()
         if a ** ((q - 1) // 2) != one:
             return None
-        if q % 4 == 3:
-            return a ** ((q + 1) // 4)
         # Tonelli-Shanks
         exp, two_power = q - 1, 0
         while exp % 2 == 0:

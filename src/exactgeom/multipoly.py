@@ -279,10 +279,6 @@ class MultiPoly:
                 out = out.substitute(name, assignments[name])
         return out.constant_value()
 
-    def map_coefficients(self, domain, func) -> "MultiPoly":
-        """A new polynomial over ``domain`` with coefficients ``func(c)``."""
-        return MultiPoly(domain, self.variables, {ex: func(c) for ex, c in self.terms.items()})
-
     # --- rendering ---
 
     def _coeff_text(self, c) -> str:

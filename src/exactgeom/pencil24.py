@@ -11,8 +11,9 @@ R(t) is computed from integer evaluations (Collins 1971): at each of the
 points t = 0..144 (the degree bound 12 * 6 + 18 * 4), A..E are read at
 y = 1 as ints, Delta(x, 1) and d(x, 1) are interpolated from their values at
 x = 0..18, their resultant at the formal degrees 18 and 12 is taken by Euclid
-mod p, and the 145 values are interpolated in t.  The same table of
-conditions yields the symbolic forms Delta and d used for validation.
+mod p, and the 145 values are interpolated in t.  Validation interpolates
+each coefficient of Delta(x, 1) and d(x, 1) in t from the same table and
+works on coefficient lists in x at y = 1 from there on.
 
 The raw eliminant is heavily non-reduced and contains extraneous factors
 (leading-coefficient collapse, fibers where A and B both vanish, and the
@@ -21,10 +22,11 @@ degree of its squarefree part overcounts.  Every irreducible factor m(t) is
 therefore validated in the exact field GF(p)[t]/(m): the specialized forms
 must have a nonconstant gcd, and at a root of that gcd (constructed in a
 further extension when necessary) the fiber quartic must admit a
-perfect-square witness, which is re-verified by squaring.  The validated
-count is the sum of deg(m) over validated factors; for a generic pencil it
-equals the degree 24 of the vertical-bitangent hypersurface.  The member at
-t = infinity (F1 itself) is checked separately and never added to the count.
+perfect-square witness, which is re-verified by squaring; there a
+polynomial c(t) takes the value c mod m.  The validated count is the sum of
+deg(m) over validated factors; for a generic pencil it equals the degree 24
+of the vertical-bitangent hypersurface.  The member at t = infinity (F1
+itself) is checked separately and never added to the count.
 """
 
 from __future__ import annotations
@@ -32,10 +34,10 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import univar, zpoly
-from .binform import BinaryForm, dehomogenize, form_from_coefficients
+from .binform import dehomogenize
 from .domains import QQ, ExtensionField, FieldElement, FiniteField, PrimeField
 from .errors import VerificationError
 from .multipoly import MultiPoly
@@ -47,13 +49,14 @@ from .quartic import (
     sem_d,
 )
 
-PENCIL_VARS = ("x", "y", "t")
 MIN_PRIME = 1000
 # (x, y)-degrees of Delta and d, and their t-degrees (A..E are linear in t)
 DELTA_DEGREE, D_DEGREE = 18, 12
 DELTA_T_DEGREE, D_T_DEGREE = 6, 4
 # R(t) is a 30 x 30 Sylvester determinant: 12 rows of Delta, 18 rows of d
 ELIMINANT_POINTS = D_DEGREE * DELTA_T_DEGREE + DELTA_DEGREE * D_T_DEGREE + 1
+# the closure-square conditions of a fiber have degree at most 12 in x
+CONDITION_POINTS = 13
 
 
 @dataclass(frozen=True)
@@ -66,13 +69,6 @@ class Curve34:
     def __post_init__(self) -> None:
         if len(self.coeffs) != 4 or any(len(row) != 5 for row in self.coeffs):
             raise ValueError("a (3,4)-curve needs a 4 x 5 coefficient array")
-
-    def coefficient_forms(self, variables=("x", "y")) -> list[MultiPoly]:
-        """The five (x, y)-cubics A..E (A multiplies u^4, E multiplies v^4)."""
-        return [
-            form_from_coefficients(self.fieldp, variables, variables[:2], column).poly
-            for column in zip(*self.coeffs)
-        ]
 
     def is_proportional_to(self, other: "Curve34") -> bool:
         ratio = None
@@ -130,17 +126,6 @@ def random_pencil(p: int, seed: int) -> tuple[Curve34, Curve34]:
     raise RuntimeError("100 consecutive pencil rejections: genericity screens never passed")
 
 
-def member_coefficient_forms(f0: Curve34, f1: Curve34) -> list[MultiPoly]:
-    """A..E of F0 + t F1 as polynomials in (x, y, t)."""
-    if f0.fieldp != f1.fieldp:
-        raise ValueError("pencil members live over different fields")
-    t = MultiPoly.variable(f0.fieldp, PENCIL_VARS, "t")
-    return [
-        a + t * b
-        for a, b in zip(f0.coefficient_forms(PENCIL_VARS), f1.coefficient_forms(PENCIL_VARS))
-    ]
-
-
 @functools.lru_cache(maxsize=64)
 def _condition_table(f0: Curve34, f1: Curve34) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """For t = 0..144: the coefficients of Delta(x, 1) and d(x, 1) for the
@@ -170,28 +155,6 @@ def _condition_table(f0: Curve34, f1: Curve34) -> tuple[tuple[tuple[int, ...], .
 
 def _padded(cs: list[int], degree: int) -> tuple[int, ...]:
     return tuple(cs) + (0,) * (degree + 1 - len(cs))
-
-
-@functools.lru_cache(maxsize=64)
-def bitangent_conditions(f0: Curve34, f1: Curve34) -> tuple[BinaryForm, BinaryForm]:
-    """(Delta, d) of the pencil: forms in (x, y) with coefficients in GF(p)[t].
-
-    Delta has (x, y)-degree 18 and t-degree at most 6; d has degree 12 and
-    t-degree at most 4.  Each coefficient is interpolated in t from the
-    condition table, over t = 0..6 for Delta and t = 0..4 for d.
-    """
-    table = _condition_table(f0, f1)
-    fieldp = f0.fieldp
-    forms = []
-    shapes = ((DELTA_DEGREE, DELTA_T_DEGREE), (D_DEGREE, D_T_DEGREE))
-    for k, (degree, t_degree) in enumerate(shapes):
-        terms = {}
-        # column i holds the values of the x^i y^(degree - i) coefficient
-        for i, column in enumerate(zip(*(entry[k] for entry in table[: t_degree + 1]))):
-            for e, c in enumerate(zpoly.zp_interpolate(0, column, fieldp.p)):
-                terms[(i, degree - i, e)] = fieldp.wrap(c)
-        forms.append(BinaryForm(MultiPoly(fieldp, PENCIL_VARS, terms), ("x", "y")))
-    return forms[0], forms[1]
 
 
 @functools.lru_cache(maxsize=64)
@@ -230,12 +193,9 @@ class FactorReport:
             "validated": self.validated,
             "detail": self.detail,
         }
-        if self.root_field_degree is not None:
-            out["root_field_degree"] = self.root_field_degree
-        if self.witness is not None:
-            out["witness"] = self.witness
-        if self.distinct_double_roots is not None:
-            out["distinct_double_roots"] = self.distinct_double_roots
+        for key in ("root_field_degree", "witness", "distinct_double_roots"):
+            if getattr(self, key) is not None:
+                out[key] = getattr(self, key)
         return out
 
 
@@ -247,16 +207,57 @@ def absolute_degree(field: FiniteField) -> int:
     return degree
 
 
-def _split(form: MultiPoly) -> tuple[int, int, list]:
-    """:func:`binform.dehomogenize` of an (x, y)-form over K: (a, b, core in x/y)."""
-    return dehomogenize(BinaryForm(form, ("x", "y")).coefficient_list() if form else [])
+def _cubic(cs: list, x0, y0):
+    """The (x, y)-cubic whose x^i y^(3-i) coefficient is cs[i], at [x0:y0]."""
+    return sum(c * x0**i * y0 ** (3 - i) for i, c in enumerate(cs))
 
 
-def _fiber_witness(
-    abcde: list[MultiPoly], field: FiniteField, x0, y0, label: str
-) -> Optional[dict]:
+def _by_coordinates(field: FiniteField, values: list, func) -> list:
+    """``func``, a GF(p)-linear map on int lists, applied to each GF(p)-coordinate
+    of values in GF(p) or GF(p)[t]/(m); the results are padded to one length."""
+    ext = isinstance(field, ExtensionField)
+    columns = [func(list(cs)) for cs in zip(*(v.value if ext else (v.value,) for v in values))]
+    length = max(map(len, columns))
+    rows = zip(*(_padded(c, length - 1) for c in columns))
+    return [field.wrap(cs if ext else cs[0]) for cs in rows]
+
+
+def _closure_conditions(abcde: list, field: FiniteField, boundary: bool) -> Iterator[list]:
+    """The closure-square conditions of the fiber quartic, as cores in x/y:
+    :func:`quartic.closure_square_conditions` (degree <= 12 in x) at 13
+    consecutive integers x, y = 1, interpolated.  It picks its branch by the
+    value of A, so on the main branch (A != 0) the points avoid the at most 3
+    roots of A, which one of four disjoint windows does."""
+    p = field.char
+
+    def samples(cs: list, x0: int) -> list:
+        """The cubic at y = 1 and x = x0, x0 + 1, ..., one value per condition point."""
+        xs = range(x0, x0 + CONDITION_POINTS)
+        return _by_coordinates(
+            field, cs, lambda c: [sum(a * x**i for i, a in enumerate(c)) % p for x in xs]
+        )
+
+    windows = range(0, 4 * CONDITION_POINTS, CONDITION_POINTS)
+    x0 = 0 if boundary else next(w for w in windows if all(samples(abcde[0], w)))
+    values = []
+    for fiber in zip(*(samples(cs, x0) for cs in abcde)):
+        fiber = QuarticCoeffs(0, *fiber[1:]) if boundary else QuarticCoeffs(*fiber)
+        values.append(tuple(closure_square_conditions(fiber)))
+    for column in zip(*values):
+        interpolated = _by_coordinates(field, column, lambda ys: zpoly.zp_interpolate(x0, ys, p))
+        yield dehomogenize(interpolated[::-1])[2]
+
+
+def _at_root(c: list[int], m: list[int], field: FiniteField) -> FieldElement:
+    """c(tau) at a root tau of m, in field = GF(p)[t]/(m), or GF(p) for a linear
+    m: the remainder of c mod m in the basis 1, t, ..., t^(deg m - 1)."""
+    residue = _padded(zpoly.zp_rem(c, m, field.char), zpoly.zp_deg(m) - 1)
+    return field.wrap(residue if isinstance(field, ExtensionField) else residue[0])
+
+
+def _fiber_witness(abcde: list, field: FiniteField, x0, y0, label: str) -> Optional[dict]:
     """A verified perfect-square witness for the fiber quartic at [x0:y0], if any."""
-    fiber = QuarticCoeffs(*(f.evaluate({"x": x0, "y": y0}) for f in abcde))
+    fiber = QuarticCoeffs(*(_cubic(cs, x0, y0) for cs in abcde))
     witness = closure_square_witness(fiber, field)
     if witness is None:
         return None
@@ -271,7 +272,7 @@ def _fiber_witness(
     }
 
 
-def _witness_at_gcd_root(abcde: list[MultiPoly], field: FiniteField, w: list, rng) -> dict:
+def _witness_at_gcd_root(abcde: list, field: FiniteField, w: list, rng) -> dict:
     """The witness at a root of w, adjoined in an extension when w has no linear factor."""
     h = w if univar.deg(w) == 1 else univar.ff_factor_squarefree(w, field, rng)[0]
     if univar.deg(h) == 1:
@@ -280,7 +281,7 @@ def _witness_at_gcd_root(abcde: list[MultiPoly], field: FiniteField, w: list, rn
         root_field = ExtensionField(
             field, [c.value for c in h], name=f"w{absolute_degree(field)}", check=False
         )
-        abcde = [f.map_coefficients(root_field, root_field.from_base) for f in abcde]
+        abcde = [[root_field.from_base(c) for c in cs] for cs in abcde]
         field, root = root_field, root_field.generator()
     outcome = _fiber_witness(abcde, field, root, field.one(), f"[{root!r}:1]")
     if outcome is None:
@@ -323,12 +324,14 @@ class PencilCountReport:
 
 
 def validate_member(
-    delta: MultiPoly, d: MultiPoly, abcde: list[MultiPoly], field: FiniteField, rng: random.Random
+    delta: list, d: list, abcde: list[list], field: FiniteField, rng: random.Random
 ) -> tuple[bool, dict]:
     """Does a single (3,4)-curve, given by its condition forms and fiber
-    coefficients over a finite field, carry an honest vertical bitangent?
+    coefficients over GF(p) or GF(p)[t]/(m), carry an honest vertical bitangent?
 
-    The two condition forms must share a root, and some shared root must
+    Every form is a coefficient list in x at y = 1, low degree first and
+    padded to its degree: Delta (19 entries), d (13) and the cubics A..E
+    (4 each).  The two condition forms must share a root, and some shared root must
     carry a perfect-square fiber.  The search is root-free (gcds against the
     closure-square condition polynomials, split by the A = 0 and B = 0
     branches); only a validated member has an explicit root and witness
@@ -336,7 +339,7 @@ def validate_member(
     outside the field.
     """
     one, zero = field.one(), field.zero()
-    splits = [_split(form) for form in (delta, d) if not form.is_zero()]
+    splits = [dehomogenize(cs[::-1]) for cs in (delta, d) if any(cs)]
     if not splits:
         # both conditions vanish identically in (x, y): degenerate member;
         # probe the ends of the projective line and one more fiber
@@ -360,18 +363,13 @@ def validate_member(
 
     if univar.deg(core) >= 1:
         gbar = univar.squarefree_part(core, field)
-        quartic = QuarticCoeffs(*abcde)
-        abar = _split(quartic.A)[2]
+        abar = dehomogenize(abcde[0][::-1])[2]
         g_a = univar.gcd(gbar, abar, field) if abar else gbar
         # main branch (A != 0), then the boundary branch (A = 0)
-        for g, branch in (
-            (univar.divmod_(gbar, g_a, field)[0], quartic),
-            (g_a, quartic._replace(A=0)),
-        ):
+        for g, boundary in ((univar.divmod_(gbar, g_a, field)[0], False), (g_a, True)):
             if univar.deg(g) < 1:
                 continue
-            for condition in closure_square_conditions(branch):
-                s = _split(condition)[2]
+            for s in _closure_conditions(abcde, field, boundary):
                 g = univar.gcd(g, s, field) if s else g
                 if univar.deg(g) < 1:
                     break
@@ -402,36 +400,37 @@ def pencil_intersection_count(
     squarefree = zpoly.zp_squarefree_part(r, p)
     irreducibles = zpoly.zp_factor_squarefree(squarefree, p, rng)
 
-    delta, d = bitangent_conditions(f0, f1)
-    member_forms = member_coefficient_forms(f0, f1)
+    table = _condition_table(f0, f1)
+    # the forms of a member as x^i coefficients in GF(p)[t], with their
+    # t-degrees: Delta(x, 1) and d(x, 1) interpolated in t from the table,
+    # and the cubics A..E, whose x^i coefficient is c0[3-i][j] + t c1[3-i][j]
+    forms = [
+        ([zpoly.zp_interpolate(0, col, p) for col in zip(*(row[k] for row in table[: n + 1]))], n)
+        for k, n in enumerate((DELTA_T_DEGREE, D_T_DEGREE))
+    ] + [
+        ([[f0.coeffs[3 - i][j].value, f1.coeffs[3 - i][j].value] for i in range(4)], 1)
+        for j in range(5)
+    ]
+
+    def member(value) -> tuple[list, list, list]:
+        """Delta, d and A..E of one member: value(c, n) for each c of t-degree <= n."""
+        delta, d, *abcde = ([value(c, n) for c in cs] for cs, n in forms)
+        return delta, d, abcde
 
     reports = []
     validated_total = 0
     for m in irreducibles:
         deg_m = zpoly.zp_deg(m)
-        if deg_m == 1:
-            target: FiniteField = fieldp
-            lift = lambda c: c  # noqa: E731
-            tau = -fieldp.wrap(m[0])
-        else:
-            target = ExtensionField(fieldp, m, name="t", check=False)
-            lift = target.from_base
-            tau = target.generator()
-        delta_tau, d_tau, *abcde_tau = (
-            form.map_coefficients(target, lift).specialize({"t": tau})
-            for form in (delta.poly, d.poly, *member_forms)
-        )
-        ok, info = validate_member(delta_tau, d_tau, abcde_tau, target, rng)
+        target = fieldp if deg_m == 1 else ExtensionField(fieldp, m, name="t", check=False)
+        ok, info = validate_member(*member(lambda c, _: _at_root(c, m, target)), target, rng)
         reports.append(FactorReport(tuple(m), deg_m, ok, **info))
         if ok:
             validated_total += deg_m
 
-    # the t = infinity member is F1 itself; reported separately, never counted
-    inf_forms = f1.coefficient_forms()
-    inf_quartic = QuarticCoeffs(*inf_forms)
-    inf_ok, _ = validate_member(
-        disc_delta(inf_quartic), sem_d(inf_quartic), inf_forms, fieldp, rng
-    )
+    # the t = infinity member is F1 itself, reported separately and never
+    # counted: Delta, d and A..E are homogeneous of degrees 6, 4 and 1 in
+    # (F0, F1), so its forms are the top t-coefficients
+    inf_ok, _ = validate_member(*member(lambda c, n: fieldp.wrap(_padded(c, n)[n])), fieldp, rng)
 
     return PencilCountReport(
         prime=p,

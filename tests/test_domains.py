@@ -70,11 +70,13 @@ def test_sqrt_fast_path_p3mod4():
         assert r is not None and r * r == F.elem(n)
 
 
-def test_sqrt_exhaustive_small_field():
-    # p = 13 is 1 mod 4, exercising Tonelli-Shanks
-    F = PrimeField(13)
-    squares = {(F.elem(n) * F.elem(n)).value for n in range(13)}
-    for n in range(13):
+@pytest.mark.parametrize("p", [13, 19])
+def test_sqrt_exhaustive_small_field(p):
+    # p = 13 is 1 mod 4, exercising Tonelli-Shanks; p = 19 is 3 mod 4, where
+    # the one-power shortcut must return None for every non-residue
+    F = PrimeField(p)
+    squares = {(F.elem(n) * F.elem(n)).value for n in range(p)}
+    for n in range(p):
         a = F.elem(n)
         r = F.sqrt(a)
         if n in squares:

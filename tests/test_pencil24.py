@@ -49,7 +49,13 @@ def test_repeated_screen_failure_is_an_error(monkeypatch):
 
 def test_condition_degrees_for_random_pencil():
     f0, f1 = pc.random_pencil(P, 1)
-    delta, d = pc.bitangent_conditions(f0, f1)
+    # all 145 rows of the table lie on polynomials of t-degree <= 6 and <= 4
+    delta_t, d_t = _table_conditions(f0, f1)
+    assert len(delta_t) == 19 and any(delta_t)
+    assert max(map(zpoly.zp_deg, delta_t)) <= 6
+    assert len(d_t) == 13 and any(d_t)
+    assert max(map(zpoly.zp_deg, d_t)) <= 4
+    delta, d = _symbolic_conditions(f0, f1)
     assert delta.degree == 18
     assert delta.poly.degree_in("t") <= 6
     assert d.degree == 12
@@ -57,19 +63,38 @@ def test_condition_degrees_for_random_pencil():
 
 
 def test_family_pencil_reproduces_section_seminvariant():
-    f0, f1 = pc.family_pencil(P)
-    _, d = pc.bitangent_conditions(f0, f1)
-    section = d.poly.specialize({"x": 1, "y": 0})
-    t = MultiPoly.variable(PrimeField(P), ("t",), "t")
-    assert section == -16 * t**2 - 32 * t
+    # the section [1:0] reads the x^12 coefficient of d(x, 1): -16t^2 - 32t
+    _, d_t = _table_conditions(*pc.family_pencil(P))
+    assert d_t[12] == [0, -32 % P, -16 % P]
 
 
 def test_constant_pencil_has_constant_conditions():
     f0, _ = pc.random_pencil(P, 1)
     zero = pc.curve_from_ints(PrimeField(P), {})
-    delta, d = pc.bitangent_conditions(f0, zero)
-    assert delta.poly.degree_in("t") <= 0
-    assert d.poly.degree_in("t") <= 0
+    delta_t, d_t = _table_conditions(f0, zero)
+    assert max(map(zpoly.zp_deg, delta_t + d_t)) <= 0
+
+
+@pytest.mark.parametrize(
+    "pencil", [pc.random_pencil, lambda p, _: pc.family_pencil(p)], ids=["random", "family"]
+)
+def test_infinity_member_conditions_are_the_top_t_coefficients(pencil):
+    # Delta and d are homogeneous of degrees 6 and 4 in A..E, so the t^6 and
+    # t^4 coefficients are the conditions of F1 alone
+    f0, f1 = pencil(P, 1)
+    delta_t, d_t = _table_conditions(f0, f1)
+    delta_inf, d_inf = pc._condition_table(f1, pc.curve_from_ints(PrimeField(P), {}))[0]
+    assert tuple(pc._padded(c, 6)[6] for c in delta_t) == delta_inf
+    assert tuple(pc._padded(c, 4)[4] for c in d_t) == d_inf
+
+
+def test_pencil_validation_makes_no_multipoly_substitution(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("MultiPoly.substitute on the pencil path")
+
+    monkeypatch.setattr(MultiPoly, "substitute", forbidden)
+    f0, f1 = pc.random_pencil(P, 1)
+    assert pc.pencil_intersection_count(f0, f1, P, seed=1).validated_count == 24
 
 
 def test_proportional_pencil_rejected():
@@ -159,10 +184,21 @@ def test_factor_report_summary_shape():
     assert summary["validated_count"] == report.validated_count
 
 
-def test_validate_member_builds_the_root_in_an_extension():
+def _at_y1(form, degree):
+    """An (x, y)-form as its coefficient list in x at y = 1, padded to its degree."""
+    cs = [form.domain.zero()] * (degree + 1)
+    for (i, _), c in form.terms.items():
+        cs[i] = c
+    return cs
+
+
+@pytest.mark.parametrize("a_vanishes_at_0", [False, True], ids=["generic", "a_vanishes_at_0"])
+def test_validate_member_builds_the_root_in_an_extension(a_vanishes_at_0):
     # A..E_j = (x^2 + y^2)(x P_j + y P'_j) + S(x, y) [Q^2]_j: the roots of
     # x^2 + y^2 lie in GF(p^2) only (-1 is a non-residue mod 10007), the fiber
-    # quartic there is S(w, 1) Q^2, and S(w, 1) needs a square root in GF(p^4)
+    # quartic there is S(w, 1) Q^2, and S(w, 1) needs a square root in GF(p^4).
+    # With A(0, 1) = 0 the closure conditions cannot be sampled from x = 0 on,
+    # because closure_square_conditions picks its branch by the value of A.
     F = PrimeField(P)
     rng = random.Random(0)
     x, y = MultiPoly.gens(F, ("x", "y"))
@@ -170,10 +206,17 @@ def test_validate_member_builds_the_root_in_an_extension():
     p1 = [F.rand(rng) for _ in range(5)]
     p2 = [F.rand(rng) for _ in range(5)]
     q_squared = square_coefficients(*(F.rand(rng) for _ in range(3)))
+    if a_vanishes_at_0:
+        p2[0] = -5 * q_squared[0]
     forms = [(x * x + y * y) * (p1[j] * x + p2[j] * y) + s * q_squared[j] for j in range(5)]
     quartic = QuarticCoeffs(*forms)
+    assert bool(_at_y1(forms[0], 3)[0]) != a_vanishes_at_0
     ok, info = pc.validate_member(
-        disc_delta(quartic), sem_d(quartic), forms, F, random.Random("member")
+        _at_y1(disc_delta(quartic), 18),
+        _at_y1(sem_d(quartic), 12),
+        [_at_y1(form, 3) for form in forms],
+        F,
+        random.Random("member"),
     )
     # pinned values: a changed witness must be announced like a golden change
     assert ok
@@ -189,10 +232,39 @@ def test_validate_member_builds_the_root_in_an_extension():
 
 
 def _symbolic_conditions(f0, f1):
-    """Delta and d built symbolically in (x, y, t), independently of the
-    evaluation table behind bitangent_conditions and raw_resultant."""
-    quartic = QuarticCoeffs(*pc.member_coefficient_forms(f0, f1))
+    """Delta and d built symbolically in (x, y, t) from A..E of F0 + t F1 as
+    MultiPoly forms, independently of the evaluation table behind
+    raw_resultant and the validation."""
+    x, y, t = MultiPoly.gens(f0.fieldp, ("x", "y", "t"))
+    # c[i][j] multiplies x^(3-i) y^i in the fiber coefficient number j
+    quartic = QuarticCoeffs(
+        *(
+            sum((a + t * b) * x ** (3 - i) * y**i for i, (a, b) in enumerate(zip(c0, c1)))
+            for c0, c1 in zip(zip(*f0.coeffs), zip(*f1.coeffs))
+        )
+    )
     return BinaryForm(disc_delta(quartic), ("x", "y")), BinaryForm(sem_d(quartic), ("x", "y"))
+
+
+def _table_conditions(f0, f1):
+    """The x^i coefficients of Delta(x, 1) and d(x, 1) as t-polynomials,
+    interpolated through all 145 rows of the condition table."""
+    table = pc._condition_table(f0, f1)
+    return tuple(
+        [zpoly.zp_interpolate(0, column, f0.fieldp.p) for column in zip(*(row[k] for row in table))]
+        for k in range(2)
+    )
+
+
+def _t_polynomials(form, degree):
+    """The x^i y^(degree - i) coefficients of an (x, y, t)-form as t-polynomials."""
+    out = [[] for _ in range(degree + 1)]
+    for (i, j, e), c in form.poly.terms.items():
+        assert i + j == degree
+        cs = out[i]
+        cs.extend([0] * (e + 1 - len(cs)))
+        cs[e] = c.value
+    return out
 
 
 def _coefficient_tuple(r):
@@ -206,7 +278,7 @@ def _coefficient_tuple(r):
 def test_raw_resultant_matches_the_symbolic_sylvester_resultant(p, seed):
     f0, f1 = pc.random_pencil(p, seed)
     delta, d = _symbolic_conditions(f0, f1)
-    assert pc.bitangent_conditions(f0, f1) == (delta, d)
+    assert _table_conditions(f0, f1) == (_t_polynomials(delta, 18), _t_polynomials(d, 12))
     assert pc.raw_resultant(f0, f1) == _coefficient_tuple(sylvester_resultant(delta, d))
 
 
@@ -236,7 +308,7 @@ def test_raw_resultant_where_both_leading_coefficients_vanish():
     r = pc.raw_resultant(f0, f1)
     assert r[0] == 0
     delta, d = _symbolic_conditions(f0, f1)
-    assert pc.bitangent_conditions(f0, f1) == (delta, d)
+    assert _table_conditions(f0, f1) == (_t_polynomials(delta, 18), _t_polynomials(d, 12))
     assert r == _coefficient_tuple(sylvester_resultant(delta, d))
 
 
@@ -256,4 +328,6 @@ def test_members_over_different_fields_are_rejected():
     with pytest.raises(ValueError, match="different fields"):
         pc.raw_resultant(f0, other)
     with pytest.raises(ValueError, match="different fields"):
-        pc.bitangent_conditions(f0, other)
+        pc._condition_table(f0, other)
+    with pytest.raises(ValueError, match="GF\\(p\\)"):
+        pc.pencil_intersection_count(f0, other, P)
