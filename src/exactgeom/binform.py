@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import univar, zpoly
-from .domains import PrimeField, Rationals
+from .domains import QQ, PrimeField, Rationals
 from .errors import DomainMismatchError, InterpolationError
 from .multipoly import MultiPoly
 
@@ -299,18 +299,21 @@ def sylvester_resultant(f: BinaryForm, g: BinaryForm, sample_base: int = 0) -> M
 # --- gcd ---------------------------------------------------------------------
 
 
-def dehomogenize(coeffs: list) -> tuple[int, int, list]:
+def dehomogenize(coeffs: list, field) -> tuple[int, int, list]:
     """Write a form as u^a v^b * core and dehomogenize the core.
 
-    ``coeffs[i]`` multiplies u^(m-i) v^i.  Returns ``(a, b, core)`` with the
-    core as a univariate polynomial in u/v, low degree first, so that a > 0
-    marks a root at [0:1] and b > 0 a root at [1:0].
+    ``coeffs[i]``, a raw value of ``field``, multiplies u^(m-i) v^i; zeros
+    are tested by ``field._ris_zero`` (the raw zero of an extension is a
+    tuple, which is truthy).  Returns ``(a, b, core)`` with the core as a
+    univariate polynomial in u/v, low degree first, so that a > 0 marks a
+    root at [0:1] and b > 0 a root at [1:0].
     """
+    is_zero = field._ris_zero
     lead = 0
-    while lead < len(coeffs) and not coeffs[lead]:
+    while lead < len(coeffs) and is_zero(coeffs[lead]):
         lead += 1
     trail = 0
-    while trail < len(coeffs) - lead and not coeffs[len(coeffs) - 1 - trail]:
+    while trail < len(coeffs) - lead and is_zero(coeffs[len(coeffs) - 1 - trail]):
         trail += 1
     # leading zeros give powers of v, trailing zeros give powers of u
     return trail, lead, list(reversed(coeffs[lead : len(coeffs) - trail]))
@@ -323,7 +326,7 @@ def _homogenize(domain, variables, pair, a: int, b: int, core: list) -> BinaryFo
 
 
 def binary_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
-    """Monic greatest common divisor of two binary forms over a field.
+    """Monic greatest common divisor of two binary forms over QQ.
 
     Runs Euclid on dehomogenizations after stripping pure powers of the pair
     variables, then restores the stripped powers, so common roots at [1:0]
@@ -333,13 +336,14 @@ def binary_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     if f.pair != g.pair:
         raise DomainMismatchError("gcd of forms with different designated pairs")
     f.poly._check_compatible(g.poly)
+    if not isinstance(f.poly.domain, Rationals):
+        raise DomainMismatchError("binary_gcd works over QQ")
     if f.is_zero() and g.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
     if f.is_zero():
         f, g = g, f
-    domain = f.poly.domain
-    a, b, core = dehomogenize(f.coefficient_list())
+    a, b, core = dehomogenize(f.coefficient_list(), QQ)
     # a zero g keeps every power of u and v, and gcd(core, 0) is the monic core
-    ag, bg, core_g = (a, b, []) if g.is_zero() else dehomogenize(g.coefficient_list())
-    core = univar.gcd(core, core_g, domain)
-    return _homogenize(domain, f.poly.variables, f.pair, min(a, ag), min(b, bg), core)
+    ag, bg, core_g = (a, b, []) if g.is_zero() else dehomogenize(g.coefficient_list(), QQ)
+    core = univar.gcd(core, core_g, QQ)
+    return _homogenize(QQ, f.poly.variables, f.pair, min(a, ag), min(b, bg), core)

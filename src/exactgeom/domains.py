@@ -10,10 +10,10 @@ Three kinds of domain are supported:
   so towers (needed for "adjoin a square root" constructions) come for free.
   Elements wrap a tuple of base raw values, low degree first.
 
-No polynomial arithmetic is implemented here.  Extension elements are
-multiplied, reduced and inverted through the package's two univariate
-representations: :mod:`exactgeom.zpoly` (raw ints) for towers of height one,
-the hot path, and :mod:`exactgeom.univar` (field elements) above that.
+No polynomial arithmetic is implemented here.  At every tower height an
+extension element is multiplied, reduced and inverted by
+:mod:`exactgeom.univar` on the raw values of its base field; over a prime
+base that module calls the int kernels of :mod:`exactgeom.zpoly`.
 
 All elements support ``+ - * / **`` and compare exactly; there is no floating
 point anywhere.  ``a ** e`` works on raw values through the field's
@@ -29,7 +29,7 @@ import math
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from . import univar, zpoly
+from . import univar
 from .errors import DomainMismatchError
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -103,6 +103,9 @@ class Rationals:
 
     def _rfrom_int(self, n: int) -> Fraction:
         return Fraction(n)
+
+    def _radd(self, a, b):
+        return a + b
 
     def _rsub(self, a, b):
         return a - b
@@ -406,6 +409,8 @@ class ExtensionField(FiniteField):
     __slots__ = ("base", "modulus", "degree", "name", "_order")
 
     def __init__(self, base: FiniteField, modulus, name: str = "t", *, check: bool = True) -> None:
+        if any(isinstance(c, FieldElement) and c.field != base for c in modulus):
+            raise DomainMismatchError(f"modulus coefficients must lie in {base!r}")
         mod = tuple(c.value if isinstance(c, FieldElement) else base._rfrom_int(c) for c in modulus)
         while mod and base._ris_zero(mod[-1]):
             mod = mod[:-1]
@@ -418,7 +423,7 @@ class ExtensionField(FiniteField):
         self.degree = len(mod) - 1
         self.name = name
         self._order = base.order**self.degree
-        if check and not univar.ff_is_irreducible(self._poly(mod), base):
+        if check and not univar.ff_is_irreducible(list(mod), base):
             raise ValueError("extension modulus is reducible over the base field")
 
     @property
@@ -476,31 +481,19 @@ class ExtensionField(FiniteField):
 
     def _rmul(self, a, b):
         base = self.base
-        if isinstance(base, PrimeField):
-            # raw-int kernel (Kronecker multiply) for towers of height one
-            prod = zpoly.zp_mul(zpoly.zp_trim(list(a)), zpoly.zp_trim(list(b)), base.p)
-            rem = zpoly.zp_rem(prod, list(self.modulus), base.p)
-            return tuple(rem + [0] * (self.degree - len(rem)))
-        prod = univar.mul(self._poly(a), self._poly(b), base)
-        return self._raw(univar.rem(prod, self._poly(self.modulus), base))
+        # trimmed factors keep short products below the Kronecker threshold
+        prod = univar.mul(univar.trim(list(a), base), univar.trim(list(b), base), base)
+        return self._padded(univar.rem(prod, list(self.modulus), base))
 
     def _rinv(self, a):
         if self._ris_zero(a):
             raise ZeroDivisionError("inverse of zero")
         base = self.base
-        if isinstance(base, PrimeField):
-            inv = zpoly.zp_inv_mod(zpoly.zp_trim(list(a)), list(self.modulus), base.p)
-            return tuple(inv + [0] * (self.degree - len(inv)))
-        return self._raw(univar.inv_mod(self._poly(a), self._poly(self.modulus), base))
+        return self._padded(univar.inv_mod(univar.trim(list(a), base), list(self.modulus), base))
 
-    def _poly(self, raw) -> list:
-        """A raw value (or the modulus) as a univar polynomial over the base."""
-        return univar.trim([FieldElement(self.base, c) for c in raw])
-
-    def _raw(self, poly: list) -> tuple:
-        """A univar polynomial of degree below ``degree`` as a raw value."""
-        pad = (self.base._rzero(),) * (self.degree - len(poly))
-        return tuple(c.value for c in poly) + pad
+    def _padded(self, poly: list) -> tuple:
+        """A polynomial over the base of degree below ``degree`` as a raw value."""
+        return tuple(poly) + (self.base._rzero(),) * (self.degree - len(poly))
 
     def _rrand(self, rng):
         return tuple(self.base._rrand(rng) for _ in range(self.degree))

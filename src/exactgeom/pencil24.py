@@ -48,6 +48,7 @@ from .quartic import (
     disc_delta,
     sem_d,
 )
+from .transversality import FAMILY_P0, FAMILY_Q
 
 MIN_PRIME = 1000
 # (x, y)-degrees of Delta and d, and their t-degrees (A..E are linear in t)
@@ -214,16 +215,17 @@ def _cubic(cs: list, x0, y0):
 
 def _by_coordinates(field: FiniteField, values: list, func) -> list:
     """``func``, a GF(p)-linear map on int lists, applied to each GF(p)-coordinate
-    of values in GF(p) or GF(p)[t]/(m); the results are padded to one length."""
+    of raw values of GF(p) or GF(p)[t]/(m); the results, raw values again, are
+    padded to one length."""
     ext = isinstance(field, ExtensionField)
-    columns = [func(list(cs)) for cs in zip(*(v.value if ext else (v.value,) for v in values))]
+    columns = [func(list(cs)) for cs in zip(*(v if ext else (v,) for v in values))]
     length = max(map(len, columns))
     rows = zip(*(_padded(c, length - 1) for c in columns))
-    return [field.wrap(cs if ext else cs[0]) for cs in rows]
+    return [cs if ext else cs[0] for cs in rows]
 
 
 def _closure_conditions(abcde: list, field: FiniteField, boundary: bool) -> Iterator[list]:
-    """The closure-square conditions of the fiber quartic, as cores in x/y:
+    """The closure-square conditions of the fiber quartic, as raw cores in x/y:
     :func:`quartic.closure_square_conditions` (degree <= 12 in x) at 13
     consecutive integers x, y = 1, interpolated.  It picks its branch by the
     value of A, so on the main branch (A != 0) the points avoid the at most 3
@@ -237,22 +239,27 @@ def _closure_conditions(abcde: list, field: FiniteField, boundary: bool) -> Iter
             field, cs, lambda c: [sum(a * x**i for i, a in enumerate(c)) % p for x in xs]
         )
 
+    def avoids_roots_of_a(x0: int) -> bool:
+        return not any(map(field._ris_zero, samples(abcde[0], x0)))
+
     windows = range(0, 4 * CONDITION_POINTS, CONDITION_POINTS)
-    x0 = 0 if boundary else next(w for w in windows if all(samples(abcde[0], w)))
+    x0 = 0 if boundary else next(filter(avoids_roots_of_a, windows))
     values = []
     for fiber in zip(*(samples(cs, x0) for cs in abcde)):
-        fiber = QuarticCoeffs(0, *fiber[1:]) if boundary else QuarticCoeffs(*fiber)
-        values.append(tuple(closure_square_conditions(fiber)))
+        fiber = QuarticCoeffs(*map(field.wrap, fiber))
+        if boundary:
+            fiber = fiber._replace(A=0)
+        values.append(tuple(c.value for c in closure_square_conditions(fiber)))
     for column in zip(*values):
         interpolated = _by_coordinates(field, column, lambda ys: zpoly.zp_interpolate(x0, ys, p))
-        yield dehomogenize(interpolated[::-1])[2]
+        yield dehomogenize(interpolated[::-1], field)[2]
 
 
-def _at_root(c: list[int], m: list[int], field: FiniteField) -> FieldElement:
-    """c(tau) at a root tau of m, in field = GF(p)[t]/(m), or GF(p) for a linear
-    m: the remainder of c mod m in the basis 1, t, ..., t^(deg m - 1)."""
+def _at_root(c: list[int], m: list[int], field: FiniteField):
+    """c(tau) at a root tau of m, as a raw value of field = GF(p)[t]/(m), or of
+    GF(p) for a linear m: the remainder of c mod m in the basis 1, t, ..., t^(deg m - 1)."""
     residue = _padded(zpoly.zp_rem(c, m, field.char), zpoly.zp_deg(m) - 1)
-    return field.wrap(residue if isinstance(field, ExtensionField) else residue[0])
+    return residue if isinstance(field, ExtensionField) else residue[0]
 
 
 def _fiber_witness(abcde: list, field: FiniteField, x0, y0, label: str) -> Optional[dict]:
@@ -273,14 +280,14 @@ def _fiber_witness(abcde: list, field: FiniteField, x0, y0, label: str) -> Optio
 
 
 def _witness_at_gcd_root(abcde: list, field: FiniteField, w: list, rng) -> dict:
-    """The witness at a root of w, adjoined in an extension when w has no linear factor."""
+    """The witness at a root of w (raw values), adjoined in an extension when w
+    has no linear factor; ``abcde`` holds field elements."""
     h = w if univar.deg(w) == 1 else univar.ff_factor_squarefree(w, field, rng)[0]
+    h = [field.wrap(c) for c in h]
     if univar.deg(h) == 1:
         root = -h[0] / h[1]
     else:
-        root_field = ExtensionField(
-            field, [c.value for c in h], name=f"w{absolute_degree(field)}", check=False
-        )
+        root_field = ExtensionField(field, h, name=f"w{absolute_degree(field)}", check=False)
         abcde = [[root_field.from_base(c) for c in cs] for cs in abcde]
         field, root = root_field, root_field.generator()
     outcome = _fiber_witness(abcde, field, root, field.one(), f"[{root!r}:1]")
@@ -329,9 +336,10 @@ def validate_member(
     """Does a single (3,4)-curve, given by its condition forms and fiber
     coefficients over GF(p) or GF(p)[t]/(m), carry an honest vertical bitangent?
 
-    Every form is a coefficient list in x at y = 1, low degree first and
-    padded to its degree: Delta (19 entries), d (13) and the cubics A..E
-    (4 each).  The two condition forms must share a root, and some shared root must
+    Every form is a coefficient list in x at y = 1 of raw field values, low
+    degree first and padded to its degree: Delta (19 entries), d (13) and the
+    cubics A..E (4 each); A..E are boxed as field elements once, for the
+    witness.  The two condition forms must share a root, and some shared root must
     carry a perfect-square fiber.  The search is root-free (gcds against the
     closure-square condition polynomials, split by the A = 0 and B = 0
     branches); only a validated member has an explicit root and witness
@@ -339,12 +347,14 @@ def validate_member(
     outside the field.
     """
     one, zero = field.one(), field.zero()
-    splits = [dehomogenize(cs[::-1]) for cs in (delta, d) if any(cs)]
+    boxed = [[field.wrap(c) for c in cs] for cs in abcde]
+    splits = [dehomogenize(cs[::-1], field) for cs in (delta, d)]
+    splits = [split for split in splits if split[2]]
     if not splits:
         # both conditions vanish identically in (x, y): degenerate member;
         # probe the ends of the projective line and one more fiber
         for x0, y0, label in ((one, zero, "[1:0]"), (zero, one, "[0:1]"), (one, one, "[1:1]")):
-            outcome = _fiber_witness(abcde, field, x0, y0, label)
+            outcome = _fiber_witness(boxed, field, x0, y0, label)
             if outcome is not None:
                 return True, outcome
         return False, {"detail": "both condition forms vanish identically"}
@@ -357,13 +367,13 @@ def validate_member(
         return False, {"detail": "specialized conditions are coprime"}
     for power, x0, y0, label in ((y_power, one, zero, "[1:0]"), (x_power, zero, one, "[0:1]")):
         if power:
-            outcome = _fiber_witness(abcde, field, x0, y0, label)
+            outcome = _fiber_witness(boxed, field, x0, y0, label)
             if outcome is not None:
                 return True, outcome
 
     if univar.deg(core) >= 1:
         gbar = univar.squarefree_part(core, field)
-        abar = dehomogenize(abcde[0][::-1])[2]
+        abar = dehomogenize(abcde[0][::-1], field)[2]
         g_a = univar.gcd(gbar, abar, field) if abar else gbar
         # main branch (A != 0), then the boundary branch (A = 0)
         for g, boundary in ((univar.divmod_(gbar, g_a, field)[0], False), (g_a, True)):
@@ -374,7 +384,7 @@ def validate_member(
                 if univar.deg(g) < 1:
                     break
             else:
-                return True, _witness_at_gcd_root(abcde, field, g, rng)
+                return True, _witness_at_gcd_root(boxed, field, g, rng)
     return False, {"detail": "conditions share roots but no fiber is a perfect square"}
 
 
@@ -430,7 +440,7 @@ def pencil_intersection_count(
     # the t = infinity member is F1 itself, reported separately and never
     # counted: Delta, d and A..E are homogeneous of degrees 6, 4 and 1 in
     # (F0, F1), so its forms are the top t-coefficients
-    inf_ok, _ = validate_member(*member(lambda c, n: fieldp.wrap(_padded(c, n)[n])), fieldp, rng)
+    inf_ok, _ = validate_member(*member(lambda c, n: _padded(c, n)[n]), fieldp, rng)
 
     return PencilCountReport(
         prime=p,
@@ -449,9 +459,4 @@ def family_pencil(p: int) -> tuple[Curve34, Curve34]:
     """The transversality family as a pencil mod p: P_alpha = P_0 + alpha * Q
     with Q = -x^3 v^2 (u - v)^2.  The t = 0 member has its bitangent at [1:0]."""
     fieldp = PrimeField(p)
-    p0 = curve_from_ints(
-        fieldp,
-        {(0, 0): 1, (3, 0): 1, (0, 1): -2, (0, 2): 1, (1, 4): 1, (3, 4): 1},
-    )
-    q = curve_from_ints(fieldp, {(0, 2): -1, (0, 3): 2, (0, 4): -1})
-    return p0, q
+    return curve_from_ints(fieldp, FAMILY_P0), curve_from_ints(fieldp, FAMILY_Q)

@@ -37,19 +37,22 @@ from .quartic import QuarticCoeffs, disc_delta, sem_d
 FAMILY_VARS = ("x", "y", "alpha")
 SURFACE_VARS = ("x", "y", "u", "v")
 
+# The family is P_0 + alpha Q, with Q = -x^3 v^2 (u - v)^2.  Each table maps
+# (i, j) to the coefficient of x^(3-i) y^i u^(4-j) v^j (the layout of
+# pencil24.Curve34); every other form of the family is derived from these two.
+FAMILY_P0 = {(0, 0): 1, (3, 0): 1, (0, 1): -2, (0, 2): 1, (1, 4): 1, (3, 4): 1}
+FAMILY_Q = {(0, 2): -1, (0, 3): 2, (0, 4): -1}
+
 
 @functools.cache
 def family_coeffs() -> QuarticCoeffs:
     """Fiber-quartic coefficients of the family, polynomials in (x, y, alpha)."""
     x, y, alpha = MultiPoly.gens(QQ, FAMILY_VARS)
-    one = MultiPoly.constant(QQ, FAMILY_VARS, 1)
-    return QuarticCoeffs(
-        A=x**3 + y**3,
-        B=-2 * x**3,
-        C=(one - alpha) * x**3,
-        D=2 * alpha * x**3,
-        E=-alpha * x**3 + x**2 * y + y**3,
-    )
+    coeffs = [MultiPoly.zero(QQ, FAMILY_VARS)] * 5
+    for table, scale in ((FAMILY_P0, 1), (FAMILY_Q, alpha)):
+        for (i, j), c in table.items():
+            coeffs[j] = coeffs[j] + c * scale * x ** (3 - i) * y**i
+    return QuarticCoeffs(*coeffs)
 
 
 @functools.cache
@@ -165,10 +168,13 @@ class SectionReport:
 
 
 def section_coefficients() -> QuarticCoeffs:
-    """Fiber-quartic coefficients along the section: (1, -2, 1-alpha, 2 alpha, -alpha)."""
+    """Fiber-quartic coefficients along the section [x:y] = [1:0], the x^3 row
+    of P_0 + alpha Q: (1, -2, 1-alpha, 2 alpha, -alpha)."""
     (alpha,) = MultiPoly.gens(QQ, ("alpha",))
     one = MultiPoly.constant(QQ, ("alpha",), 1)
-    return QuarticCoeffs(one, -2 * one, one - alpha, 2 * alpha, -alpha)
+    return QuarticCoeffs(
+        *(FAMILY_P0.get((0, j), 0) * one + FAMILY_Q.get((0, j), 0) * alpha for j in range(5))
+    )
 
 
 def section_reducedness() -> SectionReport:
@@ -243,7 +249,7 @@ def _bidegree(P: MultiPoly) -> tuple[int, int]:
 def _rational_projective_roots(form: BinaryForm) -> tuple[list[tuple[Fraction, Fraction]], int]:
     """Distinct rational projective roots of a nonzero (x, y)-form over QQ,
     plus the number of its distinct non-rational roots (left unresolved)."""
-    x_power, y_power, dehom = binform.dehomogenize(form.coefficient_list())
+    x_power, y_power, dehom = binform.dehomogenize(form.coefficient_list(), QQ)
     roots = []
     if y_power:
         roots.append((Fraction(1), Fraction(0)))

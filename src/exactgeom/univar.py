@@ -1,31 +1,32 @@
-"""Dense univariate polynomials over any coefficient domain.
+"""Dense univariate polynomials over QQ and over every finite field.
 
-This is one of the package's two univariate-polynomial representations:
+This is the package's only implementation of univariate algorithms: the
+gcd, the inverse modulo a polynomial, the monic normalisation, the
+derivative, the squarefree part, distinct-degree plus Cantor-Zassenhaus
+splitting and the Rabin irreducibility test each exist once, here.
 
-* :mod:`exactgeom.zpoly` -- raw ints modulo p, the hot GF(p) kernel;
-* this module -- field elements (Fractions or :class:`FieldElement`
-  wrappers) over QQ or any finite field, extension towers included.
-
-Nothing else in the package implements polynomial arithmetic: extension
-towers in :mod:`exactgeom.domains` multiply, reduce and invert through the
-functions here, and the distinct-degree plus Cantor-Zassenhaus splitter
-below serves both representations.
-
-Polynomials are lists of coefficients, low degree first, with no trailing
-zeros; ``[]`` is the zero polynomial.
+A polynomial is a list of raw field values (the int, tuple or ``Fraction``
+that a field element wraps), low degree first, with no trailing zeros;
+``[]`` is the zero polynomial.  Every function takes the field and does its
+arithmetic through the field's raw hooks (``_ris_zero``, ``_radd``,
+``_rsub``, ``_rmul``, ``_rinv``, ``_rfrom_int``, ``_rrand``), so extension
+towers of any height run the same code.  Over a prime field the heavy steps
+(``trim``, ``mul``, ``divmod_``, ``pow_mod``) call the int kernels of
+:mod:`exactgeom.zpoly`, which is the selection on the field type that makes
+the hot GF(p) path fast.  :mod:`exactgeom.domains` multiplies, reduces and
+inverts extension elements through the functions here.
 """
 
 from __future__ import annotations
 
-from functools import partial
-from typing import TYPE_CHECKING, Callable, NamedTuple
-
-if TYPE_CHECKING:  # domains imports this module at run time
-    from .domains import FiniteField
+from . import domains, zpoly
 
 
-def trim(cs: list) -> list:
-    while cs and not cs[-1]:
+def trim(cs: list, field) -> list:
+    if isinstance(field, domains.PrimeField):
+        return zpoly.zp_trim(cs)
+    is_zero = field._ris_zero
+    while cs and is_zero(cs[-1]):
         cs.pop()
     return cs
 
@@ -34,209 +35,191 @@ def deg(cs: list) -> int:
     return len(cs) - 1
 
 
-def sub(a: list, b: list, domain) -> list:
-    out = list(a) + [domain.zero()] * max(0, len(b) - len(a))
+def sub(a: list, b: list, field) -> list:
+    rsub = field._rsub
+    out = list(a) + [field._rfrom_int(0)] * max(0, len(b) - len(a))
     for i, c in enumerate(b):
-        out[i] = out[i] - c
-    return trim(out)
+        out[i] = rsub(out[i], c)
+    return trim(out, field)
 
 
-def scale(a: list, s) -> list:
-    if not s:
+def scale(a: list, s, field) -> list:
+    if field._ris_zero(s):
         return []
-    return [c * s for c in a]
+    rmul = field._rmul
+    return [rmul(c, s) for c in a]
 
 
-def mul(a: list, b: list, domain) -> list:
+def mul(a: list, b: list, field) -> list:
+    if isinstance(field, domains.PrimeField):
+        return zpoly.zp_mul(a, b, field.p)
     if not a or not b:
         return []
-    out = [domain.zero()] * (len(a) + len(b) - 1)
+    radd, rmul, is_zero = field._radd, field._rmul, field._ris_zero
+    out = [field._rfrom_int(0)] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
-        if not ai:
+        if is_zero(ai):
             continue
         for j, bj in enumerate(b):
-            out[i + j] = out[i + j] + ai * bj
-    return trim(out)
+            out[i + j] = radd(out[i + j], rmul(ai, bj))
+    return trim(out, field)
 
 
-def divmod_(a: list, b: list, domain) -> tuple[list, list]:
+def divmod_(a: list, b: list, field) -> tuple[list, list]:
     """Quotient and remainder over a field; b must be nonzero."""
+    if isinstance(field, domains.PrimeField):
+        return zpoly.zp_divmod(a, b, field.p)
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    r = list(a)
+    rsub, rmul = field._rsub, field._rmul
+    r = trim(list(a), field)
     db = deg(b)
-    inv_lead = domain.one() / b[-1]
-    q = [domain.zero()] * max(0, len(a) - db)
+    inv_lead = field._rinv(b[-1])
+    q = [field._rfrom_int(0)] * max(0, len(r) - db)
     while deg(r) >= db and r:
-        factor = r[-1] * inv_lead
+        factor = rmul(r[-1], inv_lead)
         shift = deg(r) - db
         q[shift] = factor
         for j in range(db + 1):
-            r[shift + j] = r[shift + j] - factor * b[j]
-        trim(r)
-    return trim(q), r
+            r[shift + j] = rsub(r[shift + j], rmul(factor, b[j]))
+        trim(r, field)
+    return trim(q, field), r
 
 
-def rem(a: list, b: list, domain) -> list:
-    return divmod_(a, b, domain)[1]
+def rem(a: list, b: list, field) -> list:
+    return divmod_(a, b, field)[1]
 
 
-def monic(a: list, domain) -> list:
+def monic(a: list, field) -> list:
     if not a:
         return []
-    return scale(a, domain.one() / a[-1])
+    return scale(a, field._rinv(a[-1]), field)
 
 
-def gcd(a: list, b: list, domain) -> list:
-    a, b = list(a), list(b)
+def gcd(a: list, b: list, field) -> list:
+    a, b = trim(list(a), field), trim(list(b), field)
     while b:
-        a, b = b, rem(a, b, domain)
-    return monic(a, domain)
+        a, b = b, rem(a, b, field)
+    return monic(a, field)
 
 
-def inv_mod(a: list, m: list, domain) -> list:
+def inv_mod(a: list, m: list, field) -> list:
     """Inverse of a modulo m (extended Euclid); a must be coprime to m."""
-    r0, r1 = list(m), rem(a, m, domain)
-    t0, t1 = [], [domain.one()]
+    r0, r1 = list(m), rem(a, m, field)
+    t0, t1 = [], [field._rfrom_int(1)]
     while r1:
-        q, r2 = divmod_(r0, r1, domain)
+        q, r2 = divmod_(r0, r1, field)
         r0, r1 = r1, r2
-        t0, t1 = t1, sub(t0, mul(q, t1, domain), domain)
+        t0, t1 = t1, sub(t0, mul(q, t1, field), field)
     if deg(r0) != 0:
         raise ZeroDivisionError("element is not invertible modulo the modulus")
-    return scale(t0, domain.one() / r0[0])
+    return scale(t0, field._rinv(r0[0]), field)
 
 
-def derivative(cs: list) -> list:
-    return trim([i * c for i, c in enumerate(cs)][1:])
+def derivative(cs: list, field) -> list:
+    rmul, from_int = field._rmul, field._rfrom_int
+    return trim([rmul(from_int(i), c) for i, c in enumerate(cs)][1:], field)
 
 
-def squarefree_part(cs: list, domain) -> list:
+def squarefree_part(cs: list, field) -> list:
     """Product of the distinct irreducible factors (monic).
 
     Valid in characteristic 0 or when the characteristic exceeds the degree,
     so that gcd(f, f') captures exactly the repeated part.
     """
-    char = domain.char
+    char = field.char
     if char and char <= deg(cs):
         raise ValueError("squarefree part needs characteristic 0 or > deg")
     if deg(cs) <= 0:
-        return monic(cs, domain)
-    g = gcd(cs, derivative(cs), domain)
-    return monic(divmod_(cs, g, domain)[0], domain)
+        return monic(cs, field)
+    g = gcd(cs, derivative(cs, field), field)
+    return monic(divmod_(cs, g, field)[0], field)
 
 
-def pow_mod(base: list, exponent: int, modulus: list, domain) -> list:
-    result = [domain.one()]
-    acc = rem(base, modulus, domain)
+def pow_mod(base: list, exponent: int, modulus: list, field) -> list:
+    if isinstance(field, domains.PrimeField):
+        return zpoly.zp_pow_mod(base, exponent, modulus, field.p)
+    result = [field._rfrom_int(1)]
+    acc = rem(base, modulus, field)
     while exponent:
         if exponent & 1:
-            result = rem(mul(result, acc, domain), modulus, domain)
+            result = rem(mul(result, acc, field), modulus, field)
         exponent >>= 1
         if exponent:
-            acc = rem(mul(acc, acc, domain), modulus, domain)
+            acc = rem(mul(acc, acc, field), modulus, field)
     return result
 
 
-def _x(domain) -> list:
-    return [domain.zero(), domain.one()]
+def _x(field) -> list:
+    return [field._rfrom_int(0), field._rfrom_int(1)]
 
 
 # --- factorization over a finite field ---------------------------------------
 
 
-class SplitOps(NamedTuple):
-    """The arithmetic :func:`split_squarefree` needs, bound to one finite field.
-
-    ``order`` is the field size q, ``x`` and ``one`` are the polynomials x
-    and 1, the two-argument operations act on polynomials of either
-    representation, and ``draw(n)`` returns n random coefficients.
-    """
-
-    order: int
-    x: list
-    one: list
-    sub: Callable
-    divmod_: Callable
-    rem: Callable
-    gcd: Callable
-    pow_mod: Callable
-    draw: Callable
-
-
-def split_squarefree(f: list, ops: SplitOps) -> list[list]:
+def split_squarefree(f: list, field, rng) -> list[list]:
     """Irreducible factors of a squarefree monic polynomial, unsorted.
 
     Distinct-degree splitting followed by Cantor-Zassenhaus equal-degree
-    splitting; requires odd characteristic.  Deterministic given the
-    random draws of ``ops``.
+    splitting; requires odd characteristic.  Deterministic given ``rng``,
+    from which the random coefficients are drawn by ``field._rrand``.
     """
     if deg(f) <= 1:
         return [f] if deg(f) == 1 else []
     groups: list[tuple[list, int]] = []
     v = f
-    h = ops.x
+    x = h = _x(field)
     d = 0
     while deg(v) > 0:
         d += 1
         if 2 * d > deg(v):
             groups.append((v, deg(v)))
             break
-        h = ops.pow_mod(h, ops.order, v)
-        g = ops.gcd(ops.sub(h, ops.x), v)
+        h = pow_mod(h, field.order, v, field)
+        g = gcd(sub(h, x, field), v, field)
         if deg(g) > 0:
             groups.append((g, d))
-            v = ops.divmod_(v, g)[0]
-            h = ops.rem(h, v)
+            v = divmod_(v, g, field)[0]
+            h = rem(h, v, field)
     factors: list[list] = []
     for product, degree_each in groups:
-        factors.extend(_equal_degree(product, degree_each, ops))
+        factors.extend(_equal_degree(product, degree_each, field, rng))
     return factors
 
 
-def _equal_degree(f: list, d: int, ops: SplitOps) -> list[list]:
+def _equal_degree(f: list, d: int, field, rng) -> list[list]:
     n = deg(f)
     if n == d:
         return [f]
-    exponent = (ops.order**d - 1) // 2
+    exponent = (field.order**d - 1) // 2
+    one = [field._rfrom_int(1)]
     while True:
-        r = trim(ops.draw(n))
+        r = trim([field._rrand(rng) for _ in range(n)], field)
         if deg(r) < 1:
             continue
-        g = ops.gcd(r, f)
+        g = gcd(r, f, field)
         if 0 < deg(g) < n:
             break
-        h = ops.pow_mod(r, exponent, f)
-        g = ops.gcd(ops.sub(h, ops.one), f)
+        h = pow_mod(r, exponent, f, field)
+        g = gcd(sub(h, one, field), f, field)
         if 0 < deg(g) < n:
             break
-    other = ops.divmod_(f, g)[0]
-    return _equal_degree(g, d, ops) + _equal_degree(other, d, ops)
+    other = divmod_(f, g, field)[0]
+    return _equal_degree(g, d, field, rng) + _equal_degree(other, d, field, rng)
 
 
-def ff_factor_squarefree(cs: list, field: FiniteField, rng) -> list[list]:
+def ff_factor_squarefree(cs: list, field, rng) -> list[list]:
     """Irreducible factors of a squarefree polynomial over a finite field.
 
-    Monic factors sorted by (degree, coefficient reprs); deterministic given
-    ``rng``.
+    Monic factors sorted by (degree, reprs of the wrapped coefficients);
+    deterministic given ``rng``.
     """
-    ops = SplitOps(
-        order=field.order,
-        x=_x(field),
-        one=[field.one()],
-        sub=partial(sub, domain=field),
-        divmod_=partial(divmod_, domain=field),
-        rem=partial(rem, domain=field),
-        gcd=partial(gcd, domain=field),
-        pow_mod=partial(pow_mod, domain=field),
-        draw=lambda n: [field.rand(rng) for _ in range(n)],
-    )
-    factors = split_squarefree(monic(cs, field), ops)
-    factors.sort(key=lambda fac: (deg(fac), [repr(c) for c in fac]))
+    factors = split_squarefree(monic(cs, field), field, rng)
+    factors.sort(key=lambda fac: (deg(fac), [repr(field.wrap(c)) for c in fac]))
     return factors
 
 
-def ff_is_irreducible(cs: list, field: FiniteField) -> bool:
+def ff_is_irreducible(cs: list, field) -> bool:
     """Rabin irreducibility test over a finite field."""
     n = deg(cs)
     if n <= 0:

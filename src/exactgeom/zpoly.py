@@ -1,19 +1,20 @@
-"""Raw univariate arithmetic and factorization over GF(p).
+"""Raw int kernels for univariate polynomials over GF(p).
 
-This is one of the package's two univariate-polynomial representations:
-lists of ints in [0, p), low degree first, no trailing zeros (``[]`` is
-zero).  The other, :mod:`exactgeom.univar`, holds field elements over any
-field; this module is the speed-critical GF(p) kernel.  Multiplication
-packs coefficients into one big integer (Kronecker substitution) so
-CPython's integer multiply performs the convolution, and factorization
-feeds these raw operations to the splitter shared with ``univar``.
-Modular powers, the core of distinct-degree factorization, reduce each
-product by a precomputed power-series inverse of the reversed modulus
-(von zur Gathen-Gerhard, Modern Computer Algebra, 9.1), so a reduction
-costs two multiplications.  Resultants (Euclid) and Newton interpolation
-let eliminants be computed from values at integer points.  The Newton
-interpolator is the package's only one: :func:`int_interpolate` takes
-forward differences on ints at consecutive points, and both the GF(p)
+Polynomials are lists of ints in [0, p), low degree first, no trailing
+zeros (``[]`` is zero).  This module holds only the GF(p) kernels that
+:mod:`exactgeom.univar` calls for a prime field, plus the eliminant
+helpers; every univariate algorithm (gcd, inverse, squarefree part,
+splitting, the Rabin test) lives in ``univar``, and
+:func:`zp_squarefree_part` and :func:`zp_factor_squarefree` are its GF(p)
+entry points.  Multiplication packs coefficients into one big integer
+(Kronecker substitution) so CPython's integer multiply performs the
+convolution.  Modular powers, the core of distinct-degree factorization,
+reduce each product by a precomputed power-series inverse of the reversed
+modulus (von zur Gathen-Gerhard, Modern Computer Algebra, 9.1), so a
+reduction costs two multiplications.  Resultants (Euclid) and Newton
+interpolation let eliminants be computed from values at integer points.
+The Newton interpolator is the package's only one: :func:`int_interpolate`
+takes forward differences on ints at consecutive points, and both the GF(p)
 eliminants (through :func:`zp_interpolate`) and the resultants of
 :mod:`exactgeom.binform` over QQ and GF(p) use it.
 """
@@ -21,9 +22,8 @@ eliminants (through :func:`zp_interpolate`) and the resultants of
 from __future__ import annotations
 
 import math
-from functools import partial
 
-from . import univar
+from . import domains, univar
 from .errors import InterpolationError
 
 
@@ -94,47 +94,6 @@ def zp_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]
 
 def zp_rem(a: list[int], b: list[int], p: int) -> list[int]:
     return zp_divmod(a, b, p)[1]
-
-
-def zp_monic(a: list[int], p: int) -> list[int]:
-    if not a:
-        return []
-    inv = pow(a[-1], p - 2, p)
-    return [c * inv % p for c in a]
-
-
-def zp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = zp_trim(list(a)), zp_trim(list(b))
-    while b:
-        a, b = b, zp_rem(a, b, p)
-    return zp_monic(a, p)
-
-
-def zp_inv_mod(a: list[int], m: list[int], p: int) -> list[int]:
-    """Inverse of a modulo m (extended Euclid); a must be coprime to m."""
-    r0, r1 = zp_trim(list(m)), zp_rem(a, m, p)
-    t0, t1 = [], [1]
-    while r1:
-        q, r2 = zp_divmod(r0, r1, p)
-        r0, r1 = r1, r2
-        t0, t1 = t1, zp_sub(t0, zp_mul(q, t1, p), p)
-    if zp_deg(r0) != 0:
-        raise ZeroDivisionError("element is not invertible modulo the modulus")
-    scale = pow(r0[0], p - 2, p)
-    return [c * scale % p for c in t0]
-
-
-def zp_derivative(cs: list[int], p: int) -> list[int]:
-    return zp_trim([i * c % p for i, c in enumerate(cs)][1:])
-
-
-def zp_squarefree_part(cs: list[int], p: int) -> list[int]:
-    if p <= zp_deg(cs):
-        raise ValueError("squarefree part needs characteristic > deg")
-    if zp_deg(cs) <= 0:
-        return zp_monic(cs, p)
-    g = zp_gcd(cs, zp_derivative(cs, p), p)
-    return zp_monic(zp_divmod(cs, g, p)[0], p)
 
 
 def _zp_series_inverse(a: list[int], n: int, p: int) -> list[int]:
@@ -246,24 +205,19 @@ def zp_interpolate(x0: int, values: list[int], p: int) -> list[int]:
     return zp_trim([c * scale % p for c in int_interpolate(x0, [v % p for v in values])])
 
 
+def zp_squarefree_part(cs: list[int], p: int) -> list[int]:
+    """:func:`exactgeom.univar.squarefree_part` over GF(p)."""
+    return univar.squarefree_part(cs, domains.PrimeField(p))
+
+
 def zp_factor_squarefree(cs: list[int], p: int, rng) -> list[list[int]]:
     """Irreducible factors of a squarefree polynomial over GF(p), p odd.
 
-    Runs the shared splitter :func:`exactgeom.univar.split_squarefree` on
-    raw-int operations; output sorted by (degree, coefficients) so it is
-    deterministic for a seeded rng.
+    Runs :func:`exactgeom.univar.split_squarefree` over GF(p) on the monic
+    input; output sorted by (degree, coefficients) so it is deterministic for
+    a seeded rng.
     """
-    ops = univar.SplitOps(
-        order=p,
-        x=[0, 1],
-        one=[1],
-        sub=partial(zp_sub, p=p),
-        divmod_=partial(zp_divmod, p=p),
-        rem=partial(zp_rem, p=p),
-        gcd=partial(zp_gcd, p=p),
-        pow_mod=partial(zp_pow_mod, p=p),
-        draw=lambda n: [rng.randrange(p) for _ in range(n)],
-    )
-    factors = univar.split_squarefree(zp_monic(cs, p), ops)
+    field = domains.PrimeField(p)
+    factors = univar.split_squarefree(univar.monic(cs, field), field, rng)
     factors.sort(key=lambda fac: (zp_deg(fac), fac))
     return factors

@@ -166,8 +166,8 @@ def test_resultant_specialization_commutes():
 
 
 def _divides(d: BinaryForm, f: BinaryForm) -> bool:
-    du, dv, dcore = binform.dehomogenize(d.coefficient_list())
-    fu, fv, fcore = binform.dehomogenize(f.coefficient_list())
+    du, dv, dcore = binform.dehomogenize(d.coefficient_list(), QQ)
+    fu, fv, fcore = binform.dehomogenize(f.coefficient_list(), QQ)
     if du > fu or dv > fv:
         return False
     rem = univar.divmod_(fcore, dcore, QQ)[1]

@@ -101,6 +101,7 @@ def test_rational_raw_hooks_stay_exact():
         QQ._rinv(0)
     assert type(QQ._rfrom_int(2)) is Fraction
     assert QQ._rmul(Fraction(1, 2), 4) == 2 and QQ._rsub(1, Fraction(1, 3)) == Fraction(2, 3)
+    assert QQ._radd(Fraction(1, 2), 1) == Fraction(3, 2)
     assert QQ._ris_zero(Fraction(0)) and not QQ._ris_zero(Fraction(1, 7))
     assert QQ.wrap(Fraction(1, 2)) == Fraction(1, 2)
 
@@ -132,6 +133,18 @@ def test_extension_rejects_nonmonic():
     F5 = PrimeField(5)
     with pytest.raises(ValueError):
         ExtensionField(F5, [1, 0, 2])
+
+
+def test_extension_rejects_modulus_coefficients_of_another_field():
+    F7 = PrimeField(7)
+    # GF(11)'s 10 would be stored as the raw value 10, outside [0, 7)
+    with pytest.raises(DomainMismatchError):
+        ExtensionField(F7, [PrimeField(11).elem(10), 0, 1])
+    K = ExtensionField(F7, [F7.elem(1), 0, 1], name="i")  # t^2 + 1, 7 = 3 mod 4
+    assert K.modulus == (1, 0, 1)
+    # over a tower, the coefficients must lie in the tower, not in its base
+    with pytest.raises(DomainMismatchError):
+        ExtensionField(K, [F7.elem(3), 0, 1])
 
 
 def test_tower_field():

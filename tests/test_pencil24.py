@@ -7,7 +7,7 @@ import pytest
 from exactgeom import zpoly
 from exactgeom import pencil24 as pc
 from exactgeom.binform import BinaryForm, sylvester_resultant
-from exactgeom.domains import PrimeField
+from exactgeom.domains import ExtensionField, PrimeField
 from exactgeom.errors import InterpolationError
 from exactgeom.multipoly import MultiPoly
 from exactgeom.quartic import QuarticCoeffs, disc_delta, sem_d, square_coefficients
@@ -185,45 +185,68 @@ def test_factor_report_summary_shape():
 
 
 def _at_y1(form, degree):
-    """An (x, y)-form as its coefficient list in x at y = 1, padded to its degree."""
-    cs = [form.domain.zero()] * (degree + 1)
+    """An (x, y)-form as its coefficient list in x at y = 1, of raw field
+    values, padded to its degree."""
+    cs = [form.domain.zero().value] * (degree + 1)
     for (i, _), c in form.terms.items():
-        cs[i] = c
+        cs[i] = c.value
     return cs
 
 
-@pytest.mark.parametrize("a_vanishes_at_0", [False, True], ids=["generic", "a_vanishes_at_0"])
-def test_validate_member_builds_the_root_in_an_extension(a_vanishes_at_0):
-    # A..E_j = (x^2 + y^2)(x P_j + y P'_j) + S(x, y) [Q^2]_j: the roots of
-    # x^2 + y^2 lie in GF(p^2) only (-1 is a non-residue mod 10007), the fiber
-    # quartic there is S(w, 1) Q^2, and S(w, 1) needs a square root in GF(p^4).
-    # With A(0, 1) = 0 the closure conditions cannot be sampled from x = 0 on,
-    # because closure_square_conditions picks its branch by the value of A.
-    F = PrimeField(P)
+def _member_with_root_in_an_extension(field, a_vanishes_at_0=False):
+    """validate_member on A..E_j = (x^2 + y^2)(x P_j + y P'_j) + S(x, y) [Q^2]_j
+    over ``field``, with P, P' and Q drawn from random.Random(0)."""
     rng = random.Random(0)
-    x, y = MultiPoly.gens(F, ("x", "y"))
+    x, y = MultiPoly.gens(field, ("x", "y"))
     s = x**3 + 3 * x * y**2 + 5 * y**3
-    p1 = [F.rand(rng) for _ in range(5)]
-    p2 = [F.rand(rng) for _ in range(5)]
-    q_squared = square_coefficients(*(F.rand(rng) for _ in range(3)))
+    p1 = [field.rand(rng) for _ in range(5)]
+    p2 = [field.rand(rng) for _ in range(5)]
+    q_squared = square_coefficients(*(field.rand(rng) for _ in range(3)))
     if a_vanishes_at_0:
         p2[0] = -5 * q_squared[0]
     forms = [(x * x + y * y) * (p1[j] * x + p2[j] * y) + s * q_squared[j] for j in range(5)]
     quartic = QuarticCoeffs(*forms)
-    assert bool(_at_y1(forms[0], 3)[0]) != a_vanishes_at_0
-    ok, info = pc.validate_member(
+    assert field._ris_zero(_at_y1(forms[0], 3)[0]) == a_vanishes_at_0
+    return pc.validate_member(
         _at_y1(disc_delta(quartic), 18),
         _at_y1(sem_d(quartic), 12),
         [_at_y1(form, 3) for form in forms],
-        F,
+        field,
         random.Random("member"),
     )
+
+
+@pytest.mark.parametrize("a_vanishes_at_0", [False, True], ids=["generic", "a_vanishes_at_0"])
+def test_validate_member_builds_the_root_in_an_extension(a_vanishes_at_0):
+    # the roots of x^2 + y^2 lie in GF(p^2) only (-1 is a non-residue mod
+    # 10007), the fiber quartic there is S(w, 1) Q^2, and S(w, 1) needs a
+    # square root in GF(p^4).  With A(0, 1) = 0 the closure conditions cannot
+    # be sampled from x = 0 on, because closure_square_conditions picks its
+    # branch by the value of A.
+    ok, info = _member_with_root_in_an_extension(PrimeField(P), a_vanishes_at_0)
     # pinned values: a changed witness must be announced like a golden change
     assert ok
     assert info == {
         "detail": "perfect-square fiber at [(w1):1]",
         "root_field_degree": 4,
         "witness": "((s))*u^2 + ((3558*s))*u*v + ((9788*s))*v^2",
+        "distinct_double_roots": True,
+    }
+
+
+def test_validate_member_over_an_extension_builds_the_root_above_it():
+    # a member over K = GF(p)[t]/(t^3 + t + 1): the gcd x^2 + 1 stays
+    # irreducible over K (odd degree), so its root is adjoined over K itself,
+    # whose raw values are tuples, and the square root of S(w, 1) lies in a
+    # further quadratic extension, of absolute degree 12
+    K = ExtensionField(PrimeField(P), [1, 1, 0, 1], name="t")
+    ok, info = _member_with_root_in_an_extension(K)
+    assert ok
+    assert info == {
+        "detail": "perfect-square fiber at [(w3):1]",
+        "root_field_degree": 12,
+        "witness": "((s))*u^2 + (((9256*t^2 + 1389*t + 5886)*s))*u*v"
+        " + (((8474*t^2 + 7348*t + 2579)*s))*v^2",
         "distinct_double_roots": True,
     }
 

@@ -34,19 +34,22 @@ def test_squarefree_part():
 
 def test_squarefree_char_guard():
     F = PrimeField(5)
-    six = [F.one()] + [F.zero()] * 5 + [F.one()]
+    six = [1, 0, 0, 0, 0, 0, 1]
     with pytest.raises(ValueError):
         univar.squarefree_part(six, F)
 
 
 def test_pow_mod_matches_repeated_multiplication():
+    # the GF(p) kernels and the generic path over GF(p^2), on raw values
     F = PrimeField(10007)
-    f = [F.elem(c) for c in (3, 0, 1, 2)]
-    base = [F.elem(7), F.elem(1), F.elem(2)]
-    direct = [F.one()]
-    for _ in range(5):
-        direct = univar.rem(univar.mul(direct, base, F), f, F)
-    assert univar.pow_mod(base, 5, f, F) == direct
+    K = ExtensionField(F, [1, 0, 1], name="i")
+    for field, lift in ((F, F._rfrom_int), (K, K._rfrom_int)):
+        f = [lift(c) for c in (3, 0, 1, 2)]
+        base = [lift(7), lift(1), lift(2)]
+        direct = [lift(1)]
+        for _ in range(5):
+            direct = univar.rem(univar.mul(direct, base, field), f, field)
+        assert univar.pow_mod(base, 5, f, field) == direct
 
 
 def test_zp_mul_kronecker_matches_schoolbook():
@@ -69,8 +72,9 @@ def test_zp_divmod_and_gcd():
     b = [rng.randrange(p) for _ in range(11)] + [1]
     q, r = zpoly.zp_divmod(a, b, p)
     assert zpoly.zp_sub(a, zpoly.zp_mul(q, b, p), p) == r
-    g = zpoly.zp_gcd(zpoly.zp_mul(a, b, p), b, p)
-    assert g == zpoly.zp_monic(b, p)
+    F = PrimeField(p)
+    g = univar.gcd(zpoly.zp_mul(a, b, p), b, F)
+    assert g == univar.monic(b, F)
 
 
 def test_zp_inv_mod():
@@ -82,7 +86,7 @@ def test_zp_inv_mod():
         if not a:
             continue
         try:
-            inv = zpoly.zp_inv_mod(a, m, p)
+            inv = univar.inv_mod(a, m, PrimeField(p))
         except ZeroDivisionError:
             continue
         assert zpoly.zp_rem(zpoly.zp_mul(a, inv, p), m, p) == [1]
@@ -102,9 +106,9 @@ def test_zp_factor_recovers_known_factors():
     F = PrimeField(p)
     reassembled = [1]
     for f in factors:
-        assert univar.ff_is_irreducible([F.elem(c) for c in f], F)
+        assert univar.ff_is_irreducible(f, F)
         reassembled = zpoly.zp_mul(reassembled, f, p)
-    assert reassembled == zpoly.zp_monic(product, p)
+    assert reassembled == univar.monic(product, F)
 
 
 def test_zp_squarefree_part():
@@ -119,17 +123,90 @@ def test_ff_factor_over_extension_field():
     K = ExtensionField(F, [1, 0, 1], name="i", check=False)  # -1 is a non-square
     i = K.generator()
     # x^2 + 1 = (x - i)(x + i) over K
-    f = [K.one(), K.zero(), K.one()]
+    f = [K._rfrom_int(1), K._rfrom_int(0), K._rfrom_int(1)]
     factors = univar.ff_factor_squarefree(f, K, random.Random(5))
     assert [univar.deg(h) for h in factors] == [1, 1]
-    roots = {(-h[0] / h[1]).value for h in factors}
+    roots = {(-K.wrap(h[0]) / K.wrap(h[1])).value for h in factors}
     assert roots == {i.value, (-i).value}
 
 
 def test_ff_is_irreducible():
     F = PrimeField(10007)
-    assert univar.ff_is_irreducible([F.one(), F.zero(), F.one()], F)  # x^2 + 1
-    assert not univar.ff_is_irreducible([F.elem(-1), F.zero(), F.one()], F)  # x^2 - 1
+    assert univar.ff_is_irreducible([1, 0, 1], F)  # x^2 + 1
+    assert not univar.ff_is_irreducible([F.p - 1, 0, 1], F)  # x^2 - 1
+
+
+def _random_squarefree(F, degree, rng):
+    while True:
+        f = [rng.randrange(F.p) for _ in range(degree)] + [rng.randrange(1, F.p)]
+        if univar.deg(univar.gcd(f, univar.derivative(f, F), F)) == 0:
+            return f
+
+
+def test_factorization_over_gf_p2_refines_the_one_over_gf_p():
+    # an irreducible of degree d over GF(p) splits over GF(p^2) into two
+    # factors of degree d/2 when d is even and stays irreducible when d is
+    # odd; over GF(p^2) the splitter runs the generic path, with no kernels
+    F = PrimeField(10007)
+    K = ExtensionField(F, [1, 0, 1], name="i")
+    rng = random.Random(8)
+    parities = set()
+    for degree in (4, 5, 6, 7):
+        f = _random_squarefree(F, degree, rng)
+        over_f = zpoly.zp_factor_squarefree(f, F.p, rng)
+        over_k = univar.ff_factor_squarefree([K._rfrom_int(c) for c in f], K, rng)
+        product = [K._rfrom_int(1)]
+        for h in over_k:
+            assert univar.ff_is_irreducible(h, K)
+            product = univar.mul(product, h, K)
+        assert product == [K._rfrom_int(c) for c in univar.monic(f, F)]
+        covered = 0
+        for g in over_f:
+            assert univar.ff_is_irreducible(g, F)
+            lifted = [K._rfrom_int(c) for c in g]
+            parts = [h for h in over_k if not univar.rem(lifted, h, K)]
+            covered += len(parts)
+            d = univar.deg(g)
+            parities.add(d % 2)
+            if d % 2:
+                assert parts == [lifted]
+                assert univar.ff_is_irreducible(lifted, K)
+            else:
+                assert [univar.deg(h) for h in parts] == [d // 2, d // 2]
+                assert univar.mul(*parts, K) == lifted
+                assert not univar.ff_is_irreducible(lifted, K)
+        assert covered == len(over_k)
+    assert parities == {0, 1}
+
+
+def test_extension_products_reach_zp_mul_trimmed(monkeypatch):
+    # ExtensionField._rmul trims its padded tuples before the kernel: padded
+    # inputs would cross the Kronecker threshold of zp_mul more often.  Only
+    # products are taken here, so every recorded call comes from _rmul.
+    p = 10007
+    F = PrimeField(p)
+    modulus = [3, 1] + [0] * 27 + [1]  # t^29 + t + 3, irreducible over GF(10007)
+    K = ExtensionField(F, modulus)
+    rng = random.Random(29)
+    elements = [
+        K.wrap(tuple(rng.randrange(1, p) for _ in range(k)) + (0,) * (29 - k))
+        for k in (1, 3, 10, 15, 16, 28, 29)
+    ]
+    inputs = []
+    kernel = zpoly.zp_mul
+
+    def recording(a, b, p):
+        inputs.extend((a, b))
+        return kernel(a, b, p)
+
+    monkeypatch.setattr(zpoly, "zp_mul", recording)
+    products = [a * b for a in elements for b in elements]
+    monkeypatch.undo()
+    assert len(inputs) == 2 * len(products)
+    assert all(cs and cs[-1] for cs in inputs)
+    for (a, b), product in zip([(a, b) for a in elements for b in elements], products):
+        expected = zpoly.zp_rem(zpoly.zp_mul(list(a.value), list(b.value), p), modulus, p)
+        assert product.value == tuple(expected) + (0,) * (29 - len(expected))
 
 
 def _sylvester_det(f, g, p):
