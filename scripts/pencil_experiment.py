@@ -10,8 +10,12 @@ the pencil and are interesting to eyeball.  Usage:
 
 import sys
 import time
+from pathlib import Path
 
-from exactgeom import pencil24
+# the checkout's own sources come first, ahead of any installed copy
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from exactgeom import pencil24  # noqa: E402
 
 
 def main() -> int:

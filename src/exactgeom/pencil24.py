@@ -11,8 +11,9 @@ R(t) is computed from integer evaluations (Collins 1971): at each of the
 points t = 0..144 (the degree bound 12 * 6 + 18 * 4), A..E are read at
 y = 1 as ints, Delta(x, 1) and d(x, 1) are interpolated from their values at
 x = 0..18, their resultant at the formal degrees 18 and 12 is taken by Euclid
-mod p, and the 145 values are interpolated in t.  Validation interpolates
-each coefficient of Delta(x, 1) and d(x, 1) in t from the same table and
+mod p, and the 145 values are interpolated in t.  Validation evaluates the
+closure-square conditions of the fiber quartic on the same ints, at the
+members t = 0..6, interpolates every coefficient of the six forms in t, and
 works on coefficient lists in x at y = 1 from there on.
 
 The raw eliminant is heavily non-reduced and contains extraneous factors
@@ -32,6 +33,7 @@ itself) is checked separately and never added to the count.
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -43,7 +45,8 @@ from .errors import VerificationError
 from .multipoly import MultiPoly
 from .quartic import (
     QuarticCoeffs,
-    closure_square_conditions,
+    closure_conditions_a_nonzero,
+    closure_conditions_a_zero,
     closure_square_witness,
     disc_delta,
     sem_d,
@@ -56,8 +59,9 @@ DELTA_DEGREE, D_DEGREE = 18, 12
 DELTA_T_DEGREE, D_T_DEGREE = 6, 4
 # R(t) is a 30 x 30 Sylvester determinant: 12 rows of Delta, 18 rows of d
 ELIMINANT_POINTS = D_DEGREE * DELTA_T_DEGREE + DELTA_DEGREE * D_T_DEGREE + 1
-# the closure-square conditions of a fiber have degree at most 12 in x
-CONDITION_POINTS = 13
+# t-degrees of the forms of _member_forms (Delta, d and the closure-square
+# conditions for A != 0 and A = 0): their degrees in A..E
+FORM_T_DEGREES = (DELTA_T_DEGREE, D_T_DEGREE, 3, 4, 1, 2)
 
 
 @dataclass(frozen=True)
@@ -127,6 +131,34 @@ def random_pencil(p: int, seed: int) -> tuple[Curve34, Curve34]:
     raise RuntimeError("100 consecutive pencil rejections: genericity screens never passed")
 
 
+def _member_forms(f0: Curve34, f1: Curve34, t: int) -> Iterator[tuple[int, ...]]:
+    """Lazily, from the int fiber quartics of the member F0 + t F1 at y = 1 and
+    x = 0..18: Delta(x, 1), d(x, 1) and the two pairs of closure-square
+    conditions, each branch read at every x whatever the value of A there.
+    Ints mod p, low degree first, padded to the degrees 18, 12, 9, 12, 3 and 6
+    (so the leading coefficient may be 0)."""
+    p = f0.fieldp.p
+    rows = [
+        [(a.value + t * b.value) % p for a, b in zip(row0, row1)]
+        for row0, row1 in zip(f0.coeffs, f1.coeffs)
+    ]
+    # column j at y = 1 is the cubic c[0][j] x^3 + c[1][j] x^2 + c[2][j] x + c[3][j]
+    fibers = [
+        QuarticCoeffs(*(((c0 * x + c1) * x + c2) * x + c3 for c0, c1, c2, c3 in zip(*rows)))
+        for x in range(DELTA_DEGREE + 1)
+    ]
+
+    def interpolated(values, degree: int) -> tuple[int, ...]:
+        return _padded(zpoly.zp_interpolate(0, values, p), degree)
+
+    yield interpolated([disc_delta(q) for q in fibers], DELTA_DEGREE)
+    yield interpolated([sem_d(q) for q in fibers[: D_DEGREE + 1]], D_DEGREE)
+    branches = ((closure_conditions_a_nonzero, (9, 12)), (closure_conditions_a_zero, (3, 6)))
+    for branch, degrees in branches:
+        for values, degree in zip(zip(*map(branch, fibers[: max(degrees) + 1])), degrees):
+            yield interpolated(values, degree)
+
+
 @functools.lru_cache(maxsize=64)
 def _condition_table(f0: Curve34, f1: Curve34) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """For t = 0..144: the coefficients of Delta(x, 1) and d(x, 1) for the
@@ -135,23 +167,9 @@ def _condition_table(f0: Curve34, f1: Curve34) -> tuple[tuple[tuple[int, ...], .
     """
     if f0.fieldp != f1.fieldp:
         raise ValueError("pencil members live over different fields")
-    p = f0.fieldp.p
-    xs = range(DELTA_DEGREE + 1)
-    table = []
-    for t in range(ELIMINANT_POINTS):
-        rows = [
-            [(a.value + t * b.value) % p for a, b in zip(row0, row1)]
-            for row0, row1 in zip(f0.coeffs, f1.coeffs)
-        ]
-        # column j at y = 1 is the cubic c[0][j] x^3 + c[1][j] x^2 + c[2][j] x + c[3][j]
-        fibers = [
-            QuarticCoeffs(*(((c0 * x + c1) * x + c2) * x + c3 for c0, c1, c2, c3 in zip(*rows)))
-            for x in xs
-        ]
-        delta = zpoly.zp_interpolate(0, [disc_delta(q) for q in fibers], p)
-        d = zpoly.zp_interpolate(0, [sem_d(q) for q in fibers[: D_DEGREE + 1]], p)
-        table.append((_padded(delta, DELTA_DEGREE), _padded(d, D_DEGREE)))
-    return tuple(table)
+    return tuple(
+        tuple(itertools.islice(_member_forms(f0, f1, t), 2)) for t in range(ELIMINANT_POINTS)
+    )
 
 
 def _padded(cs: list[int], degree: int) -> tuple[int, ...]:
@@ -168,6 +186,21 @@ def raw_resultant(f0: Curve34, f1: Curve34) -> tuple[int, ...]:
     p = f0.fieldp.p
     values = [zpoly.zp_resultant(delta, d, p) for delta, d in _condition_table(f0, f1)]
     return tuple(zpoly.zp_interpolate(0, values, p))
+
+
+def _forms_in_t(f0: Curve34, f1: Curve34) -> list[tuple[list[list[int]], int]]:
+    """The forms of F0 + t F1 as x^i coefficients in GF(p)[t], with their
+    t-degrees: the six of :func:`_member_forms` interpolated from t = 0..6,
+    then the cubics A..E, whose x^i coefficient is c0[3-i][j] + t c1[3-i][j]."""
+    p = f0.fieldp.p
+    rows = [tuple(_member_forms(f0, f1, t)) for t in range(DELTA_T_DEGREE + 1)]
+    return [
+        ([zpoly.zp_interpolate(0, col, p) for col in zip(*(row[k] for row in rows[: n + 1]))], n)
+        for k, n in enumerate(FORM_T_DEGREES)
+    ] + [
+        ([[f0.coeffs[3 - i][j].value, f1.coeffs[3 - i][j].value] for i in range(4)], 1)
+        for j in range(5)
+    ]
 
 
 # --- validation of a single member --------------------------------------------
@@ -211,48 +244,6 @@ def absolute_degree(field: FiniteField) -> int:
 def _cubic(cs: list, x0, y0):
     """The (x, y)-cubic whose x^i y^(3-i) coefficient is cs[i], at [x0:y0]."""
     return sum(c * x0**i * y0 ** (3 - i) for i, c in enumerate(cs))
-
-
-def _by_coordinates(field: FiniteField, values: list, func) -> list:
-    """``func``, a GF(p)-linear map on int lists, applied to each GF(p)-coordinate
-    of raw values of GF(p) or GF(p)[t]/(m); the results, raw values again, are
-    padded to one length."""
-    ext = isinstance(field, ExtensionField)
-    columns = [func(list(cs)) for cs in zip(*(v if ext else (v,) for v in values))]
-    length = max(map(len, columns))
-    rows = zip(*(_padded(c, length - 1) for c in columns))
-    return [cs if ext else cs[0] for cs in rows]
-
-
-def _closure_conditions(abcde: list, field: FiniteField, boundary: bool) -> Iterator[list]:
-    """The closure-square conditions of the fiber quartic, as raw cores in x/y:
-    :func:`quartic.closure_square_conditions` (degree <= 12 in x) at 13
-    consecutive integers x, y = 1, interpolated.  It picks its branch by the
-    value of A, so on the main branch (A != 0) the points avoid the at most 3
-    roots of A, which one of four disjoint windows does."""
-    p = field.char
-
-    def samples(cs: list, x0: int) -> list:
-        """The cubic at y = 1 and x = x0, x0 + 1, ..., one value per condition point."""
-        xs = range(x0, x0 + CONDITION_POINTS)
-        return _by_coordinates(
-            field, cs, lambda c: [sum(a * x**i for i, a in enumerate(c)) % p for x in xs]
-        )
-
-    def avoids_roots_of_a(x0: int) -> bool:
-        return not any(map(field._ris_zero, samples(abcde[0], x0)))
-
-    windows = range(0, 4 * CONDITION_POINTS, CONDITION_POINTS)
-    x0 = 0 if boundary else next(filter(avoids_roots_of_a, windows))
-    values = []
-    for fiber in zip(*(samples(cs, x0) for cs in abcde)):
-        fiber = QuarticCoeffs(*map(field.wrap, fiber))
-        if boundary:
-            fiber = fiber._replace(A=0)
-        values.append(tuple(c.value for c in closure_square_conditions(fiber)))
-    for column in zip(*values):
-        interpolated = _by_coordinates(field, column, lambda ys: zpoly.zp_interpolate(x0, ys, p))
-        yield dehomogenize(interpolated[::-1], field)[2]
 
 
 def _at_root(c: list[int], m: list[int], field: FiniteField):
@@ -331,20 +322,22 @@ class PencilCountReport:
 
 
 def validate_member(
-    delta: list, d: list, abcde: list[list], field: FiniteField, rng: random.Random
+    delta: list, d: list, abcde: list, conditions: list, field: FiniteField, rng: random.Random
 ) -> tuple[bool, dict]:
     """Does a single (3,4)-curve, given by its condition forms and fiber
     coefficients over GF(p) or GF(p)[t]/(m), carry an honest vertical bitangent?
 
     Every form is a coefficient list in x at y = 1 of raw field values, low
-    degree first and padded to its degree: Delta (19 entries), d (13) and the
-    cubics A..E (4 each); A..E are boxed as field elements once, for the
-    witness.  The two condition forms must share a root, and some shared root must
-    carry a perfect-square fiber.  The search is root-free (gcds against the
-    closure-square condition polynomials, split by the A = 0 and B = 0
-    branches); only a validated member has an explicit root and witness
-    constructed, in a tower extension when the root or the square root lives
-    outside the field.
+    degree first and padded to its degree: Delta (19 entries), d (13), the
+    cubics A..E (4 each), and the four closure-square conditions (10, 13, 4
+    and 7), those of :func:`quartic.closure_conditions_a_nonzero` then those
+    of :func:`quartic.closure_conditions_a_zero`; A..E are boxed as field
+    elements once, for the witness.  The two condition forms must share a
+    root, and some shared root must carry a perfect-square fiber.  The search
+    is root-free: gcds against the cores of the closure-square conditions of
+    the branch, split by whether A vanishes at the root.  Only a validated
+    member has an explicit root and witness constructed, in a tower extension
+    when the root or the square root lives outside the field.
     """
     one, zero = field.one(), field.zero()
     boxed = [[field.wrap(c) for c in cs] for cs in abcde]
@@ -375,11 +368,13 @@ def validate_member(
         gbar = univar.squarefree_part(core, field)
         abar = dehomogenize(abcde[0][::-1], field)[2]
         g_a = univar.gcd(gbar, abar, field) if abar else gbar
+        g_main = univar.divmod_(gbar, g_a, field)[0]
         # main branch (A != 0), then the boundary branch (A = 0)
-        for g, boundary in ((univar.divmod_(gbar, g_a, field)[0], False), (g_a, True)):
+        for g, pair in ((g_main, conditions[:2]), (g_a, conditions[2:])):
             if univar.deg(g) < 1:
                 continue
-            for s in _closure_conditions(abcde, field, boundary):
+            for cs in pair:
+                s = dehomogenize(cs[::-1], field)[2]
                 g = univar.gcd(g, s, field) if s else g
                 if univar.deg(g) < 1:
                     break
@@ -410,22 +405,13 @@ def pencil_intersection_count(
     squarefree = zpoly.zp_squarefree_part(r, p)
     irreducibles = zpoly.zp_factor_squarefree(squarefree, p, rng)
 
-    table = _condition_table(f0, f1)
-    # the forms of a member as x^i coefficients in GF(p)[t], with their
-    # t-degrees: Delta(x, 1) and d(x, 1) interpolated in t from the table,
-    # and the cubics A..E, whose x^i coefficient is c0[3-i][j] + t c1[3-i][j]
-    forms = [
-        ([zpoly.zp_interpolate(0, col, p) for col in zip(*(row[k] for row in table[: n + 1]))], n)
-        for k, n in enumerate((DELTA_T_DEGREE, D_T_DEGREE))
-    ] + [
-        ([[f0.coeffs[3 - i][j].value, f1.coeffs[3 - i][j].value] for i in range(4)], 1)
-        for j in range(5)
-    ]
+    forms = _forms_in_t(f0, f1)
 
-    def member(value) -> tuple[list, list, list]:
-        """Delta, d and A..E of one member: value(c, n) for each c of t-degree <= n."""
-        delta, d, *abcde = ([value(c, n) for c in cs] for cs, n in forms)
-        return delta, d, abcde
+    def member(value) -> tuple[list, list, list, list]:
+        """Delta, d, A..E and the closure-square conditions of one member:
+        value(c, n) for each c of t-degree <= n."""
+        delta, d, *conditions_abcde = ([value(c, n) for c in cs] for cs, n in forms)
+        return delta, d, conditions_abcde[4:], conditions_abcde[:4]
 
     reports = []
     validated_total = 0
@@ -438,8 +424,8 @@ def pencil_intersection_count(
             validated_total += deg_m
 
     # the t = infinity member is F1 itself, reported separately and never
-    # counted: Delta, d and A..E are homogeneous of degrees 6, 4 and 1 in
-    # (F0, F1), so its forms are the top t-coefficients
+    # counted: every form is homogeneous in (F0, F1) of its t-degree, so the
+    # forms of F1 are the top t-coefficients
     inf_ok, _ = validate_member(*member(lambda c, n: _padded(c, n)[n]), fieldp, rng)
 
     return PencilCountReport(

@@ -210,23 +210,31 @@ def _match_square(c: tuple, field, root) -> Optional[tuple]:
     return field2, zero, zero, q2
 
 
+def closure_conditions_a_nonzero(c: QuarticCoeffs) -> Iterator:
+    """The closure-square conditions for A != 0: with h = 4AC - B^2, they
+    are B h - 8 A^2 D and h^2 - 64 A^3 E."""
+    A, B, C, D, E = c
+    h = 4 * A * C - B * B
+    yield B * h - 8 * A * A * D
+    yield h * h - 64 * A**3 * E
+
+
+def closure_conditions_a_zero(c: QuarticCoeffs) -> Iterator:
+    """The closure-square conditions for A = 0: B and D^2 - 4 C E."""
+    _, B, C, D, E = c
+    yield B
+    yield D * D - 4 * C * E
+
+
 def closure_square_conditions(c: QuarticCoeffs) -> Iterator:
     """Values that all vanish exactly when the quartic is a square over the closure.
 
     Lazy and division-free, so the coefficients may be rationals, field
     elements or polynomials (characteristic != 2), and a caller that only
-    needs the verdict stops at the first nonzero value.  With
-    h = 4AC - B^2 they are B h - 8 A^2 D and h^2 - 64 A^3 E when A != 0, and
-    B and D^2 - 4 C E when A = 0 (``c._replace(A=0)`` selects that branch).
+    needs the verdict stops at the first nonzero value.  The value of A
+    picks the branch; each branch is a polynomial in A..E on its own.
     """
-    A, B, C, D, E = c
-    if A:
-        h = 4 * A * C - B * B
-        yield B * h - 8 * A * A * D
-        yield h * h - 64 * A**3 * E
-    else:
-        yield B
-        yield D * D - 4 * C * E
+    return (closure_conditions_a_nonzero if c.A else closure_conditions_a_zero)(c)
 
 
 def is_square_over_closure(c: QuarticCoeffs, field) -> bool:

@@ -10,7 +10,14 @@ from exactgeom.binform import BinaryForm, sylvester_resultant
 from exactgeom.domains import ExtensionField, PrimeField
 from exactgeom.errors import InterpolationError
 from exactgeom.multipoly import MultiPoly
-from exactgeom.quartic import QuarticCoeffs, disc_delta, sem_d, square_coefficients
+from exactgeom.quartic import (
+    QuarticCoeffs,
+    closure_conditions_a_nonzero,
+    closure_conditions_a_zero,
+    disc_delta,
+    sem_d,
+    square_coefficients,
+)
 
 P = 10007
 
@@ -55,7 +62,7 @@ def test_condition_degrees_for_random_pencil():
     assert max(map(zpoly.zp_deg, delta_t)) <= 6
     assert len(d_t) == 13 and any(d_t)
     assert max(map(zpoly.zp_deg, d_t)) <= 4
-    delta, d = _symbolic_conditions(f0, f1)
+    delta, d = _symbolic_conditions(f0, f1)[:2]
     assert delta.degree == 18
     assert delta.poly.degree_in("t") <= 6
     assert d.degree == 12
@@ -193,6 +200,21 @@ def _at_y1(form, degree):
     return cs
 
 
+def _validate(forms, field):
+    """validate_member on the member whose fiber cubics A..E are the
+    (x, y)-forms ``forms``, with every other form derived from them."""
+    quartic = QuarticCoeffs(*forms)
+    conditions = [*closure_conditions_a_nonzero(quartic), *closure_conditions_a_zero(quartic)]
+    return pc.validate_member(
+        _at_y1(disc_delta(quartic), 18),
+        _at_y1(sem_d(quartic), 12),
+        [_at_y1(form, 3) for form in forms],
+        [_at_y1(s, n) for s, n in zip(conditions, (9, 12, 3, 6))],
+        field,
+        random.Random("member"),
+    )
+
+
 def _member_with_root_in_an_extension(field, a_vanishes_at_0=False):
     """validate_member on A..E_j = (x^2 + y^2)(x P_j + y P'_j) + S(x, y) [Q^2]_j
     over ``field``, with P, P' and Q drawn from random.Random(0)."""
@@ -205,24 +227,17 @@ def _member_with_root_in_an_extension(field, a_vanishes_at_0=False):
     if a_vanishes_at_0:
         p2[0] = -5 * q_squared[0]
     forms = [(x * x + y * y) * (p1[j] * x + p2[j] * y) + s * q_squared[j] for j in range(5)]
-    quartic = QuarticCoeffs(*forms)
     assert field._ris_zero(_at_y1(forms[0], 3)[0]) == a_vanishes_at_0
-    return pc.validate_member(
-        _at_y1(disc_delta(quartic), 18),
-        _at_y1(sem_d(quartic), 12),
-        [_at_y1(form, 3) for form in forms],
-        field,
-        random.Random("member"),
-    )
+    return _validate(forms, field)
 
 
 @pytest.mark.parametrize("a_vanishes_at_0", [False, True], ids=["generic", "a_vanishes_at_0"])
 def test_validate_member_builds_the_root_in_an_extension(a_vanishes_at_0):
     # the roots of x^2 + y^2 lie in GF(p^2) only (-1 is a non-residue mod
     # 10007), the fiber quartic there is S(w, 1) Q^2, and S(w, 1) needs a
-    # square root in GF(p^4).  With A(0, 1) = 0 the closure conditions cannot
-    # be sampled from x = 0 on, because closure_square_conditions picks its
-    # branch by the value of A.
+    # square root in GF(p^4).  With A(0, 1) = 0 the result is the same:
+    # validation takes the closure-square conditions as polynomials in x,
+    # not as samples that must avoid the roots of A.
     ok, info = _member_with_root_in_an_extension(PrimeField(P), a_vanishes_at_0)
     # pinned values: a changed witness must be announced like a golden change
     assert ok
@@ -251,13 +266,47 @@ def test_validate_member_over_an_extension_builds_the_root_above_it():
     }
 
 
+@pytest.mark.parametrize(
+    "multiples, expected",
+    [
+        # c ((u - v)(u - 2v))^2: every fiber is a square, and c(1, 0) = 5 is a
+        # non-residue mod 10007, so the witness at [1:0] needs sqrt(5)
+        (
+            (1, -6, 13, -12, 4),
+            (
+                True,
+                {
+                    "detail": "perfect-square fiber at [1:0]",
+                    "root_field_degree": 2,
+                    "witness": "((s))*u^2 + ((10004*s))*u*v + ((2*s))*v^2",
+                    "distinct_double_roots": True,
+                },
+            ),
+        ),
+        # c v^2 (u^2 + v^2): A = B = 0 everywhere, and no fiber with c != 0 is a square
+        ((0, 0, 1, 0, 1), (False, {"detail": "both condition forms vanish identically"})),
+    ],
+    ids=["square", "boundary_non_square"],
+)
+def test_validate_member_where_both_conditions_vanish_identically(multiples, expected):
+    # A..E = c (x, y) times fixed constants, so Delta and d vanish identically;
+    # c(1, 0), c(0, 1) and c(1, 1) are nonzero, the fibers the degenerate branch probes
+    field = PrimeField(P)
+    x, y = MultiPoly.gens(field, ("x", "y"))
+    c = 5 * x**3 + x * x * y + 3 * y**3
+    forms = [c * k for k in multiples]
+    assert not any(_at_y1(disc_delta(QuarticCoeffs(*forms)), 18))
+    assert _validate(forms, field) == expected
+
+
 # --- the eliminant from integer evaluations ------------------------------------
 
 
 def _symbolic_conditions(f0, f1):
-    """Delta and d built symbolically in (x, y, t) from A..E of F0 + t F1 as
-    MultiPoly forms, independently of the evaluation table behind
-    raw_resultant and the validation."""
+    """Delta, d and the closure-square conditions for A != 0 and for A = 0,
+    built symbolically in (x, y, t) from A..E of F0 + t F1 as MultiPoly
+    forms, independently of the integer evaluations behind raw_resultant and
+    the validation."""
     x, y, t = MultiPoly.gens(f0.fieldp, ("x", "y", "t"))
     # c[i][j] multiplies x^(3-i) y^i in the fiber coefficient number j
     quartic = QuarticCoeffs(
@@ -266,7 +315,13 @@ def _symbolic_conditions(f0, f1):
             for c0, c1 in zip(zip(*f0.coeffs), zip(*f1.coeffs))
         )
     )
-    return BinaryForm(disc_delta(quartic), ("x", "y")), BinaryForm(sem_d(quartic), ("x", "y"))
+    forms = [
+        disc_delta(quartic),
+        sem_d(quartic),
+        *closure_conditions_a_nonzero(quartic),
+        *closure_conditions_a_zero(quartic),
+    ]
+    return [BinaryForm(form, ("x", "y")) for form in forms]
 
 
 def _table_conditions(f0, f1):
@@ -300,9 +355,30 @@ def _coefficient_tuple(r):
 @pytest.mark.parametrize("p, seed", [(10007, 1), (31991, 2), (65537, 1)])
 def test_raw_resultant_matches_the_symbolic_sylvester_resultant(p, seed):
     f0, f1 = pc.random_pencil(p, seed)
-    delta, d = _symbolic_conditions(f0, f1)
+    delta, d = _symbolic_conditions(f0, f1)[:2]
     assert _table_conditions(f0, f1) == (_t_polynomials(delta, 18), _t_polynomials(d, 12))
     assert pc.raw_resultant(f0, f1) == _coefficient_tuple(sylvester_resultant(delta, d))
+
+
+def _with_a_vanishing_at_0(f0):
+    """F0 with c[3][0] = 0, so that A(0, 1) = 0 on the member t = 0."""
+    F = f0.fieldp
+    return pc.Curve34(F, f0.coeffs[:3] + ((F.zero(),) + f0.coeffs[3][1:],))
+
+
+@pytest.mark.parametrize("a_vanishes_at_0", [False, True], ids=["generic", "a_vanishes_at_0"])
+def test_member_forms_in_t_match_the_symbolic_ones(a_vanishes_at_0):
+    # the six forms that validation reads, interpolated from the members
+    # t = 0..6; where A(0, 1) = 0 the A != 0 conditions are still read at x = 0
+    f0, f1 = pc.random_pencil(P, 1)
+    if a_vanishes_at_0:
+        f0 = _with_a_vanishing_at_0(f0)
+    forms = pc._forms_in_t(f0, f1)[:6]
+    symbolic = _symbolic_conditions(f0, f1)
+    assert [n for _, n in forms] == [6, 4, 3, 4, 1, 2]
+    for (cs, n), form, degree in zip(forms, symbolic, (18, 12, 9, 12, 3, 6)):
+        assert form.degree == degree and form.poly.degree_in("t") <= n
+        assert cs == _t_polynomials(form, degree)
 
 
 def test_symbolic_family_resultant_is_reduction_of_the_rational_one():
@@ -310,7 +386,7 @@ def test_symbolic_family_resultant_is_reduction_of_the_rational_one():
     # interpolate them: here the entries are reduced mod p, over QQ they are not
     from exactgeom import transversality as tv
 
-    delta, d = _symbolic_conditions(*pc.family_pencil(P))
+    delta, d = _symbolic_conditions(*pc.family_pencil(P))[:2]
     rational = tv.resultant_R().polynomial
     expected = [0] * (rational.degree_in("alpha") + 1)
     for ex, c in rational.terms.items():
@@ -330,7 +406,7 @@ def test_raw_resultant_where_both_leading_coefficients_vanish():
     assert delta0[-1] == 0 == d0[-1]
     r = pc.raw_resultant(f0, f1)
     assert r[0] == 0
-    delta, d = _symbolic_conditions(f0, f1)
+    delta, d = _symbolic_conditions(f0, f1)[:2]
     assert _table_conditions(f0, f1) == (_t_polynomials(delta, 18), _t_polynomials(d, 12))
     assert r == _coefficient_tuple(sylvester_resultant(delta, d))
 
