@@ -2,17 +2,17 @@
 
 A :class:`BinaryForm` is a :class:`MultiPoly` that is homogeneous in a
 designated pair of variables; the remaining variables act as parameters.
-Resultants eliminate the designated pair.  The coefficients of the two
-forms are read once into ints (over QQ each form is scaled by the lcm of its
-denominators; over GF(p) they are reduced mod p), evaluated on one grid of
-integer sample points, bound + 1 per parameter with degree bound
-n deg f + m deg g for forms of degrees m and n, and the Sylvester
-determinant at each point is taken by Bareiss elimination on ints, the
-package's only determinant routine.  The grid of values is interpolated one
-parameter axis at a time, straight into the terms of the result, by
-:func:`exactgeom.zpoly.int_interpolate`: Newton's forward differences on
-ints, scaled by bound! per axis.  The scales are divided out once at the
-end, over GF(p) by an inverse mod p.
+Resultants eliminate the designated pair, over QQ only; the pencil count
+over GF(p) takes its resultants in :mod:`exactgeom.zpoly`.  The coefficients
+of the two forms are read once into ints (each form scaled by the lcm of its
+denominators), evaluated on one grid of integer sample points, bound + 1 per
+parameter with degree bound n deg f + m deg g for forms of degrees m and n,
+and the Sylvester determinant at each point is taken by Bareiss elimination
+on ints, the package's only determinant routine.  The grid of values is
+interpolated one parameter axis at a time, straight into the terms of the
+result, by :func:`exactgeom.zpoly.int_interpolate`: Newton's forward
+differences on ints, scaled by bound! per axis.  The scales are divided out
+once at the end, into the denominators of the result.
 The point at infinity is handled explicitly throughout: the gcd strips and
 restores pure powers of either pair variable, so a common root at [1:0] or
 [0:1] is never lost.
@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import univar, zpoly
-from .domains import QQ, PrimeField, Rationals
-from .errors import DomainMismatchError, InterpolationError
+from .domains import QQ, Rationals
+from .errors import DomainMismatchError
 from .multipoly import MultiPoly
 
 
@@ -143,33 +143,28 @@ def _det_int(m: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def det_constant(matrix, domain):
-    """Determinant of a matrix of elements of QQ or GF(p)."""
-    if isinstance(domain, Rationals):
-        # each row is scaled to ints by the lcm of its denominators
-        scale = 1
-        rows = []
-        for row in matrix:
-            denom = math.lcm(*(c.denominator for c in row))
-            scale *= denom
-            rows.append([c.numerator * (denom // c.denominator) for c in row])
-        return Fraction(_det_int(rows), scale)
-    if isinstance(domain, PrimeField):
-        return domain.elem(_det_int([[c.value for c in row] for row in matrix]))
-    raise DomainMismatchError(f"no constant determinant over {domain!r}")
+def det_constant(matrix) -> Fraction:
+    """Determinant of a matrix of ``Fraction``s (elements of QQ)."""
+    # each row is scaled to ints by the lcm of its denominators
+    scale = 1
+    rows = []
+    for row in matrix:
+        denom = math.lcm(*(c.denominator for c in row))
+        scale *= denom
+        rows.append([c.numerator * (denom // c.denominator) for c in row])
+    return Fraction(_det_int(rows), scale)
 
 
-def _raw_sequence(cs: list[MultiPoly], active: list[int], p) -> tuple[list, int]:
+def _raw_sequence(cs: list[MultiPoly], active: list[int]) -> tuple[list, int]:
     """Coefficients as lists of (int, exponents of the active variables).
 
-    Over QQ (``p`` = 0) the whole sequence is multiplied by the lcm of
-    its denominators, which is returned as the scale; over GF(p) the scale
-    is 1.
+    The whole sequence is multiplied by the lcm of its denominators, which
+    is returned as the scale.
     """
-    scale = 1 if p else math.lcm(*(c.denominator for poly in cs for c in poly.terms.values()))
+    scale = math.lcm(*(c.denominator for poly in cs for c in poly.terms.values()))
     seq = [
         [
-            (c.value if p else c.numerator * (scale // c.denominator), tuple(ex[i] for i in active))
+            (c.numerator * (scale // c.denominator), tuple(ex[i] for i in active))
             for ex, c in poly.terms.items()
         ]
         for poly in cs
@@ -180,29 +175,26 @@ def _raw_sequence(cs: list[MultiPoly], active: list[int], p) -> tuple[list, int]
 def det_polynomial_matrix(
     fc: list[MultiPoly], gc: list[MultiPoly], sample_base: int = 0
 ) -> MultiPoly:
-    """Determinant of the Sylvester matrix of two coefficient sequences.
+    """Determinant of the Sylvester matrix of two coefficient sequences over QQ.
 
     With m = len(fc) - 1 and n = len(gc) - 1, the matrix holds n shifted
     copies of ``fc`` and m of ``gc``.  A variable is active when some
     coefficient has positive degree in it; each active variable gets the
     integer sample points sample_base, ..., sample_base + bound, where bound
     is n * deg fc + m * deg gc in that variable.  The coefficients are read
-    once into ints (over QQ each sequence is scaled by the lcm D of its
-    denominators, so the determinant is scaled by D_f^n D_g^m), evaluated at
-    every point of the grid of sample points, and the determinant at each
-    point is taken by Bareiss elimination on ints (over GF(p) on the
-    entries reduced mod p, then reduced itself).  The grid of values is
-    then interpolated one axis at a time, from the last active variable to
-    the first, by ``zpoly.int_interpolate`` on ints.  Its factor bound! per
-    axis is divided out with D_f^n D_g^m at the end: over QQ as the
-    denominator of each coefficient, over GF(p) by one inverse mod p, which
-    exists because every bound is below p.  With no active variable the
-    result is the constant determinant, a ``Fraction`` over QQ.
+    once into ints (each sequence scaled by the lcm D of its denominators,
+    so the determinant is scaled by D_f^n D_g^m), evaluated at every point
+    of the grid of sample points, and the determinant at each point is taken
+    by Bareiss elimination on ints.  The grid of values is then interpolated
+    one axis at a time, from the last active variable to the first, by
+    ``zpoly.int_interpolate`` on ints.  Its factor bound! per axis is divided
+    out with D_f^n D_g^m at the end, as the denominator of each coefficient.
+    With no active variable the result is the constant determinant, a
+    ``Fraction``.  Any domain other than QQ raises ``DomainMismatchError``.
     """
     domain, variables = fc[0].domain, fc[0].variables
-    if not isinstance(domain, (Rationals, PrimeField)):
-        raise DomainMismatchError(f"no constant determinant over {domain!r}")
-    p = domain.char  # 0 over QQ
+    if not isinstance(domain, Rationals):
+        raise DomainMismatchError(f"no Sylvester determinant over {domain!r}")
     m, n = len(fc) - 1, len(gc) - 1
 
     def degrees(cs: list[MultiPoly]) -> list[int]:
@@ -212,18 +204,13 @@ def det_polynomial_matrix(
     deg_f, deg_g = degrees(fc), degrees(gc)
     active = [i for i in range(len(variables)) if deg_f[i] or deg_g[i]]
     bounds = [n * deg_f[i] + m * deg_g[i] for i in active]
-    if p and max(bounds, default=0) >= p:
-        # checked before the grid: a nonzero determinant can vanish at every point
-        raise InterpolationError(
-            f"need {max(bounds) + 1} sample points but the field has only {p} elements"
-        )
-    fs, scale_f = _raw_sequence(fc, active, p)
-    gs, scale_g = _raw_sequence(gc, active, p)
+    fs, scale_f = _raw_sequence(fc, active)
+    gs, scale_g = _raw_sequence(gc, active)
 
     # powers[a][k][e] = (sample_base + k)^e, for axis a of the grid
     powers = [
         [
-            [pow(x, e, p) if p else x**e for e in range(max(deg_f[i], deg_g[i]) + 1)]
+            [x**e for e in range(max(deg_f[i], deg_g[i]) + 1)]
             for x in range(sample_base, sample_base + bound + 1)
         ]
         for i, bound in zip(active, bounds)
@@ -238,7 +225,7 @@ def det_polynomial_matrix(
                 for table, e in zip(tables, ex):
                     c *= table[e]
                 total += c
-            values.append(total % p if p else total)
+            values.append(total)
         return values
 
     table: dict = {}
@@ -246,7 +233,7 @@ def det_polynomial_matrix(
         fv, gv = evaluate(fs, point), evaluate(gs, point)
         mat = [[0] * i + fv + [0] * (n - 1 - i) for i in range(n)]
         mat += [[0] * i + gv + [0] * (m - 1 - i) for i in range(m)]
-        det = _det_int(mat) % p if p else _det_int(mat)
+        det = _det_int(mat)
         if det:
             table[point] = det
 
@@ -261,19 +248,16 @@ def det_polynomial_matrix(
         table = {}
         for rest, ys in lines.items():
             for e, c in enumerate(zpoly.int_interpolate(sample_base, ys)):
-                if p:
-                    c %= p
                 if c:
                     table[rest[:a] + (e,) + rest[a:]] = c
         scale *= math.factorial(bounds[a])
 
-    inverse = pow(scale, -1, p) if p else None
     terms = {}
     for key, c in table.items():
         ex = [0] * len(variables)
         for i, e in zip(active, key):
             ex[i] = e
-        terms[tuple(ex)] = domain.wrap(c * inverse % p) if p else Fraction(c, scale)
+        terms[tuple(ex)] = Fraction(c, scale)
     return MultiPoly(domain, variables, terms)
 
 
@@ -281,11 +265,12 @@ def det_polynomial_matrix(
 
 
 def sylvester_resultant(f: BinaryForm, g: BinaryForm, sample_base: int = 0) -> MultiPoly:
-    """Resultant of two binary forms, eliminating the designated pair.
+    """Resultant of two binary forms over QQ, eliminating the designated pair.
 
     The result lives in the remaining (parameter) variables.  It vanishes at
     a parameter value exactly when the specialized forms share a projective
     root, provided their leading coefficients do not both vanish there.
+    Forms over any other domain raise ``DomainMismatchError``.
     """
     if f.pair != g.pair:
         raise DomainMismatchError("resultant of forms with different designated pairs")

@@ -6,10 +6,11 @@ class DomainMismatchError(TypeError):
 
 
 class InterpolationError(RuntimeError):
-    """Raised when a determinant interpolation cannot be carried out exactly.
+    """Raised when an interpolation over GF(p) needs more points than the field has.
 
-    This is an internal error: it means a degree bound exceeded the number of
-    available sample points, never that a result was silently truncated.
+    Only ``zpoly.zp_interpolate`` raises it, when it is given more than p
+    values: their sample points would not be distinct mod p.  It is raised
+    instead of returning a silently wrong polynomial.
     """
 
 

@@ -16,7 +16,7 @@ interpolation let eliminants be computed from values at integer points.
 The Newton interpolator is the package's only one: :func:`int_interpolate`
 takes forward differences on ints at consecutive points, and both the GF(p)
 eliminants (through :func:`zp_interpolate`) and the resultants of
-:mod:`exactgeom.binform` over QQ and GF(p) use it.
+:mod:`exactgeom.binform` over QQ use it.
 """
 
 from __future__ import annotations

@@ -1,13 +1,14 @@
 """Vertical-bitangent counting for pencils of (3,4)-curves over GF(p)."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from exactgeom import zpoly
 from exactgeom import pencil24 as pc
 from exactgeom.binform import BinaryForm, sylvester_resultant
-from exactgeom.domains import ExtensionField, PrimeField
+from exactgeom.domains import QQ, ExtensionField, PrimeField
 from exactgeom.errors import InterpolationError
 from exactgeom.multipoly import MultiPoly
 from exactgeom.quartic import (
@@ -304,14 +305,18 @@ def test_validate_member_where_both_conditions_vanish_identically(multiples, exp
 
 def _symbolic_conditions(f0, f1):
     """Delta, d and the closure-square conditions for A != 0 and for A = 0,
-    built symbolically in (x, y, t) from A..E of F0 + t F1 as MultiPoly
-    forms, independently of the integer evaluations behind raw_resultant and
-    the validation."""
-    x, y, t = MultiPoly.gens(f0.fieldp, ("x", "y", "t"))
+    built symbolically in (x, y, t) over QQ from A..E of F0 + t F1, with the
+    coefficients of F0 and F1 read as the ints in [0, p), as MultiPoly forms:
+    independently of the integer evaluations behind raw_resultant and the
+    validation.  Every form has integer coefficients."""
+    x, y, t = MultiPoly.gens(QQ, ("x", "y", "t"))
     # c[i][j] multiplies x^(3-i) y^i in the fiber coefficient number j
     quartic = QuarticCoeffs(
         *(
-            sum((a + t * b) * x ** (3 - i) * y**i for i, (a, b) in enumerate(zip(c0, c1)))
+            sum(
+                (a.value + t * b.value) * x ** (3 - i) * y**i
+                for i, (a, b) in enumerate(zip(c0, c1))
+            )
             for c0, c1 in zip(zip(*f0.coeffs), zip(*f1.coeffs))
         )
     )
@@ -334,30 +339,49 @@ def _table_conditions(f0, f1):
     )
 
 
-def _t_polynomials(form, degree):
-    """The x^i y^(degree - i) coefficients of an (x, y, t)-form as t-polynomials."""
+def _t_polynomials(form, degree, p):
+    """The x^i y^(degree - i) coefficients of an (x, y, t)-form over QQ with
+    integer coefficients, as t-polynomials mod p."""
     out = [[] for _ in range(degree + 1)]
     for (i, j, e), c in form.poly.terms.items():
-        assert i + j == degree
+        assert i + j == degree and c.denominator == 1
         cs = out[i]
         cs.extend([0] * (e + 1 - len(cs)))
-        cs[e] = c.value
-    return out
+        cs[e] = c.numerator % p
+    return [zpoly.zp_trim(cs) for cs in out]
 
 
-def _coefficient_tuple(r):
-    coeffs = [0] * (r.degree_in("t") + 1)
-    for ex, c in r.terms.items():
-        coeffs[ex[0]] = c.value
-    return tuple(zpoly.zp_trim(coeffs))
+def _reduced_at(form, t, p):
+    """An integer (x, y, t)-form over QQ at t, its coefficients reduced mod p."""
+    at_t = form.poly.specialize({"t": t})
+    terms = {ex: Fraction(c.numerator % p) for ex, c in at_t.terms.items()}
+    return BinaryForm(MultiPoly(QQ, at_t.variables, terms), form.pair)
+
+
+def _specialized_resultants(delta, d, p):
+    """Res(Delta, d) mod p at t = 0..144: the QQ Sylvester resultant of the
+    forms at t, reduced mod p.  R(t) has degree <= 6 * 12 + 4 * 18 = 144, so
+    these 145 values determine it."""
+    return [
+        sylvester_resultant(_reduced_at(delta, t, p), _reduced_at(d, t, p)).constant_value() % p
+        for t in range(145)
+    ]
+
+
+def _values_at_sample_points(cs, p):
+    """A t-polynomial mod p (low degree first, degree <= 144) at t = 0..144."""
+    assert len(cs) <= 145
+    return [sum(c * pow(t, e, p) for e, c in enumerate(cs)) % p for t in range(145)]
 
 
 @pytest.mark.parametrize("p, seed", [(10007, 1), (31991, 2), (65537, 1)])
 def test_raw_resultant_matches_the_symbolic_sylvester_resultant(p, seed):
     f0, f1 = pc.random_pencil(p, seed)
     delta, d = _symbolic_conditions(f0, f1)[:2]
-    assert _table_conditions(f0, f1) == (_t_polynomials(delta, 18), _t_polynomials(d, 12))
-    assert pc.raw_resultant(f0, f1) == _coefficient_tuple(sylvester_resultant(delta, d))
+    assert _table_conditions(f0, f1) == (_t_polynomials(delta, 18, p), _t_polynomials(d, 12, p))
+    assert _values_at_sample_points(pc.raw_resultant(f0, f1), p) == _specialized_resultants(
+        delta, d, p
+    )
 
 
 def _with_a_vanishing_at_0(f0):
@@ -378,12 +402,12 @@ def test_member_forms_in_t_match_the_symbolic_ones(a_vanishes_at_0):
     assert [n for _, n in forms] == [6, 4, 3, 4, 1, 2]
     for (cs, n), form, degree in zip(forms, symbolic, (18, 12, 9, 12, 3, 6)):
         assert form.degree == degree and form.poly.degree_in("t") <= n
-        assert cs == _t_polynomials(form, degree)
+        assert cs == _t_polynomials(form, degree, P)
 
 
 def test_symbolic_family_resultant_is_reduction_of_the_rational_one():
-    # both sides take integer Sylvester determinants at t = 0..84 and
-    # interpolate them: here the entries are reduced mod p, over QQ they are not
+    # the family pencil's Delta and d, specialized member by member, against
+    # R(alpha) of the transversality check reduced mod p
     from exactgeom import transversality as tv
 
     delta, d = _symbolic_conditions(*pc.family_pencil(P))[:2]
@@ -391,7 +415,7 @@ def test_symbolic_family_resultant_is_reduction_of_the_rational_one():
     expected = [0] * (rational.degree_in("alpha") + 1)
     for ex, c in rational.terms.items():
         expected[ex[0]] = c.numerator * pow(c.denominator, -1, P) % P
-    assert _coefficient_tuple(sylvester_resultant(delta, d)) == tuple(zpoly.zp_trim(expected))
+    assert _values_at_sample_points(expected, P) == _specialized_resultants(delta, d, P)
 
 
 def test_raw_resultant_where_both_leading_coefficients_vanish():
@@ -407,8 +431,8 @@ def test_raw_resultant_where_both_leading_coefficients_vanish():
     r = pc.raw_resultant(f0, f1)
     assert r[0] == 0
     delta, d = _symbolic_conditions(f0, f1)[:2]
-    assert _table_conditions(f0, f1) == (_t_polynomials(delta, 18), _t_polynomials(d, 12))
-    assert r == _coefficient_tuple(sylvester_resultant(delta, d))
+    assert _table_conditions(f0, f1) == (_t_polynomials(delta, 18, P), _t_polynomials(d, 12, P))
+    assert _values_at_sample_points(r, P) == _specialized_resultants(delta, d, P)
 
 
 @pytest.mark.parametrize("p", [101, 139])

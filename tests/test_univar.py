@@ -211,14 +211,16 @@ def test_extension_products_reach_zp_mul_trimmed(monkeypatch):
 
 def _sylvester_det(f, g, p):
     """det of the Sylvester matrix of f, g (low degree first) at the formal
-    degrees len - 1, f's rows first."""
-    F = PrimeField(p)
+    degrees len - 1, f's rows first: taken over QQ on the ints in [0, p),
+    then reduced mod p."""
     m, n = zpoly.zp_deg(f), zpoly.zp_deg(g)
-    fv, gv = [F.elem(c) for c in reversed(f)], [F.elem(c) for c in reversed(g)]
-    zero = F.zero()
+    fv, gv = [Fraction(c) for c in reversed(f)], [Fraction(c) for c in reversed(g)]
+    zero = Fraction(0)
     rows = [[zero] * i + fv + [zero] * (n - 1 - i) for i in range(n)]
     rows += [[zero] * i + gv + [zero] * (m - 1 - i) for i in range(m)]
-    return binform.det_constant(rows, F).value
+    det = binform.det_constant(rows)
+    assert det.denominator == 1
+    return det.numerator % p
 
 
 def test_zp_resultant_matches_the_sylvester_determinant():
