@@ -27,7 +27,7 @@ def main() -> int:
     for seed in range(1, n_seeds + 1):
         start = time.monotonic()
         f0, f1 = pencil24.random_pencil(prime, seed)
-        report = pencil24.pencil_intersection_count(f0, f1, prime, seed=seed)
+        report = pencil24.pencil_intersection_count(f0, f1, seed=seed)
         elapsed = time.monotonic() - start
         print(
             f"{seed:>4} {report.validated_count:>5} {report.raw_degree:>4} "

@@ -1,8 +1,8 @@
 """Binary forms: Sylvester resultants and gcds.
 
-A :class:`BinaryForm` is a :class:`MultiPoly` that is homogeneous in a
-designated pair of variables; the remaining variables act as parameters.
-Resultants eliminate the designated pair, over QQ only; the pencil count
+A :class:`BinaryForm` is a :class:`MultiPoly` over QQ that is homogeneous
+in a designated pair of variables; the remaining variables act as
+parameters.  Resultants eliminate the designated pair; the pencil count
 over GF(p) takes its resultants in :mod:`exactgeom.zpoly`.  The coefficients
 of the two forms are read once into ints (each form scaled by the lcm of its
 denominators), evaluated on one grid of integer sample points, bound + 1 per
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import univar, zpoly
-from .domains import QQ, Rationals
+from .domains import QQ
 from .errors import DomainMismatchError
 from .multipoly import MultiPoly
 
@@ -76,12 +76,10 @@ class BinaryForm:
             stripped[iu] = 0
             stripped[iv] = 0
             buckets[ex[iv]][tuple(stripped)] = c
-        return [
-            MultiPoly(self.poly.domain, self.poly.variables, bucket) for bucket in buckets
-        ]
+        return [MultiPoly(self.poly.variables, bucket) for bucket in buckets]
 
     def coefficient_list(self) -> list:
-        """Coefficient sequence as field elements; parameters must be absent."""
+        """Coefficient sequence as rationals; parameters must be absent."""
         out = []
         for c in self.coefficient_polys():
             if not c.is_constant():
@@ -93,7 +91,7 @@ class BinaryForm:
         return self.poly.to_text()
 
 
-def form_from_coefficients(domain, variables, pair, coefficients) -> BinaryForm:
+def form_from_coefficients(variables, pair, coefficients) -> BinaryForm:
     """Build the form sum_i c_i u^(m-i) v^i from a descending coefficient list."""
     variables = tuple(variables)
     u, v = pair
@@ -101,15 +99,13 @@ def form_from_coefficients(domain, variables, pair, coefficients) -> BinaryForm:
     m = len(coefficients) - 1
     terms: dict = {}
     for i, c in enumerate(coefficients):
-        if isinstance(c, int):
-            c = domain.elem(c)
         if not c:
             continue
         ex = [0] * len(variables)
         ex[iu] = m - i
         ex[iv] = i
-        terms[tuple(ex)] = c
-    return BinaryForm(MultiPoly(domain, variables, terms), (u, v))
+        terms[tuple(ex)] = Fraction(c)
+    return BinaryForm(MultiPoly(variables, terms), (u, v))
 
 
 # --- determinants ------------------------------------------------------------
@@ -190,11 +186,9 @@ def det_polynomial_matrix(
     ``zpoly.int_interpolate`` on ints.  Its factor bound! per axis is divided
     out with D_f^n D_g^m at the end, as the denominator of each coefficient.
     With no active variable the result is the constant determinant, a
-    ``Fraction``.  Any domain other than QQ raises ``DomainMismatchError``.
+    ``Fraction``.
     """
-    domain, variables = fc[0].domain, fc[0].variables
-    if not isinstance(domain, Rationals):
-        raise DomainMismatchError(f"no Sylvester determinant over {domain!r}")
+    variables = fc[0].variables
     m, n = len(fc) - 1, len(gc) - 1
 
     def degrees(cs: list[MultiPoly]) -> list[int]:
@@ -258,7 +252,7 @@ def det_polynomial_matrix(
         for i, e in zip(active, key):
             ex[i] = e
         terms[tuple(ex)] = Fraction(c, scale)
-    return MultiPoly(domain, variables, terms)
+    return MultiPoly(variables, terms)
 
 
 # --- resultants --------------------------------------------------------------
@@ -270,7 +264,6 @@ def sylvester_resultant(f: BinaryForm, g: BinaryForm, sample_base: int = 0) -> M
     The result lives in the remaining (parameter) variables.  It vanishes at
     a parameter value exactly when the specialized forms share a projective
     root, provided their leading coefficients do not both vanish there.
-    Forms over any other domain raise ``DomainMismatchError``.
     """
     if f.pair != g.pair:
         raise DomainMismatchError("resultant of forms with different designated pairs")
@@ -304,10 +297,9 @@ def dehomogenize(coeffs: list, field) -> tuple[int, int, list]:
     return trail, lead, list(reversed(coeffs[lead : len(coeffs) - trail]))
 
 
-def _homogenize(domain, variables, pair, a: int, b: int, core: list) -> BinaryForm:
+def _homogenize(variables, pair, a: int, b: int, core: list) -> BinaryForm:
     """Inverse of :func:`dehomogenize`: the form u^a v^b * core."""
-    zero = domain.zero()
-    return form_from_coefficients(domain, variables, pair, [zero] * b + core[::-1] + [zero] * a)
+    return form_from_coefficients(variables, pair, [0] * b + core[::-1] + [0] * a)
 
 
 def binary_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
@@ -321,8 +313,6 @@ def binary_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     if f.pair != g.pair:
         raise DomainMismatchError("gcd of forms with different designated pairs")
     f.poly._check_compatible(g.poly)
-    if not isinstance(f.poly.domain, Rationals):
-        raise DomainMismatchError("binary_gcd works over QQ")
     if f.is_zero() and g.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
     if f.is_zero():
@@ -331,4 +321,4 @@ def binary_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     # a zero g keeps every power of u and v, and gcd(core, 0) is the monic core
     ag, bg, core_g = (a, b, []) if g.is_zero() else dehomogenize(g.coefficient_list(), QQ)
     core = univar.gcd(core, core_g, QQ)
-    return _homogenize(QQ, f.poly.variables, f.pair, min(a, ag), min(b, bg), core)
+    return _homogenize(f.poly.variables, f.pair, min(a, ag), min(b, bg), core)

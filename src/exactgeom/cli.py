@@ -183,7 +183,7 @@ def check_pencil24(config: RunConfig) -> list[CheckResult]:
         )
         def body(p=p, seed=seed):
             f0, f1 = pencil24.random_pencil(p, seed)
-            report = pencil24.pencil_intersection_count(f0, f1, p, seed=seed)
+            report = pencil24.pencil_intersection_count(f0, f1, seed=seed)
             return report.summary(), report.validated_count == 24
         out.append(_run_check(f"pencil-count-p{p}-s{seed}", claim, body))
     return out

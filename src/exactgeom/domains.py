@@ -72,18 +72,6 @@ class Rationals:
             cls._instance = super().__new__(cls)
         return cls._instance
 
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    def one(self) -> Fraction:
-        return Fraction(1)
-
-    def elem(self, value) -> Fraction:
-        return Fraction(value)
-
-    def coeff_str(self, value: Fraction) -> str:
-        return str(value)
-
     def sqrt(self, value: Fraction) -> Optional[Fraction]:
         """Exact rational square root, or None if no rational root exists."""
         if value < 0:

@@ -2,7 +2,9 @@
 
 
 class DomainMismatchError(TypeError):
-    """Raised when operands live in different coefficient domains or rings."""
+    """Raised when operands cannot be combined: elements of different fields,
+    polynomials in different variable lists, binary forms with different
+    designated pairs, or classes on different symmetric products."""
 
 
 class InterpolationError(RuntimeError):

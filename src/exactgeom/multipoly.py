@@ -1,8 +1,8 @@
-"""Sparse exact multivariate polynomials over a coefficient domain.
+"""Sparse exact multivariate polynomials over QQ.
 
 A :class:`MultiPoly` stores a map from exponent tuples to nonzero
-coefficients; the coefficient domain is one of the domains from
-:mod:`exactgeom.domains` (rationals, prime fields, extension fields).
+``Fraction`` coefficients.  Work over finite fields runs on raw coefficient
+lists instead (:mod:`exactgeom.univar`, :mod:`exactgeom.zpoly`).
 Arithmetic is exact, values are immutable after construction, and the text
 rendering lists terms in graded-lexicographic order, e.g.
 ``3*x^2*y - 1/2*u*v^3``.
@@ -13,14 +13,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from .domains import FieldElement, Rationals
 from .errors import DomainMismatchError
 
 
 class MultiPoly:
-    __slots__ = ("domain", "variables", "terms")
+    __slots__ = ("variables", "terms")
 
-    def __init__(self, domain, variables, terms: Mapping[tuple, object]) -> None:
+    def __init__(self, variables, terms: Mapping[tuple, object]) -> None:
         variables = tuple(variables)
         width = len(variables)
         clean = {}
@@ -29,32 +28,30 @@ class MultiPoly:
                 raise ValueError(f"exponent tuple {expts} does not match variables {variables}")
             if coeff:
                 clean[tuple(expts)] = coeff
-        self.domain = domain
         self.variables = variables
         self.terms = clean
 
     # --- constructors ---
 
     @classmethod
-    def zero(cls, domain, variables) -> "MultiPoly":
-        return cls(domain, variables, {})
+    def zero(cls, variables) -> "MultiPoly":
+        return cls(variables, {})
 
     @classmethod
-    def constant(cls, domain, variables, value) -> "MultiPoly":
-        coeff = value if isinstance(value, (Fraction, FieldElement)) else domain.elem(value)
-        return cls(domain, variables, {(0,) * len(tuple(variables)): coeff})
+    def constant(cls, variables, value) -> "MultiPoly":
+        return cls(variables, {(0,) * len(tuple(variables)): Fraction(value)})
 
     @classmethod
-    def variable(cls, domain, variables, name: str) -> "MultiPoly":
+    def variable(cls, variables, name: str) -> "MultiPoly":
         variables = tuple(variables)
         if name not in variables:
             raise ValueError(f"unknown variable {name!r}")
         expts = tuple(1 if v == name else 0 for v in variables)
-        return cls(domain, variables, {expts: domain.elem(1)})
+        return cls(variables, {expts: Fraction(1)})
 
     @classmethod
-    def gens(cls, domain, variables) -> tuple["MultiPoly", ...]:
-        return tuple(cls.variable(domain, variables, v) for v in variables)
+    def gens(cls, variables) -> tuple["MultiPoly", ...]:
+        return tuple(cls.variable(variables, v) for v in variables)
 
     # --- predicates and views ---
 
@@ -69,7 +66,7 @@ class MultiPoly:
 
     def constant_value(self):
         if not self.terms:
-            return self.domain.zero()
+            return Fraction(0)
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
         return next(iter(self.terms.values()))
@@ -87,7 +84,7 @@ class MultiPoly:
         return max(ex[idx] for ex in self.terms)
 
     def coefficient(self, expts: tuple):
-        return self.terms.get(tuple(expts), self.domain.zero())
+        return self.terms.get(tuple(expts), Fraction(0))
 
     def _var_index(self, name: str) -> int:
         try:
@@ -98,23 +95,15 @@ class MultiPoly:
     # --- ring arithmetic ---
 
     def _check_compatible(self, other: "MultiPoly") -> None:
-        if self.domain != other.domain or self.variables != other.variables:
+        if self.variables != other.variables:
             raise DomainMismatchError(
-                f"cannot combine polynomials over ({self.domain!r}, {self.variables}) "
-                f"and ({other.domain!r}, {other.variables})"
+                f"cannot combine polynomials in {self.variables} and {other.variables}"
             )
 
-    def _coerce_scalar(self, value):
-        if isinstance(value, int):
-            return self.domain.elem(value)
-        if isinstance(value, Fraction):
-            if not isinstance(self.domain, Rationals):
-                raise DomainMismatchError("Fraction scalar on a finite-field polynomial")
-            return value
-        if isinstance(value, FieldElement):
-            if value.field != self.domain:
-                raise DomainMismatchError("scalar from a different field")
-            return value
+    @staticmethod
+    def _coerce_scalar(value):
+        if isinstance(value, (int, Fraction)):
+            return Fraction(value)
         return None
 
     def __add__(self, other):
@@ -122,13 +111,13 @@ class MultiPoly:
             scalar = self._coerce_scalar(other)
             if scalar is None:
                 return NotImplemented
-            other = MultiPoly.constant(self.domain, self.variables, scalar)
+            other = MultiPoly.constant(self.variables, scalar)
         self._check_compatible(other)
         out = dict(self.terms)
         for ex, c in other.terms.items():
             acc = out.get(ex)
             out[ex] = c if acc is None else acc + c
-        return MultiPoly(self.domain, self.variables, out)
+        return MultiPoly(self.variables, out)
 
     __radd__ = __add__
 
@@ -137,19 +126,19 @@ class MultiPoly:
             scalar = self._coerce_scalar(other)
             if scalar is None:
                 return NotImplemented
-            other = MultiPoly.constant(self.domain, self.variables, scalar)
+            other = MultiPoly.constant(self.variables, scalar)
         self._check_compatible(other)
         out = dict(self.terms)
         for ex, c in other.terms.items():
             acc = out.get(ex)
             out[ex] = -c if acc is None else acc - c
-        return MultiPoly(self.domain, self.variables, out)
+        return MultiPoly(self.variables, out)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __neg__(self):
-        return MultiPoly(self.domain, self.variables, {ex: -c for ex, c in self.terms.items()})
+        return MultiPoly(self.variables, {ex: -c for ex, c in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
@@ -157,10 +146,8 @@ class MultiPoly:
             if scalar is None:
                 return NotImplemented
             if not scalar:
-                return MultiPoly.zero(self.domain, self.variables)
-            return MultiPoly(
-                self.domain, self.variables, {ex: c * scalar for ex, c in self.terms.items()}
-            )
+                return MultiPoly.zero(self.variables)
+            return MultiPoly(self.variables, {ex: c * scalar for ex, c in self.terms.items()})
         self._check_compatible(other)
         out: dict = {}
         for ex1, c1 in self.terms.items():
@@ -169,7 +156,7 @@ class MultiPoly:
                 prod = c1 * c2
                 acc = out.get(ex)
                 out[ex] = prod if acc is None else acc + prod
-        return MultiPoly(self.domain, self.variables, out)
+        return MultiPoly(self.variables, out)
 
     __rmul__ = __mul__
 
@@ -179,16 +166,12 @@ class MultiPoly:
             return NotImplemented
         if not coeff:
             raise ZeroDivisionError("division of a polynomial by zero scalar")
-        if isinstance(self.domain, Rationals):
-            inv = Fraction(1) / coeff
-        else:
-            inv = self.domain.one() / coeff
-        return self * inv
+        return self * (1 / coeff)
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             return NotImplemented
-        result = MultiPoly.constant(self.domain, self.variables, 1)
+        result = MultiPoly.constant(self.variables, 1)
         acc = self
         while exponent:
             if exponent & 1:
@@ -200,19 +183,16 @@ class MultiPoly:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, MultiPoly):
-            return (
-                self.domain == other.domain
-                and self.variables == other.variables
-                and self.terms == other.terms
-            )
-        if isinstance(other, int):
-            if other == 0:
-                return not self.terms
-            return self.is_constant() and self.constant_value() == self.domain.elem(other)
-        return NotImplemented
+            return self.variables == other.variables and self.terms == other.terms
+        scalar = self._coerce_scalar(other)
+        if scalar is None:
+            return NotImplemented
+        if not scalar:
+            return not self.terms
+        return self.is_constant() and self.constant_value() == scalar
 
     def __hash__(self) -> int:
-        return hash((self.domain, self.variables, frozenset(self.terms.items())))
+        return hash((self.variables, frozenset(self.terms.items())))
 
     # --- calculus and substitution ---
 
@@ -227,10 +207,10 @@ class MultiPoly:
             derived = e * c
             acc = out.get(new_ex)
             out[new_ex] = derived if acc is None else acc + derived
-        return MultiPoly(self.domain, self.variables, out)
+        return MultiPoly(self.variables, out)
 
     def substitute(self, name: str, value) -> "MultiPoly":
-        """Replace a variable by a domain element; the variable stays in the list."""
+        """Replace a variable by a rational value; the variable stays in the list."""
         idx = self._var_index(name)
         coeff = self._coerce_scalar(value)
         if coeff is None:
@@ -250,7 +230,7 @@ class MultiPoly:
             new_ex = ex[:idx] + (0,) + ex[idx + 1 :]
             acc = out.get(new_ex)
             out[new_ex] = c if acc is None else acc + c
-        return MultiPoly(self.domain, self.variables, out)
+        return MultiPoly(self.variables, out)
 
     def drop_vars(self, names) -> "MultiPoly":
         """Remove variables that no term uses."""
@@ -262,7 +242,7 @@ class MultiPoly:
         keep = [i for i, v in enumerate(self.variables) if v not in names]
         new_vars = tuple(self.variables[i] for i in keep)
         new_terms = {tuple(ex[i] for i in keep): c for ex, c in self.terms.items()}
-        return MultiPoly(self.domain, new_vars, new_terms)
+        return MultiPoly(new_vars, new_terms)
 
     def specialize(self, assignments: Mapping[str, object]) -> "MultiPoly":
         """Substitute and remove the given variables."""
@@ -281,26 +261,18 @@ class MultiPoly:
 
     # --- rendering ---
 
-    def _coeff_text(self, c) -> str:
-        if isinstance(self.domain, Rationals):
-            return str(c)
-        return self.domain.coeff_str(c)
-
     def to_text(self) -> str:
         if not self.terms:
             return "0"
         ordered = sorted(self.terms, key=lambda ex: (sum(ex), ex), reverse=True)
-        rational = isinstance(self.domain, Rationals)
         pieces = []
         for ex in ordered:
             coeff = self.terms[ex]
             monomial = "*".join(
                 v if e == 1 else f"{v}^{e}" for v, e in zip(self.variables, ex) if e
             )
-            text = self._coeff_text(coeff)
-            negative = rational and coeff < 0
-            if negative:
-                text = text[1:]
+            negative = coeff < 0
+            text = str(-coeff if negative else coeff)
             if monomial:
                 body = monomial if text == "1" else f"{text}*{monomial}"
             else:

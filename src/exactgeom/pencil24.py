@@ -40,7 +40,7 @@ from typing import Iterator, Optional
 
 from . import univar, zpoly
 from .binform import dehomogenize
-from .domains import QQ, ExtensionField, FieldElement, FiniteField, PrimeField
+from .domains import ExtensionField, FieldElement, FiniteField, PrimeField
 from .errors import VerificationError
 from .multipoly import MultiPoly
 from .quartic import (
@@ -220,7 +220,7 @@ class FactorReport:
 
     def summary(self) -> dict:
         # canonical ints in [0, p) print the same over QQ as over GF(p)
-        factor = MultiPoly(QQ, ("t",), {(e,): c for e, c in enumerate(self.modulus)})
+        factor = MultiPoly(("t",), {(e,): c for e, c in enumerate(self.modulus)})
         out = {
             "factor": factor.to_text(),
             "degree": self.degree,
@@ -384,7 +384,7 @@ def validate_member(
 
 
 def pencil_intersection_count(
-    f0: Curve34, f1: Curve34, p: int, seed: Optional[int] = None
+    f0: Curve34, f1: Curve34, seed: Optional[int] = None
 ) -> PencilCountReport:
     """Validated count of pencil members with a vertical bitangent.
 
@@ -394,8 +394,9 @@ def pencil_intersection_count(
     analyzed too.
     """
     fieldp = f0.fieldp
-    if fieldp.p != p or f1.fieldp != fieldp:
+    if f1.fieldp != fieldp:
         raise ValueError("pencil members must both live over GF(p)")
+    p = fieldp.p
     if f0.is_proportional_to(f1):
         raise ValueError("degenerate pencil: members are proportional")
     r = list(raw_resultant(f0, f1))

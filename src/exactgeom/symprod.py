@@ -25,7 +25,6 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping
 
-from .domains import QQ
 from .errors import DomainMismatchError, VerificationError
 from .multipoly import MultiPoly
 
@@ -81,7 +80,7 @@ class XThetaClass:
         # QQ[x, theta] has no zero divisors, so some term pair lands above d
         # exactly when the product itself has degree above d
         truncated = self.truncated or other.truncated or product.total_degree() > self.d
-        return XThetaClass(self.g, self.d, MultiPoly(QQ, XTHETA_VARS, kept), truncated)
+        return XThetaClass(self.g, self.d, MultiPoly(XTHETA_VARS, kept), truncated)
 
     __rmul__ = __mul__
 
@@ -112,7 +111,7 @@ def eval_top(c: XThetaClass) -> Fraction:
 
 def xtheta(g: int, d: int, coeffs: Mapping[tuple[int, int], object]) -> XThetaClass:
     terms = {k: Fraction(v) for k, v in coeffs.items()}
-    return XThetaClass(g, d, MultiPoly(QQ, XTHETA_VARS, terms))
+    return XThetaClass(g, d, MultiPoly(XTHETA_VARS, terms))
 
 
 def class_c14() -> XThetaClass:

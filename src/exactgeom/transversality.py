@@ -47,8 +47,8 @@ FAMILY_Q = {(0, 2): -1, (0, 3): 2, (0, 4): -1}
 @functools.cache
 def family_coeffs() -> QuarticCoeffs:
     """Fiber-quartic coefficients of the family, polynomials in (x, y, alpha)."""
-    x, y, alpha = MultiPoly.gens(QQ, FAMILY_VARS)
-    coeffs = [MultiPoly.zero(QQ, FAMILY_VARS)] * 5
+    x, y, alpha = MultiPoly.gens(FAMILY_VARS)
+    coeffs = [MultiPoly.zero(FAMILY_VARS)] * 5
     for table, scale in ((FAMILY_P0, 1), (FAMILY_Q, alpha)):
         for (i, j), c in table.items():
             coeffs[j] = coeffs[j] + c * scale * x ** (3 - i) * y**i
@@ -59,20 +59,20 @@ def family_coeffs() -> QuarticCoeffs:
 def family_polynomial() -> MultiPoly:
     """The family as a polynomial in (x, y, u, v, alpha)."""
     fam_vars = ("x", "y", "u", "v", "alpha")
-    u = MultiPoly.variable(QQ, fam_vars, "u")
-    v = MultiPoly.variable(QQ, fam_vars, "v")
+    u = MultiPoly.variable(fam_vars, "u")
+    v = MultiPoly.variable(fam_vars, "v")
 
     def lift(poly: MultiPoly) -> MultiPoly:
         terms = {}
         for (ex_x, ex_y, ex_a), c in poly.terms.items():
             terms[(ex_x, ex_y, 0, 0, ex_a)] = c
-        return MultiPoly(QQ, fam_vars, terms)
+        return MultiPoly(fam_vars, terms)
 
     fam = family_coeffs()
     monomials = [u**4, u**3 * v, u**2 * v**2, u * v**3, v**4]
     return sum(
         (lift(coeff) * mono for coeff, mono in zip(fam, monomials)),
-        MultiPoly.zero(QQ, fam_vars),
+        MultiPoly.zero(fam_vars),
     )
 
 
@@ -170,8 +170,8 @@ class SectionReport:
 def section_coefficients() -> QuarticCoeffs:
     """Fiber-quartic coefficients along the section [x:y] = [1:0], the x^3 row
     of P_0 + alpha Q: (1, -2, 1-alpha, 2 alpha, -alpha)."""
-    (alpha,) = MultiPoly.gens(QQ, ("alpha",))
-    one = MultiPoly.constant(QQ, ("alpha",), 1)
+    (alpha,) = MultiPoly.gens(("alpha",))
+    one = MultiPoly.constant(("alpha",), 1)
     return QuarticCoeffs(
         *(FAMILY_P0.get((0, j), 0) * one + FAMILY_Q.get((0, j), 0) * alpha for j in range(5))
     )
@@ -330,8 +330,6 @@ def smoothness_certificate(P: MultiPoly) -> SmoothnessCertificate:
         raise ValueError("zero polynomial does not define a divisor")
     if P.variables != SURFACE_VARS:
         raise ValueError(f"expected variables {SURFACE_VARS}")
-    if QQ != P.domain:
-        raise ValueError("smoothness certificate is implemented over the rationals")
     deg_xy, deg_uv = _bidegree(P)
     if deg_xy < 1 or deg_uv < 1:
         raise ValueError("certificate needs positive bidegree in both factors")
@@ -461,7 +459,7 @@ def p0_smoothness_certificate() -> SmoothnessCertificate:
 
 def control_nonreduced() -> MultiPoly:
     """(u y - v x)^2: a non-reduced (2,2)-divisor, singular along its support."""
-    x, y, u, v = MultiPoly.gens(QQ, SURFACE_VARS)
+    x, y, u, v = MultiPoly.gens(SURFACE_VARS)
     return (u * y - v * x) ** 2
 
 
@@ -471,7 +469,7 @@ def control_reducible_singular() -> MultiPoly:
     u times a product of three (1,1)-forms; the first factor is arranged to
     vanish at the same point as the component u = 0.
     """
-    x, y, u, v = MultiPoly.gens(QQ, SURFACE_VARS)
+    x, y, u, v = MultiPoly.gens(SURFACE_VARS)
     g1 = x * u + (x - y) * v
     g2 = y * u + (x + y) * v
     g3 = (x + y) * u + x * v

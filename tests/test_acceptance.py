@@ -55,7 +55,7 @@ def test_criterion_1_intersection_number():
 def test_criterion_2_section_condition():
     with criterion(2, "section seminvariant equals -16a^2 - 32a with linear term -32", 1.0):
         section = transversality.section_reducedness()
-        (alpha,) = MultiPoly.gens(QQ, ("alpha",))
+        (alpha,) = MultiPoly.gens(("alpha",))
         assert section.polynomial == -16 * alpha**2 - 32 * alpha
         assert section.linear_coefficient == -32
         assert section.constant_term == 0
@@ -88,7 +88,7 @@ def test_criterion_5_pencil_counts():
         for seed in SEEDS:
             with criterion(5, f"validated bitangent count is 24 at (p={p}, seed={seed})", 300.0):
                 f0, f1 = pencil24.random_pencil(p, seed)
-                report = pencil24.pencil_intersection_count(f0, f1, p, seed=seed)
+                report = pencil24.pencil_intersection_count(f0, f1, seed=seed)
                 assert report.validated_count == 24
 
 
@@ -145,7 +145,7 @@ def test_criterion_8_oracle_equivalence():
                     assert symprod.monomial_value(g, d, d - j, j) == expected
         # the discriminant against the Sylvester-resultant route on 10^3 quartics
         rng = random.Random("acceptance:delta")
-        u, v = MultiPoly.gens(QQ, ("u", "v"))
+        u, v = MultiPoly.gens(("u", "v"))
         checked = 0
         while checked < 1000:
             coeffs = QuarticCoeffs(*(Fraction(rng.randrange(-9, 10)) for _ in range(5)))

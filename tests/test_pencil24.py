@@ -8,7 +8,7 @@ import pytest
 from exactgeom import zpoly
 from exactgeom import pencil24 as pc
 from exactgeom.binform import BinaryForm, sylvester_resultant
-from exactgeom.domains import QQ, ExtensionField, PrimeField
+from exactgeom.domains import ExtensionField, PrimeField
 from exactgeom.errors import InterpolationError
 from exactgeom.multipoly import MultiPoly
 from exactgeom.quartic import (
@@ -102,23 +102,23 @@ def test_pencil_validation_makes_no_multipoly_substitution(monkeypatch):
 
     monkeypatch.setattr(MultiPoly, "substitute", forbidden)
     f0, f1 = pc.random_pencil(P, 1)
-    assert pc.pencil_intersection_count(f0, f1, P, seed=1).validated_count == 24
+    assert pc.pencil_intersection_count(f0, f1, seed=1).validated_count == 24
 
 
 def test_proportional_pencil_rejected():
     f0, _ = pc.random_pencil(P, 1)
     with pytest.raises(ValueError):
-        pc.pencil_intersection_count(f0, f0, P)
+        pc.pencil_intersection_count(f0, f0)
     doubled = pc.Curve34(
         f0.fieldp, tuple(tuple(2 * c for c in row) for row in f0.coeffs)
     )
     with pytest.raises(ValueError):
-        pc.pencil_intersection_count(f0, doubled, P)
+        pc.pencil_intersection_count(f0, doubled)
 
 
 def test_family_pencil_validates_the_marked_member():
     f0, f1 = pc.family_pencil(P)
-    report = pc.pencil_intersection_count(f0, f1, P)
+    report = pc.pencil_intersection_count(f0, f1)
     # t = 0 is a root of the eliminant and the member has its bitangent at [1:0]
     t_factor = next(rep for rep in report.factors if rep.modulus == (0, 1))
     assert t_factor.validated
@@ -135,7 +135,7 @@ def test_family_pencil_validates_the_marked_member():
 )
 def test_validated_count_is_24_for_a_random_pencil(p, seed):
     f0, f1 = pc.random_pencil(p, seed)
-    report = pc.pencil_intersection_count(f0, f1, p, seed=seed)
+    report = pc.pencil_intersection_count(f0, f1, seed=seed)
     assert report.validated_count == 24
     assert report.raw_degree == 144
     assert report.squarefree_degree == 90
@@ -149,8 +149,8 @@ def test_validated_count_is_24_for_a_random_pencil(p, seed):
 
 def test_count_invariant_under_swap():
     f0, f1 = pc.random_pencil(P, 3)
-    forward = pc.pencil_intersection_count(f0, f1, P, seed=3)
-    backward = pc.pencil_intersection_count(f1, f0, P, seed=3)
+    forward = pc.pencil_intersection_count(f0, f1, seed=3)
+    backward = pc.pencil_intersection_count(f1, f0, seed=3)
     # neither spanning member lies on the hypersurface, so finite roots match
     assert not forward.infinity_validated and not backward.infinity_validated
     assert forward.validated_count == backward.validated_count
@@ -160,8 +160,8 @@ def test_count_invariant_under_parameter_scaling():
     f0, f1 = pc.random_pencil(P, 3)
     lam = PrimeField(P).elem(7)
     scaled = pc.Curve34(f1.fieldp, tuple(tuple(lam * c for c in row) for row in f1.coeffs))
-    base = pc.pencil_intersection_count(f0, f1, P, seed=3)
-    rescaled = pc.pencil_intersection_count(f0, scaled, P, seed=3)
+    base = pc.pencil_intersection_count(f0, f1, seed=3)
+    rescaled = pc.pencil_intersection_count(f0, scaled, seed=3)
     assert base.validated_count == rescaled.validated_count
     assert base.raw_degree == rescaled.raw_degree
 
@@ -185,32 +185,36 @@ def test_eliminant_is_reduction_of_the_rational_one():
 
 def test_factor_report_summary_shape():
     f0, f1 = pc.family_pencil(P)
-    report = pc.pencil_intersection_count(f0, f1, P)
+    report = pc.pencil_intersection_count(f0, f1)
     summary = report.summary()
     assert summary["prime"] == P
     assert {"factor", "degree", "validated", "detail"} <= set(summary["factors"][0])
     assert summary["validated_count"] == report.validated_count
 
 
-def _at_y1(form, degree):
-    """An (x, y)-form as its coefficient list in x at y = 1, of raw field
-    values, padded to its degree."""
-    cs = [form.domain.zero().value] * (degree + 1)
-    for (i, _), c in form.terms.items():
-        cs[i] = c.value
-    return cs
+def _at_y1(form, degree, field):
+    """An integer (x, y, t)-form over QQ as its coefficient list in x at
+    y = 1, padded to its degree, of raw values of ``field``: each coefficient,
+    a polynomial in t, is reduced mod p, and over K = GF(p)[t]/(m) also mod m.
+    Reduction is a ring map, so this is the form built over ``field``."""
+    cs = _t_polynomials(BinaryForm(form, ("x", "y")), degree, field.char)
+    if isinstance(field, ExtensionField):
+        return [field._padded(zpoly.zp_rem(c, list(field.modulus), field.char)) for c in cs]
+    assert all(len(c) <= 1 for c in cs)
+    return [c[0] if c else 0 for c in cs]
 
 
 def _validate(forms, field):
     """validate_member on the member whose fiber cubics A..E are the
-    (x, y)-forms ``forms``, with every other form derived from them."""
+    (x, y, t)-forms ``forms`` read over ``field``, with every other form
+    derived from them over QQ."""
     quartic = QuarticCoeffs(*forms)
     conditions = [*closure_conditions_a_nonzero(quartic), *closure_conditions_a_zero(quartic)]
     return pc.validate_member(
-        _at_y1(disc_delta(quartic), 18),
-        _at_y1(sem_d(quartic), 12),
-        [_at_y1(form, 3) for form in forms],
-        [_at_y1(s, n) for s, n in zip(conditions, (9, 12, 3, 6))],
+        _at_y1(disc_delta(quartic), 18, field),
+        _at_y1(sem_d(quartic), 12, field),
+        [_at_y1(form, 3, field) for form in forms],
+        [_at_y1(s, n, field) for s, n in zip(conditions, (9, 12, 3, 6))],
         field,
         random.Random("member"),
     )
@@ -218,17 +222,23 @@ def _validate(forms, field):
 
 def _member_with_root_in_an_extension(field, a_vanishes_at_0=False):
     """validate_member on A..E_j = (x^2 + y^2)(x P_j + y P'_j) + S(x, y) [Q^2]_j
-    over ``field``, with P, P' and Q drawn from random.Random(0)."""
+    over ``field``, with P, P' and Q drawn from random.Random(0) by the draws
+    of field.rand: integer polynomials in t, one coefficient in [0, p) per
+    coordinate, low degree first."""
     rng = random.Random(0)
-    x, y = MultiPoly.gens(field, ("x", "y"))
+    x, y, t = MultiPoly.gens(("x", "y", "t"))
     s = x**3 + 3 * x * y**2 + 5 * y**3
-    p1 = [field.rand(rng) for _ in range(5)]
-    p2 = [field.rand(rng) for _ in range(5)]
-    q_squared = square_coefficients(*(field.rand(rng) for _ in range(3)))
+
+    def rand():
+        return sum(rng.randrange(field.char) * t**k for k in range(pc.absolute_degree(field)))
+
+    p1 = [rand() for _ in range(5)]
+    p2 = [rand() for _ in range(5)]
+    q_squared = square_coefficients(*(rand() for _ in range(3)))
     if a_vanishes_at_0:
         p2[0] = -5 * q_squared[0]
     forms = [(x * x + y * y) * (p1[j] * x + p2[j] * y) + s * q_squared[j] for j in range(5)]
-    assert field._ris_zero(_at_y1(forms[0], 3)[0]) == a_vanishes_at_0
+    assert field._ris_zero(_at_y1(forms[0], 3, field)[0]) == a_vanishes_at_0
     return _validate(forms, field)
 
 
@@ -292,12 +302,11 @@ def test_validate_member_over_an_extension_builds_the_root_above_it():
 def test_validate_member_where_both_conditions_vanish_identically(multiples, expected):
     # A..E = c (x, y) times fixed constants, so Delta and d vanish identically;
     # c(1, 0), c(0, 1) and c(1, 1) are nonzero, the fibers the degenerate branch probes
-    field = PrimeField(P)
-    x, y = MultiPoly.gens(field, ("x", "y"))
+    x, y, _ = MultiPoly.gens(("x", "y", "t"))
     c = 5 * x**3 + x * x * y + 3 * y**3
     forms = [c * k for k in multiples]
-    assert not any(_at_y1(disc_delta(QuarticCoeffs(*forms)), 18))
-    assert _validate(forms, field) == expected
+    assert disc_delta(QuarticCoeffs(*forms)) == 0
+    assert _validate(forms, PrimeField(P)) == expected
 
 
 # --- the eliminant from integer evaluations ------------------------------------
@@ -309,7 +318,7 @@ def _symbolic_conditions(f0, f1):
     coefficients of F0 and F1 read as the ints in [0, p), as MultiPoly forms:
     independently of the integer evaluations behind raw_resultant and the
     validation.  Every form has integer coefficients."""
-    x, y, t = MultiPoly.gens(QQ, ("x", "y", "t"))
+    x, y, t = MultiPoly.gens(("x", "y", "t"))
     # c[i][j] multiplies x^(3-i) y^i in the fiber coefficient number j
     quartic = QuarticCoeffs(
         *(
@@ -355,7 +364,7 @@ def _reduced_at(form, t, p):
     """An integer (x, y, t)-form over QQ at t, its coefficients reduced mod p."""
     at_t = form.poly.specialize({"t": t})
     terms = {ex: Fraction(c.numerator % p) for ex, c in at_t.terms.items()}
-    return BinaryForm(MultiPoly(QQ, at_t.variables, terms), form.pair)
+    return BinaryForm(MultiPoly(at_t.variables, terms), form.pair)
 
 
 def _specialized_resultants(delta, d, p):
@@ -442,7 +451,7 @@ def test_pencil_count_needs_145_sample_points(p):
     rng = random.Random(p)
     f0, f1 = pc.random_curve(F, rng), pc.random_curve(F, rng)
     with pytest.raises(InterpolationError):
-        pc.pencil_intersection_count(f0, f1, p)
+        pc.pencil_intersection_count(f0, f1)
 
 
 def test_members_over_different_fields_are_rejected():
@@ -453,4 +462,4 @@ def test_members_over_different_fields_are_rejected():
     with pytest.raises(ValueError, match="different fields"):
         pc._condition_table(f0, other)
     with pytest.raises(ValueError, match="GF\\(p\\)"):
-        pc.pencil_intersection_count(f0, other, P)
+        pc.pencil_intersection_count(f0, other)

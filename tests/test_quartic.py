@@ -45,8 +45,8 @@ def test_sem_d_values():
     assert sem_d(qq(1, 0, 2, 0, 1)) == 0  # 64 - 64
     assert sem_d(qq(1, 0, -1, 0, 0)) == -16  # only -16 A^2 C^2 survives
     # the section fiber of the bitangent family, as polynomials in alpha
-    (alpha,) = MultiPoly.gens(QQ, ("alpha",))
-    one = MultiPoly.constant(QQ, ("alpha",), 1)
+    (alpha,) = MultiPoly.gens(("alpha",))
+    one = MultiPoly.constant(("alpha",), 1)
     value = sem_d(QuarticCoeffs(one, -2 * one, one - alpha, 2 * alpha, -alpha))
     assert value == -16 * alpha**2 - 32 * alpha
 
@@ -233,7 +233,7 @@ def test_shear_covariance_smoke():
 
 def _delta_via_resultant(coeffs: QuarticCoeffs) -> Fraction:
     """Independent route: Res(f, df/du) / A via the Sylvester determinant."""
-    u, v = MultiPoly.gens(QQ, ("u", "v"))
+    u, v = MultiPoly.gens(("u", "v"))
     A, B, C, D, E = coeffs
     f = A * u**4 + B * u**3 * v + C * u**2 * v**2 + D * u * v**3 + E * v**4
     res = sylvester_resultant(BinaryForm(f, ("u", "v")), BinaryForm(f.partial_derivative("u"), ("u", "v")))

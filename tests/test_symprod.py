@@ -1,6 +1,5 @@
 """Intersection numbers on symmetric products of curves."""
 
-import math
 from fractions import Fraction
 
 import pytest
@@ -8,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from exactgeom.errors import DomainMismatchError
 from exactgeom.symprod import (
-    XThetaClass,
     class_c14,
     class_delta2,
     eval_top,

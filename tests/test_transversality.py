@@ -13,13 +13,13 @@ from exactgeom.quartic import QuarticCoeffs, perfect_square_witness
 
 def test_family_coefficients():
     fam = tv.family_coeffs()
-    x, y, alpha = MultiPoly.gens(QQ, tv.FAMILY_VARS)
+    x, y, alpha = MultiPoly.gens(tv.FAMILY_VARS)
     assert fam.A == x**3 + y**3
     assert fam.B == -2 * x**3
     assert fam.C == (1 - alpha) * x**3
     assert fam.D == 2 * alpha * x**3
     assert fam.E == -alpha * x**3 + x**2 * y + y**3
-    x2, y2 = MultiPoly.gens(QQ, ("x", "y"))
+    x2, y2 = MultiPoly.gens(("x", "y"))
     assert fam.E.specialize({"alpha": 0}) == x2**2 * y2 + y2**3
 
 
@@ -74,7 +74,7 @@ def test_condition_homogeneity_numeric():
 
 def test_seminvariant_along_section():
     d = tv.d_alpha().poly.specialize({"x": Fraction(1), "y": Fraction(0)})
-    (alpha,) = MultiPoly.gens(QQ, ("alpha",))
+    (alpha,) = MultiPoly.gens(("alpha",))
     assert d == -16 * alpha**2 - 32 * alpha
 
 
@@ -85,7 +85,7 @@ def test_discriminant_vanishes_at_marked_point_for_alpha_zero():
 
 def test_section_report():
     section = tv.section_reducedness()
-    (alpha,) = MultiPoly.gens(QQ, ("alpha",))
+    (alpha,) = MultiPoly.gens(("alpha",))
     assert section.polynomial == -16 * alpha**2 - 32 * alpha
     assert section.linear_coefficient == -32
     assert section.constant_term == 0
@@ -138,7 +138,7 @@ def test_conditions_share_marked_root_at_alpha_zero():
 
 
 def _rational_roots(coeffs):
-    form = form_from_coefficients(QQ, ("x", "y"), ("x", "y"), [Fraction(c) for c in coeffs])
+    form = form_from_coefficients(("x", "y"), ("x", "y"), [Fraction(c) for c in coeffs])
     return tv._rational_projective_roots(form)
 
 
@@ -158,10 +158,8 @@ def test_rational_projective_roots_counts_distinct_roots():
 def test_family_is_marked_member_plus_parameter_times_correction():
     # P_alpha - P_0 = alpha * (-x^3 v^2 (u - v)^2)
     fam_vars = ("x", "y", "u", "v", "alpha")
-    x, y, u, v, alpha = MultiPoly.gens(QQ, fam_vars)
-    p0_lifted = MultiPoly(
-        QQ, fam_vars, {ex + (0,): c for ex, c in tv.p0_polynomial().terms.items()}
-    )
+    x, y, u, v, alpha = MultiPoly.gens(fam_vars)
+    p0_lifted = MultiPoly(fam_vars, {ex + (0,): c for ex, c in tv.p0_polynomial().terms.items()})
     correction = -(x**3) * v**2 * (u - v) ** 2
     assert tv.family_polynomial() == p0_lifted + alpha * correction
 
@@ -196,8 +194,8 @@ def test_smoothness_control_reducible_fails():
 
 def test_smoothness_rejects_zero_and_wrong_shape():
     with pytest.raises(ValueError):
-        tv.smoothness_certificate(MultiPoly.zero(QQ, tv.SURFACE_VARS))
-    x, y, u, v = MultiPoly.gens(QQ, tv.SURFACE_VARS)
+        tv.smoothness_certificate(MultiPoly.zero(tv.SURFACE_VARS))
+    x, y, u, v = MultiPoly.gens(tv.SURFACE_VARS)
     with pytest.raises(ValueError):
         tv.smoothness_certificate(x**2 + u)  # not bihomogeneous
     with pytest.raises(ValueError):
