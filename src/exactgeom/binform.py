@@ -5,9 +5,9 @@ in a designated pair of variables; the remaining variables act as
 parameters.  Resultants eliminate the designated pair; the pencil count
 over GF(p) takes its resultants in :mod:`exactgeom.zpoly`.  The coefficients
 of the two forms are read once into ints (each form scaled by the lcm of its
-denominators), evaluated on one grid of integer sample points, bound + 1 per
-parameter with degree bound n deg f + m deg g for forms of degrees m and n,
-and the Sylvester determinant at each point is taken by Bareiss elimination
+denominators), evaluated on one grid of integer sample points, 0..bound in
+each parameter with degree bound n deg f + m deg g for forms of degrees m and
+n, and the Sylvester determinant at each point is taken by Bareiss elimination
 on ints, the package's only determinant routine.  The grid of values is
 interpolated one parameter axis at a time, straight into the terms of the
 result, by :func:`exactgeom.zpoly.int_interpolate`: Newton's forward
@@ -168,20 +168,18 @@ def _raw_sequence(cs: list[MultiPoly], active: list[int]) -> tuple[list, int]:
     return seq, scale
 
 
-def det_polynomial_matrix(
-    fc: list[MultiPoly], gc: list[MultiPoly], sample_base: int = 0
-) -> MultiPoly:
+def det_polynomial_matrix(fc: list[MultiPoly], gc: list[MultiPoly]) -> MultiPoly:
     """Determinant of the Sylvester matrix of two coefficient sequences over QQ.
 
     With m = len(fc) - 1 and n = len(gc) - 1, the matrix holds n shifted
     copies of ``fc`` and m of ``gc``.  A variable is active when some
     coefficient has positive degree in it; each active variable gets the
-    integer sample points sample_base, ..., sample_base + bound, where bound
-    is n * deg fc + m * deg gc in that variable.  The coefficients are read
-    once into ints (each sequence scaled by the lcm D of its denominators,
-    so the determinant is scaled by D_f^n D_g^m), evaluated at every point
-    of the grid of sample points, and the determinant at each point is taken
-    by Bareiss elimination on ints.  The grid of values is then interpolated
+    integer sample points 0, ..., bound, where bound is n * deg fc + m * deg gc
+    in that variable.  The coefficients are read once into ints (each
+    sequence scaled by the lcm D of its denominators, so the determinant is
+    scaled by D_f^n D_g^m), evaluated at every point of the grid of sample
+    points, and the determinant at each point is taken by Bareiss
+    elimination on ints.  The grid of values is then interpolated
     one axis at a time, from the last active variable to the first, by
     ``zpoly.int_interpolate`` on ints.  Its factor bound! per axis is divided
     out with D_f^n D_g^m at the end, as the denominator of each coefficient.
@@ -201,12 +199,9 @@ def det_polynomial_matrix(
     fs, scale_f = _raw_sequence(fc, active)
     gs, scale_g = _raw_sequence(gc, active)
 
-    # powers[a][k][e] = (sample_base + k)^e, for axis a of the grid
+    # powers[a][k][e] = k^e, for axis a of the grid
     powers = [
-        [
-            [x**e for e in range(max(deg_f[i], deg_g[i]) + 1)]
-            for x in range(sample_base, sample_base + bound + 1)
-        ]
+        [[x**e for e in range(max(deg_f[i], deg_g[i]) + 1)] for x in range(bound + 1)]
         for i, bound in zip(active, bounds)
     ]
 
@@ -241,7 +236,7 @@ def det_polynomial_matrix(
             lines.setdefault(key[:a] + key[a + 1 :], [0] * (bounds[a] + 1))[key[a]] = value
         table = {}
         for rest, ys in lines.items():
-            for e, c in enumerate(zpoly.int_interpolate(sample_base, ys)):
+            for e, c in enumerate(zpoly.int_interpolate(ys)):
                 if c:
                     table[rest[:a] + (e,) + rest[a:]] = c
         scale *= math.factorial(bounds[a])
@@ -258,7 +253,7 @@ def det_polynomial_matrix(
 # --- resultants --------------------------------------------------------------
 
 
-def sylvester_resultant(f: BinaryForm, g: BinaryForm, sample_base: int = 0) -> MultiPoly:
+def sylvester_resultant(f: BinaryForm, g: BinaryForm) -> MultiPoly:
     """Resultant of two binary forms over QQ, eliminating the designated pair.
 
     The result lives in the remaining (parameter) variables.  It vanishes at
@@ -270,7 +265,7 @@ def sylvester_resultant(f: BinaryForm, g: BinaryForm, sample_base: int = 0) -> M
     f.poly._check_compatible(g.poly)
     if f.degree < 1 or g.degree < 1:
         raise ValueError("resultant requires nonzero forms of degree at least 1")
-    det = det_polynomial_matrix(f.coefficient_polys(), g.coefficient_polys(), sample_base)
+    det = det_polynomial_matrix(f.coefficient_polys(), g.coefficient_polys())
     return det.drop_vars(f.pair)
 
 

@@ -17,6 +17,7 @@ error, 3 internal error.
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 import time
@@ -239,8 +240,10 @@ def run(config: RunConfig) -> Report:
 def _validated_prime(text: str) -> int:
     value = int(text)
     # bound first: PrimeField needs p < 2**31, and is_prime is exact only below 3215031751
-    if not 1000 < value < 2**31 or not is_prime(value):
-        raise argparse.ArgumentTypeError(f"{value} is not a prime with 1000 < p < 2^31")
+    if not pencil24.MIN_PRIME < value < 2**31 or not is_prime(value):
+        raise argparse.ArgumentTypeError(
+            f"{value} is not a prime with {pencil24.MIN_PRIME} < p < 2^31"
+        )
     return value
 
 
@@ -249,6 +252,14 @@ def _validated_seed(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError("seeds must be non-negative")
     return value
+
+
+def _output_path(text: str) -> str:
+    # checked before any check runs, so a bad path costs no work
+    directory = os.path.dirname(text) or "."
+    if not os.path.isdir(directory):
+        raise argparse.ArgumentTypeError(f"directory {directory!r} does not exist")
+    return text
 
 
 def _validated_count(text: str) -> int:
@@ -285,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument(
             "--trials", type=_validated_count, help="cap the number of (prime, seed) trials"
         )
-        cmd.add_argument("--out", help="write the JSON report to this path")
+        cmd.add_argument("--out", type=_output_path, help="write the JSON report to this path")
         cmd.add_argument(
             "--fuzz-count",
             type=_validated_count,
@@ -294,7 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
         )
         cmd.add_argument("--quiet", action="store_true", help="suppress the summary table")
         if name in ("verify-lines", "all"):
-            cmd.add_argument("--dot", help="write the incidence graph in DOT format")
+            cmd.add_argument(
+                "--dot", type=_output_path, help="write the incidence graph in DOT format"
+            )
     return parser
 
 

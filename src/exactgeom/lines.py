@@ -195,23 +195,34 @@ def invert(p: Perm) -> Perm:
     return tuple(inverse)
 
 
+def _orbit(seeds, generators, act) -> dict:
+    """Breadth-first search from ``seeds`` under ``act(point, g)`` for each g
+    in ``generators``: every point reached, mapped in search order to
+    (parent, index of g) for the first g that reached it, a seed to None."""
+    tree = dict.fromkeys(seeds)
+    queue = list(tree)
+    for point in queue:
+        for i, g in enumerate(generators):
+            image = act(point, g)
+            if image not in tree:
+                tree[image] = (point, i)
+                queue.append(image)
+    return tree
+
+
+def _apply(point: int, g: Perm) -> int:
+    return g[point]
+
+
 def generator_orbits(generators: tuple[Perm, ...]) -> list[frozenset[str]]:
     """The orbits of the group the generators span, by search on the 27 points."""
     seen: set[int] = set()
     out = []
     for start in range(len(LABELS)):
-        if start in seen:
-            continue
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            point = frontier.pop()
-            for g in generators:
-                if g[point] not in orbit:
-                    orbit.add(g[point])
-                    frontier.append(g[point])
-        seen |= orbit
-        out.append(frozenset(LABELS[i] for i in orbit))
+        if start not in seen:
+            orbit = _orbit([start], generators, _apply)
+            seen.update(orbit)
+            out.append(frozenset(LABELS[i] for i in orbit))
     return out
 
 
@@ -231,19 +242,7 @@ class PermGroup:
 
 
 def enumerate_closure(generators: tuple[Perm, ...]) -> frozenset[Perm]:
-    identity = identity_perm()
-    elements = {identity}
-    frontier = [identity]
-    while frontier:
-        fresh = []
-        for p in frontier:
-            for g in generators:
-                q = compose(g, p)
-                if q not in elements:
-                    elements.add(q)
-                    fresh.append(q)
-        frontier = fresh
-    return frozenset(elements)
+    return frozenset(_orbit([identity_perm()], generators, lambda p, g: compose(g, p)))
 
 
 @dataclass(frozen=True)
@@ -283,17 +282,10 @@ def stabilizer_chain(
     base_idx = _INDEX[base]
     words = {base_idx: ()}
     perms = {base_idx: identity_perm()}
-    frontier = [base_idx]
-    while frontier:
-        fresh = []
-        for x in frontier:
-            for i, g in enumerate(generators):
-                y = g[x]
-                if y not in words:
-                    words[y] = (*words[x], i)
-                    perms[y] = compose(g, perms[x])
-                    fresh.append(y)
-        frontier = fresh
+    # after the base, the search lists every point after its parent
+    for y, (x, i) in list(_orbit([base_idx], generators, _apply).items())[1:]:
+        words[y] = (*words[x], i)
+        perms[y] = compose(generators[i], perms[x])
     for x, u in perms.items():
         for i, g in enumerate(generators):
             schreier = compose(invert(perms[g[x]]), compose(g, u))
@@ -327,16 +319,7 @@ def _root_orbit() -> set[PicClass]:
 
     The reflection in w(r) is w s_r w^-1, so it lies in W(E6).
     """
-    seen = set(SIMPLE_ROOTS)
-    frontier = list(SIMPLE_ROOTS)
-    while frontier:
-        vec = frontier.pop()
-        for simple in SIMPLE_ROOTS:
-            image = reflect(vec, simple)
-            if image not in seen:
-                seen.add(image)
-                frontier.append(image)
-    return seen
+    return set(_orbit(SIMPLE_ROOTS, SIMPLE_ROOTS, reflect))
 
 
 @functools.cache
@@ -402,12 +385,8 @@ def dynkin_type(cartan: list[list[int]]) -> str | None:
     if any(cartan[i][j] not in (0, 1) for i in range(n) for j in range(n) if i != j):
         return None
     neighbors = [[j for j in range(n) if j != i and cartan[i][j] == 1] for i in range(n)]
-    reached, frontier = {0}, [0]
-    while frontier:
-        for j in neighbors[frontier.pop()]:
-            if j not in reached:
-                reached.add(j)
-                frontier.append(j)
+    # the nodes joined to node 0: a step to j is an edge or stays put
+    reached = _orbit([0], range(n), lambda i, j: j if j in neighbors[i] else i)
     if sum(len(nb) for nb in neighbors) != 2 * (n - 1) or len(reached) != n:
         return None
     branch = [i for i in range(n) if len(neighbors[i]) >= 3]

@@ -1,20 +1,23 @@
 """Counting members of a (3,4)-curve pencil with a vertical bitangent.
 
 A curve of bidegree (3,4) on P^1 x P^1 over GF(p) is stored through its 20
-coefficients c[i][j] of x^(3-i) y^i u^(4-j) v^j.  For the pencil F0 + t F1
-the fiber-quartic coefficients A..E become polynomials in (x, y, t); the
-discriminant and seminvariant conditions give forms Delta (degree 18) and d
-(degree 12) in (x, y), and eliminating (x, y) yields R(t), whose roots are
-the pencil members for which the two conditions share a fiber.
+coefficients c[i][j] of x^(3-i) y^i u^(4-j) v^j, as ints in [0, p).  For the
+pencil F0 + t F1 the fiber-quartic coefficients A..E become polynomials in
+(x, y, t); the discriminant and seminvariant conditions give forms Delta
+(degree 18) and d (degree 12) in (x, y), and eliminating (x, y) yields R(t),
+whose roots are the pencil members for which the two conditions share a
+fiber.
 
-R(t) is computed from integer evaluations (Collins 1971): at each of the
-points t = 0..144 (the degree bound 12 * 6 + 18 * 4), A..E are read at
-y = 1 as ints, Delta(x, 1) and d(x, 1) are interpolated from their values at
-x = 0..18, their resultant at the formal degrees 18 and 12 is taken by Euclid
-mod p, and the 145 values are interpolated in t.  Validation evaluates the
-closure-square conditions of the fiber quartic on the same ints, at the
-members t = 0..6, interpolates every coefficient of the six forms in t, and
-works on coefficient lists in x at y = 1 from there on.
+The pencil is sampled once: at the members t = 0..6, A..E are read at y = 1
+as ints, Delta(x, 1), d(x, 1) and the closure-square conditions of the fiber
+quartic are interpolated from their values at x = 0..18, and every x^i
+coefficient of these six forms is interpolated in t.  Every member the count
+needs is read from these t-polynomials.  R(t) comes from integer evaluations
+(Collins 1971): at each of the members t = 0..144 (the degree bound
+12 * 6 + 18 * 4), the resultant of Delta(x, 1) and d(x, 1) at the formal
+degrees 18 and 12 is taken by Euclid mod p, and the 145 values are
+interpolated in t.  Validation reads the forms at a root of each factor of R
+and at t = infinity, and works on coefficient lists in x at y = 1.
 
 The raw eliminant is heavily non-reduced and contains extraneous factors
 (leading-coefficient collapse, fibers where A and B both vanish, and the
@@ -33,14 +36,13 @@ itself) is checked separately and never added to the count.
 from __future__ import annotations
 
 import functools
-import itertools
 import random
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from . import univar, zpoly
 from .binform import dehomogenize
-from .domains import ExtensionField, FieldElement, FiniteField, PrimeField
+from .domains import ExtensionField, FiniteField, PrimeField
 from .errors import VerificationError
 from .multipoly import MultiPoly
 from .quartic import (
@@ -66,25 +68,29 @@ FORM_T_DEGREES = (DELTA_T_DEGREE, D_T_DEGREE, 3, 4, 1, 2)
 
 @dataclass(frozen=True)
 class Curve34:
-    """A (3,4)-curve over GF(p): coefficient c[i][j] multiplies x^(3-i) y^i u^(4-j) v^j."""
+    """A (3,4)-curve over GF(p): coefficient c[i][j], an int in [0, p),
+    multiplies x^(3-i) y^i u^(4-j) v^j."""
 
-    fieldp: PrimeField
-    coeffs: tuple[tuple[FieldElement, ...], ...]
+    p: int
+    coeffs: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        PrimeField(self.p)  # raises ValueError for a p that GF(p) rejects
         if len(self.coeffs) != 4 or any(len(row) != 5 for row in self.coeffs):
             raise ValueError("a (3,4)-curve needs a 4 x 5 coefficient array")
+        if any(not 0 <= c < self.p for row in self.coeffs for c in row):
+            raise ValueError(f"curve coefficients must be ints in [0, {self.p})")
 
     def is_proportional_to(self, other: "Curve34") -> bool:
+        p = self.p
         ratio = None
-        for i in range(4):
-            for j in range(5):
-                a, b = self.coeffs[i][j], other.coeffs[i][j]
+        for row_a, row_b in zip(self.coeffs, other.coeffs):
+            for a, b in zip(row_a, row_b):
                 if not a and not b:
                     continue
                 if not a or not b:
                     return False
-                r = a / b
+                r = a * pow(b, -1, p) % p
                 if ratio is None:
                     ratio = r
                 elif r != ratio:
@@ -92,16 +98,15 @@ class Curve34:
         return True
 
 
-def curve_from_ints(fieldp: PrimeField, entries: dict[tuple[int, int], int]) -> Curve34:
-    rows = [[fieldp.zero() for _ in range(5)] for _ in range(4)]
+def curve_from_ints(p: int, entries: dict[tuple[int, int], int]) -> Curve34:
+    rows = [[0] * 5 for _ in range(4)]
     for (i, j), value in entries.items():
-        rows[i][j] = fieldp.elem(value)
-    return Curve34(fieldp, tuple(tuple(row) for row in rows))
+        rows[i][j] = value % p
+    return Curve34(p, tuple(tuple(row) for row in rows))
 
 
-def random_curve(fieldp: PrimeField, rng: random.Random) -> Curve34:
-    rows = tuple(tuple(fieldp.rand(rng) for _ in range(5)) for _ in range(4))
-    return Curve34(fieldp, rows)
+def random_curve(p: int, rng: random.Random) -> Curve34:
+    return Curve34(p, tuple(tuple(rng.randrange(p) for _ in range(5)) for _ in range(4)))
 
 
 def random_pencil(p: int, seed: int) -> tuple[Curve34, Curve34]:
@@ -116,11 +121,10 @@ def random_pencil(p: int, seed: int) -> tuple[Curve34, Curve34]:
         raise ValueError(f"pencil counting requires a prime > {MIN_PRIME}, got {p}")
     if seed < 0:
         raise ValueError("seed must be non-negative")
-    fieldp = PrimeField(p)
     rng = random.Random(f"pencil:{p}:{seed}")
     for _ in range(100):
-        f0 = random_curve(fieldp, rng)
-        f1 = random_curve(fieldp, rng)
+        f0 = random_curve(p, rng)
+        f1 = random_curve(p, rng)
         if not (f0.coeffs[0][0] and f0.coeffs[3][0] and f1.coeffs[0][0] and f1.coeffs[3][0]):
             continue
         if f0.is_proportional_to(f1):
@@ -137,10 +141,9 @@ def _member_forms(f0: Curve34, f1: Curve34, t: int) -> Iterator[tuple[int, ...]]
     conditions, each branch read at every x whatever the value of A there.
     Ints mod p, low degree first, padded to the degrees 18, 12, 9, 12, 3 and 6
     (so the leading coefficient may be 0)."""
-    p = f0.fieldp.p
+    p = f0.p
     rows = [
-        [(a.value + t * b.value) % p for a, b in zip(row0, row1)]
-        for row0, row1 in zip(f0.coeffs, f1.coeffs)
+        [(a + t * b) % p for a, b in zip(row0, row1)] for row0, row1 in zip(f0.coeffs, f1.coeffs)
     ]
     # column j at y = 1 is the cubic c[0][j] x^3 + c[1][j] x^2 + c[2][j] x + c[3][j]
     fibers = [
@@ -149,7 +152,7 @@ def _member_forms(f0: Curve34, f1: Curve34, t: int) -> Iterator[tuple[int, ...]]
     ]
 
     def interpolated(values, degree: int) -> tuple[int, ...]:
-        return _padded(zpoly.zp_interpolate(0, values, p), degree)
+        return _padded(zpoly.zp_interpolate(values, p), degree)
 
     yield interpolated([disc_delta(q) for q in fibers], DELTA_DEGREE)
     yield interpolated([sem_d(q) for q in fibers[: D_DEGREE + 1]], D_DEGREE)
@@ -159,21 +162,23 @@ def _member_forms(f0: Curve34, f1: Curve34, t: int) -> Iterator[tuple[int, ...]]
             yield interpolated(values, degree)
 
 
-@functools.lru_cache(maxsize=64)
-def _condition_table(f0: Curve34, f1: Curve34) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """For t = 0..144: the coefficients of Delta(x, 1) and d(x, 1) for the
-    member F0 + t F1, as ints mod p, low degree first, all 19 and 13 of them
-    (so the leading coefficient may be 0).
-    """
-    if f0.fieldp != f1.fieldp:
-        raise ValueError("pencil members live over different fields")
-    return tuple(
-        tuple(itertools.islice(_member_forms(f0, f1, t), 2)) for t in range(ELIMINANT_POINTS)
-    )
-
-
 def _padded(cs: list[int], degree: int) -> tuple[int, ...]:
     return tuple(cs) + (0,) * (degree + 1 - len(cs))
+
+
+def _forms_in_t(f0: Curve34, f1: Curve34) -> list[tuple[list[list[int]], int]]:
+    """The forms of F0 + t F1 as x^i coefficients in GF(p)[t], with their
+    t-degrees: the six of :func:`_member_forms` interpolated from t = 0..6,
+    then the cubics A..E, whose x^i coefficient is c0[3-i][j] + t c1[3-i][j].
+    Every member, t = infinity included, is read from these polynomials."""
+    if f0.p != f1.p:
+        raise ValueError("pencil members live over different fields")
+    p = f0.p
+    rows = [tuple(_member_forms(f0, f1, t)) for t in range(DELTA_T_DEGREE + 1)]
+    return [
+        ([zpoly.zp_interpolate(col, p) for col in zip(*(row[k] for row in rows[: n + 1]))], n)
+        for k, n in enumerate(FORM_T_DEGREES)
+    ] + [([[f0.coeffs[3 - i][j], f1.coeffs[3 - i][j]] for i in range(4)], 1) for j in range(5)]
 
 
 @functools.lru_cache(maxsize=64)
@@ -181,26 +186,18 @@ def raw_resultant(f0: Curve34, f1: Curve34) -> tuple[int, ...]:
     """R(t) = Res_(x,y)(Delta, d) as a coefficient tuple over GF(p).
 
     Interpolated from its values at t = 0..144, each the resultant of
-    Delta(x, 1) and d(x, 1) at the formal degrees 18 and 12.
+    Delta(x, 1) and d(x, 1) at the formal degrees 18 and 12; the member t0
+    is read from the forms in t at the root of t - t0.
     """
-    p = f0.fieldp.p
-    values = [zpoly.zp_resultant(delta, d, p) for delta, d in _condition_table(f0, f1)]
-    return tuple(zpoly.zp_interpolate(0, values, p))
-
-
-def _forms_in_t(f0: Curve34, f1: Curve34) -> list[tuple[list[list[int]], int]]:
-    """The forms of F0 + t F1 as x^i coefficients in GF(p)[t], with their
-    t-degrees: the six of :func:`_member_forms` interpolated from t = 0..6,
-    then the cubics A..E, whose x^i coefficient is c0[3-i][j] + t c1[3-i][j]."""
-    p = f0.fieldp.p
-    rows = [tuple(_member_forms(f0, f1, t)) for t in range(DELTA_T_DEGREE + 1)]
-    return [
-        ([zpoly.zp_interpolate(0, col, p) for col in zip(*(row[k] for row in rows[: n + 1]))], n)
-        for k, n in enumerate(FORM_T_DEGREES)
-    ] + [
-        ([[f0.coeffs[3 - i][j].value, f1.coeffs[3 - i][j].value] for i in range(4)], 1)
-        for j in range(5)
-    ]
+    p = f0.p
+    fieldp = PrimeField(p)
+    (delta, _), (d, _) = _forms_in_t(f0, f1)[:2]
+    values = []
+    for t0 in range(ELIMINANT_POINTS):
+        root = [-t0 % p, 1]
+        at_t0 = [[_at_root(c, root, fieldp) for c in cs] for cs in (delta, d)]
+        values.append(zpoly.zp_resultant(*at_t0, p))
+    return tuple(zpoly.zp_interpolate(values, p))
 
 
 # --- validation of a single member --------------------------------------------
@@ -393,10 +390,10 @@ def pencil_intersection_count(
     :func:`random_pencil` are not required here, so structured pencils can be
     analyzed too.
     """
-    fieldp = f0.fieldp
-    if f1.fieldp != fieldp:
+    p = f0.p
+    if f1.p != p:
         raise ValueError("pencil members must both live over GF(p)")
-    p = fieldp.p
+    fieldp = PrimeField(p)
     if f0.is_proportional_to(f1):
         raise ValueError("degenerate pencil: members are proportional")
     r = list(raw_resultant(f0, f1))
@@ -445,5 +442,4 @@ def pencil_intersection_count(
 def family_pencil(p: int) -> tuple[Curve34, Curve34]:
     """The transversality family as a pencil mod p: P_alpha = P_0 + alpha * Q
     with Q = -x^3 v^2 (u - v)^2.  The t = 0 member has its bitangent at [1:0]."""
-    fieldp = PrimeField(p)
-    return curve_from_ints(fieldp, FAMILY_P0), curve_from_ints(fieldp, FAMILY_Q)
+    return curve_from_ints(p, FAMILY_P0), curve_from_ints(p, FAMILY_Q)

@@ -125,7 +125,9 @@ def class_delta2() -> XThetaClass:
     return xtheta(5, 4, {(2, 0): 128, (0, 2): 4, (1, 1): -40})
 
 
-EXPECTED_PRODUCT = {(2, 2): Fraction(104), (0, 4): Fraction(2), (1, 3): Fraction(-24), (3, 1): Fraction(-128)}
+EXPECTED_PRODUCT = {
+    (2, 2): Fraction(104), (0, 4): Fraction(2), (1, 3): Fraction(-24), (3, 1): Fraction(-128)
+}
 
 
 def product_and_eval() -> tuple[XThetaClass, Fraction]:

@@ -118,13 +118,9 @@ class ResultantDiagnostics:
 
 
 @functools.cache
-def resultant_R(sample_base: int = 0) -> ResultantDiagnostics:
-    """R(alpha) = Res_(x,y)(Delta_alpha, d_alpha) by exact interpolation.
-
-    ``sample_base`` shifts the interpolation sample points, enabling
-    cross-validation of the same determinant from an independent point set.
-    """
-    r = sylvester_resultant(delta_alpha(), d_alpha(), sample_base=sample_base)
+def resultant_R() -> ResultantDiagnostics:
+    """R(alpha) = Res_(x,y)(Delta_alpha, d_alpha) by exact interpolation."""
+    r = sylvester_resultant(delta_alpha(), d_alpha())
     coeffs = {ex[0]: c for ex, c in r.terms.items()}
     return ResultantDiagnostics(
         polynomial=r,

@@ -14,7 +14,7 @@ modulus (von zur Gathen-Gerhard, Modern Computer Algebra, 9.1), so a
 reduction costs two multiplications.  Resultants (Euclid) and Newton
 interpolation let eliminants be computed from values at integer points.
 The Newton interpolator is the package's only one: :func:`int_interpolate`
-takes forward differences on ints at consecutive points, and both the GF(p)
+takes forward differences on ints at the points 0..N-1, and both the GF(p)
 eliminants (through :func:`zp_interpolate`) and the resultants of
 :mod:`exactgeom.binform` over QQ use it.
 """
@@ -167,9 +167,9 @@ def zp_resultant(f: list[int], g: list[int], p: int) -> int:
     return result * pow(g[0], zp_deg(f), p) % p
 
 
-def int_interpolate(x0: int, ys: list[int]) -> list[int]:
-    """(N-1)! times the polynomial of degree < N through (x0 + i, ys[i]),
-    low degree first, for N integer values ys at consecutive integers.
+def int_interpolate(ys: list[int]) -> list[int]:
+    """(N-1)! times the polynomial of degree < N through (i, ys[i]),
+    low degree first, for N integer values ys at the points 0..N-1.
 
     Newton's forward differences d_k of integer values are integers, and
     the Newton coefficients are d_k / k!; scaling by (N-1)! keeps the whole
@@ -184,25 +184,24 @@ def int_interpolate(x0: int, ys: list[int]) -> list[int]:
     weight = 1  # (N-1)! / k!
     for k in range(n - 2, -1, -1):
         weight *= k + 1
-        # result <- result * (x - x0 - k) + weight * ds[k]
-        xk = x0 + k
+        # result <- result * (x - k) + weight * ds[k]
         shifted = [0] + result
         for i, c in enumerate(result):
-            shifted[i] -= xk * c
+            shifted[i] -= k * c
         shifted[0] += weight * ds[k]
         result = shifted
     return result
 
 
-def zp_interpolate(x0: int, values: list[int], p: int) -> list[int]:
-    """The polynomial of degree < N through (x0 + i, values[i]) over GF(p),
-    for N values at consecutive points: :func:`int_interpolate` times
+def zp_interpolate(values: list[int], p: int) -> list[int]:
+    """The polynomial of degree < N through (i, values[i]) over GF(p), for N
+    values at the points 0..N-1: :func:`int_interpolate` times
     ((N-1)!)^(-1) mod p, which needs N <= p."""
     n = len(values)
     if n > p:
         raise InterpolationError(f"need {n} sample points but the field has only {p} elements")
     scale = pow(math.factorial(n - 1), -1, p)
-    return zp_trim([c * scale % p for c in int_interpolate(x0, [v % p for v in values])])
+    return zp_trim([c * scale % p for c in int_interpolate([v % p for v in values])])
 
 
 def zp_squarefree_part(cs: list[int], p: int) -> list[int]:

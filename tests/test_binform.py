@@ -280,9 +280,8 @@ def _specialized_sylvester_det(f, g, point):
 
 def test_resultant_on_a_grid_of_two_parameters():
     f, g = _grid_forms()
-    res = sylvester_resultant(f, g, sample_base=-4)
+    res = sylvester_resultant(f, g)
     assert res.variables == ("s", "t")
-    assert res == sylvester_resultant(f, g)
     rng = random.Random(23)
     points = [(0, 0), (-4, 3), (1, -1)] + [
         (rng.randrange(-40, 41), rng.randrange(-40, 41)) for _ in range(6)

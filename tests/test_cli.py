@@ -76,6 +76,22 @@ def test_usage_errors_exit_2():
         assert exc.value.code == 2
 
 
+def test_output_path_in_a_missing_directory_exits_2_before_any_check(monkeypatch, tmp_path):
+    def forbidden(config):
+        raise AssertionError("a check ran before the output path was rejected")
+
+    for command in ("verify-intersection", "verify-lines"):
+        monkeypatch.setitem(cli.CHECK_RUNNERS, command, (forbidden,))
+    missing = tmp_path / "missing"
+    for argv in (
+        ["verify-intersection", "--out", str(missing / "r.json")],
+        ["verify-lines", "--dot", str(missing / "lines.dot")],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run_main(argv)
+        assert exc.value.code == 2
+
+
 def test_largest_admissible_prime_is_accepted():
     assert cli._validated_prime("2147483647") == 2**31 - 1
 

@@ -1,5 +1,6 @@
 """Vertical-bitangent counting for pencils of (3,4)-curves over GF(p)."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -32,8 +33,8 @@ def test_random_pencil_deterministic():
 def test_random_pencil_golden_values():
     # pinned at first run and frozen: the fixed RNG stream for (10007, 1)
     f0, f1 = pc.random_pencil(P, 1)
-    assert [c.value for c in f0.coeffs[0]] == [3191, 9459, 1886, 139, 9784]
-    assert [c.value for c in f1.coeffs[0]] == [7252, 3284, 8139, 6527, 402]
+    assert f0.coeffs[0] == (3191, 9459, 1886, 139, 9784)
+    assert f1.coeffs[0] == (7252, 3284, 8139, 6527, 402)
 
 
 def test_random_pencil_rejects_small_prime():
@@ -48,9 +49,26 @@ def test_random_pencil_rejects_negative_seed():
         pc.random_pencil(P, -1)
 
 
+def test_curve_holds_ints_of_its_prime_field():
+    f0, _ = pc.random_pencil(P, 1)
+    assert pc.curve_from_ints(P, {(0, 0): -1, (3, 4): P + 2}).coeffs[::3] == (
+        (P - 1, 0, 0, 0, 0),
+        (0, 0, 0, 0, 2),
+    )
+    for bad in (P, -1):
+        with pytest.raises(ValueError, match="ints in \\[0, 10007\\)"):
+            pc.Curve34(P, ((bad,) + f0.coeffs[0][1:],) + f0.coeffs[1:])
+    with pytest.raises(ValueError, match="not prime"):
+        pc.Curve34(10001, f0.coeffs)  # 73 * 137
+    with pytest.raises(ValueError, match="2 < p < 2\\*\\*31"):
+        pc.Curve34(2, f0.coeffs)
+    with pytest.raises(ValueError, match="4 x 5"):
+        pc.Curve34(P, f0.coeffs[:3])
+
+
 def test_repeated_screen_failure_is_an_error(monkeypatch):
-    bad = pc.curve_from_ints(PrimeField(P), {(1, 1): 1})  # zero leading coefficients
-    monkeypatch.setattr(pc, "random_curve", lambda fieldp, rng: bad)
+    bad = pc.curve_from_ints(P, {(1, 1): 1})  # zero leading coefficients
+    monkeypatch.setattr(pc, "random_curve", lambda p, rng: bad)
     with pytest.raises(RuntimeError, match="100 consecutive"):
         pc.random_pencil(P, 1)
 
@@ -78,7 +96,7 @@ def test_family_pencil_reproduces_section_seminvariant():
 
 def test_constant_pencil_has_constant_conditions():
     f0, _ = pc.random_pencil(P, 1)
-    zero = pc.curve_from_ints(PrimeField(P), {})
+    zero = pc.curve_from_ints(P, {})
     delta_t, d_t = _table_conditions(f0, zero)
     assert max(map(zpoly.zp_deg, delta_t + d_t)) <= 0
 
@@ -91,7 +109,7 @@ def test_infinity_member_conditions_are_the_top_t_coefficients(pencil):
     # t^4 coefficients are the conditions of F1 alone
     f0, f1 = pencil(P, 1)
     delta_t, d_t = _table_conditions(f0, f1)
-    delta_inf, d_inf = pc._condition_table(f1, pc.curve_from_ints(PrimeField(P), {}))[0]
+    delta_inf, d_inf, *_ = pc._member_forms(f1, pc.curve_from_ints(P, {}), 0)
     assert tuple(pc._padded(c, 6)[6] for c in delta_t) == delta_inf
     assert tuple(pc._padded(c, 4)[4] for c in d_t) == d_inf
 
@@ -109,9 +127,7 @@ def test_proportional_pencil_rejected():
     f0, _ = pc.random_pencil(P, 1)
     with pytest.raises(ValueError):
         pc.pencil_intersection_count(f0, f0)
-    doubled = pc.Curve34(
-        f0.fieldp, tuple(tuple(2 * c for c in row) for row in f0.coeffs)
-    )
+    doubled = pc.Curve34(P, tuple(tuple(2 * c % P for c in row) for row in f0.coeffs))
     with pytest.raises(ValueError):
         pc.pencil_intersection_count(f0, doubled)
 
@@ -158,8 +174,7 @@ def test_count_invariant_under_swap():
 
 def test_count_invariant_under_parameter_scaling():
     f0, f1 = pc.random_pencil(P, 3)
-    lam = PrimeField(P).elem(7)
-    scaled = pc.Curve34(f1.fieldp, tuple(tuple(lam * c for c in row) for row in f1.coeffs))
+    scaled = pc.Curve34(P, tuple(tuple(7 * c % P for c in row) for row in f1.coeffs))
     base = pc.pencil_intersection_count(f0, f1, seed=3)
     rescaled = pc.pencil_intersection_count(f0, scaled, seed=3)
     assert base.validated_count == rescaled.validated_count
@@ -323,7 +338,7 @@ def _symbolic_conditions(f0, f1):
     quartic = QuarticCoeffs(
         *(
             sum(
-                (a.value + t * b.value) * x ** (3 - i) * y**i
+                (a + t * b) * x ** (3 - i) * y**i
                 for i, (a, b) in enumerate(zip(c0, c1))
             )
             for c0, c1 in zip(zip(*f0.coeffs), zip(*f1.coeffs))
@@ -338,12 +353,18 @@ def _symbolic_conditions(f0, f1):
     return [BinaryForm(form, ("x", "y")) for form in forms]
 
 
+def _eliminant_members(f0, f1):
+    """Delta(x, 1) and d(x, 1) of each member t = 0..144, from the
+    per-member evaluator."""
+    return [tuple(itertools.islice(pc._member_forms(f0, f1, t), 2)) for t in range(145)]
+
+
 def _table_conditions(f0, f1):
     """The x^i coefficients of Delta(x, 1) and d(x, 1) as t-polynomials,
-    interpolated through all 145 rows of the condition table."""
-    table = pc._condition_table(f0, f1)
+    interpolated through the 145 members of :func:`_eliminant_members`."""
+    table = _eliminant_members(f0, f1)
     return tuple(
-        [zpoly.zp_interpolate(0, column, f0.fieldp.p) for column in zip(*(row[k] for row in table))]
+        [zpoly.zp_interpolate(column, f0.p) for column in zip(*(row[k] for row in table))]
         for k in range(2)
     )
 
@@ -393,10 +414,9 @@ def test_raw_resultant_matches_the_symbolic_sylvester_resultant(p, seed):
     )
 
 
-def _with_a_vanishing_at_0(f0):
-    """F0 with c[3][0] = 0, so that A(0, 1) = 0 on the member t = 0."""
-    F = f0.fieldp
-    return pc.Curve34(F, f0.coeffs[:3] + ((F.zero(),) + f0.coeffs[3][1:],))
+def _with_a_vanishing_at_0(f0, f1):
+    """The pencil with c[3][0] = 0 in F0, so that A(0, 1) = 0 on the member t = 0."""
+    return pc.Curve34(f0.p, f0.coeffs[:3] + ((0,) + f0.coeffs[3][1:],)), f1
 
 
 @pytest.mark.parametrize("a_vanishes_at_0", [False, True], ids=["generic", "a_vanishes_at_0"])
@@ -405,13 +425,34 @@ def test_member_forms_in_t_match_the_symbolic_ones(a_vanishes_at_0):
     # t = 0..6; where A(0, 1) = 0 the A != 0 conditions are still read at x = 0
     f0, f1 = pc.random_pencil(P, 1)
     if a_vanishes_at_0:
-        f0 = _with_a_vanishing_at_0(f0)
+        f0, f1 = _with_a_vanishing_at_0(f0, f1)
     forms = pc._forms_in_t(f0, f1)[:6]
     symbolic = _symbolic_conditions(f0, f1)
     assert [n for _, n in forms] == [6, 4, 3, 4, 1, 2]
     for (cs, n), form, degree in zip(forms, symbolic, (18, 12, 9, 12, 3, 6)):
         assert form.degree == degree and form.poly.degree_in("t") <= n
         assert cs == _t_polynomials(form, degree, P)
+
+
+@pytest.mark.parametrize(
+    "pencil",
+    [
+        lambda: pc.random_pencil(P, 1),
+        lambda: pc.family_pencil(P),
+        lambda: _with_a_vanishing_at_0(*pc.random_pencil(P, 1)),
+    ],
+    ids=["random", "family", "a_vanishes_at_0"],
+)
+def test_eliminant_members_read_from_the_forms_in_t(pencil):
+    # raw_resultant reads Delta and d of the members t = 0..144 from the
+    # t-polynomials interpolated at t = 0..6; the per-member evaluator is the
+    # oracle at every one of the 145 points
+    f0, f1 = pencil()
+    field = PrimeField(P)
+    forms = pc._forms_in_t(f0, f1)[:2]
+    for t, expected in enumerate(_eliminant_members(f0, f1)):
+        read = tuple(tuple(pc._at_root(c, [-t % P, 1], field) for c in cs) for cs, _ in forms)
+        assert read == expected
 
 
 def test_symbolic_family_resultant_is_reduction_of_the_rational_one():
@@ -431,11 +472,10 @@ def test_raw_resultant_where_both_leading_coefficients_vanish():
     # row 0 of F0 is (1, -2, 1, 0, 0): the [1:0] fiber of the t = 0 member is
     # u^2 (u - v)^2, so the x^18 coefficient of Delta and the x^12 coefficient
     # of d both vanish there, the first Sylvester column is zero and R(0) = 0
-    F = PrimeField(P)
     rng = random.Random("leading-collapse")
-    f0, f1 = pc.random_curve(F, rng), pc.random_curve(F, rng)
-    f0 = pc.Curve34(F, (tuple(F.elem(c) for c in (1, -2, 1, 0, 0)),) + f0.coeffs[1:])
-    delta0, d0 = pc._condition_table(f0, f1)[0]
+    f0, f1 = pc.random_curve(P, rng), pc.random_curve(P, rng)
+    f0 = pc.Curve34(P, (tuple(c % P for c in (1, -2, 1, 0, 0)),) + f0.coeffs[1:])
+    delta0, d0, *_ = pc._member_forms(f0, f1, 0)
     assert delta0[-1] == 0 == d0[-1]
     r = pc.raw_resultant(f0, f1)
     assert r[0] == 0
@@ -447,19 +487,18 @@ def test_raw_resultant_where_both_leading_coefficients_vanish():
 @pytest.mark.parametrize("p", [101, 139])
 def test_pencil_count_needs_145_sample_points(p):
     # R(t) is interpolated at t = 0..144, which are not distinct mod p < 145
-    F = PrimeField(p)
     rng = random.Random(p)
-    f0, f1 = pc.random_curve(F, rng), pc.random_curve(F, rng)
+    f0, f1 = pc.random_curve(p, rng), pc.random_curve(p, rng)
     with pytest.raises(InterpolationError):
         pc.pencil_intersection_count(f0, f1)
 
 
 def test_members_over_different_fields_are_rejected():
     f0, _ = pc.random_pencil(P, 1)
-    other = pc.random_curve(PrimeField(31991), random.Random(1))
+    other = pc.random_curve(31991, random.Random(1))
     with pytest.raises(ValueError, match="different fields"):
         pc.raw_resultant(f0, other)
     with pytest.raises(ValueError, match="different fields"):
-        pc._condition_table(f0, other)
+        pc._forms_in_t(f0, other)
     with pytest.raises(ValueError, match="GF\\(p\\)"):
         pc.pencil_intersection_count(f0, other)
