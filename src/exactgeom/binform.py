@@ -7,8 +7,11 @@ over GF(p) takes its resultants in :mod:`exactgeom.zpoly`.  The coefficients
 of the two forms are read once into ints (each form scaled by the lcm of its
 denominators), evaluated on one grid of integer sample points, 0..bound in
 each parameter with degree bound n deg f + m deg g for forms of degrees m and
-n, and the Sylvester determinant at each point is taken by Bareiss elimination
-on ints, the package's only determinant routine.  The grid of values is
+n, and the resultant at each point is taken by
+:func:`exactgeom.zpoly.int_resultant`, the subresultant remainder sequence on
+ints; no Sylvester matrix is built.  Bareiss elimination on ints, the
+package's only determinant routine, remains behind :func:`det_constant` for
+matrices of rationals.  The grid of values is
 interpolated one parameter axis at a time, straight into the terms of the
 result, by :func:`exactgeom.zpoly.int_interpolate`: Newton's forward
 differences on ints, scaled by bound! per axis.  The scales are divided out
@@ -178,13 +181,15 @@ def det_polynomial_matrix(fc: list[MultiPoly], gc: list[MultiPoly]) -> MultiPoly
     in that variable.  The coefficients are read once into ints (each
     sequence scaled by the lcm D of its denominators, so the determinant is
     scaled by D_f^n D_g^m), evaluated at every point of the grid of sample
-    points, and the determinant at each point is taken by Bareiss
-    elimination on ints.  The grid of values is then interpolated
+    points, and the determinant at each point is taken from the two int
+    sequences by ``zpoly.int_resultant`` (the subresultant remainder
+    sequence, at the formal degrees m and n), without building the matrix.
+    The grid of values is then interpolated
     one axis at a time, from the last active variable to the first, by
     ``zpoly.int_interpolate`` on ints.  Its factor bound! per axis is divided
     out with D_f^n D_g^m at the end, as the denominator of each coefficient.
-    With no active variable the result is the constant determinant, a
-    ``Fraction``.
+    With no active variable the result is the constant determinant, as a
+    constant ``MultiPoly``.
     """
     variables = fc[0].variables
     m, n = len(fc) - 1, len(gc) - 1
@@ -219,10 +224,8 @@ def det_polynomial_matrix(fc: list[MultiPoly], gc: list[MultiPoly]) -> MultiPoly
 
     table: dict = {}
     for point in itertools.product(*(range(bound + 1) for bound in bounds)):
-        fv, gv = evaluate(fs, point), evaluate(gs, point)
-        mat = [[0] * i + fv + [0] * (n - 1 - i) for i in range(n)]
-        mat += [[0] * i + gv + [0] * (m - 1 - i) for i in range(m)]
-        det = _det_int(mat)
+        # the sequences run from u^m down; the kernel takes low degree first
+        det = zpoly.int_resultant(evaluate(fs, point)[::-1], evaluate(gs, point)[::-1])
         if det:
             table[point] = det
 

@@ -142,12 +142,17 @@ def specialized_pair(alpha0) -> tuple[BinaryForm, BinaryForm]:
 def resultant_spot_check(alpha0) -> bool:
     """R(alpha0) equals the resultant of the specialized forms.
 
-    Meaningful only when both leading coefficients survive specialization
-    (checked); then specialize-then-eliminate equals eliminate-then-specialize.
+    Both sides are Sylvester determinants at the formal degrees (18, 12):
+    R(alpha) by construction, and the specialized pair because
+    ``BinaryForm.degree`` is the homogeneous degree, which stays 18 and 12
+    when leading coefficients vanish (at alpha = -2 both do).  So
+    specialize-then-eliminate equals eliminate-then-specialize at every
+    alpha0.  The guard refuses only a form that vanishes identically, which
+    would lose its formal degree.
     """
     delta, dd = specialized_pair(alpha0)
     if delta.degree != delta_alpha().degree or dd.degree != d_alpha().degree:
-        raise ValueError(f"leading coefficient vanishes at alpha = {alpha0}")
+        raise ValueError(f"a condition vanishes identically at alpha = {alpha0}")
     direct = sylvester_resultant(delta, dd).constant_value()
     via_r = resultant_R().polynomial.evaluate({"alpha": Fraction(alpha0)})
     return direct == via_r

@@ -11,8 +11,12 @@ entry points.  Multiplication packs coefficients into one big integer
 convolution.  Modular powers, the core of distinct-degree factorization,
 reduce each product by a precomputed power-series inverse of the reversed
 modulus (von zur Gathen-Gerhard, Modern Computer Algebra, 9.1), so a
-reduction costs two multiplications.  Resultants (Euclid) and Newton
-interpolation let eliminants be computed from values at integer points.
+reduction costs two multiplications.  Resultants and Newton interpolation
+let eliminants be computed from values at integer points.  Both resultant
+kernels take the Sylvester determinant at the formal degrees:
+:func:`zp_resultant` by Euclid over GF(p) for the pencil count, and
+:func:`int_resultant` by the subresultant remainder sequence over ZZ for the
+resultants of :mod:`exactgeom.binform` over QQ.
 The Newton interpolator is the package's only one: :func:`int_interpolate`
 takes forward differences on ints at the points 0..N-1, and both the GF(p)
 eliminants (through :func:`zp_interpolate`) and the resultants of
@@ -133,28 +137,48 @@ def zp_pow_mod(base: list[int], exponent: int, modulus: list[int], p: int) -> li
     return result
 
 
+def _expand_first_column(f: list, g: list) -> tuple[int, list, list]:
+    """Expand the Sylvester determinant of f and g (low degree first, at the
+    formal degrees M = len(f) - 1 and N = len(g) - 1, f's rows first) along
+    its first column while a leading coefficient vanishes.
+
+    The first column holds only lc(f), in f's first row, and lc(g), in g's
+    first row, at sign (-1)^N; when one of them vanishes the determinant is
+    the other one times the Sylvester determinant with that formal degree
+    lowered by one.  Returns (scale, f, g) with the determinant equal to
+    scale times the Sylvester determinant of the returned pair; there a
+    formal degree is 0 or no leading coefficient vanishes, unless both do,
+    which leaves scale 0.  The scale is a plain int, not reduced mod p.
+    """
+    scale = 1
+    while len(f) > 1 and len(g) > 1 and not (f[-1] and g[-1]):
+        if not (f[-1] or g[-1]):
+            return 0, f, g
+        if f[-1]:
+            scale *= f[-1]
+            g = g[:-1]
+        else:
+            scale *= -g[-1] if len(g) % 2 == 0 else g[-1]
+            f = f[:-1]
+    return scale, f, g
+
+
 def zp_resultant(f: list[int], g: list[int], p: int) -> int:
     """Res(f, g) at the formal degrees M = len(f) - 1 and N = len(g) - 1: the
     determinant of the Sylvester matrix with the N rows of f first
-    (coefficients highest degree first); 0 if f or g is zero.
+    (coefficients highest degree first), for M, N >= 0.
 
-    A vanishing leading coefficient of f leaves (-1)^N lc(g) in the first
-    column, one of g leaves lc(f); when both vanish that column is zero.
-    The rest is Euclid at the true degrees, with
+    A constant f = [c] gives c^N and a constant g = [c] gives c^M, also for
+    a zero polynomial on the other side.  Otherwise vanishing leading
+    coefficients are expanded away by :func:`_expand_first_column`, and the
+    rest is Euclid at the true degrees, with
     Res(f, g) = (-1)^(mn) lc(g)^(m - deg r) Res(g, r) for r = f mod g,
     ending at Res(f, c) = c^m for a constant c.
     """
-    formal_m, formal_n = zp_deg(f), zp_deg(g)
-    f, g = zp_trim(list(f)), zp_trim(list(g))
-    if not f or not g:
-        return 0
-    drop_f, drop_g = formal_m - zp_deg(f), formal_n - zp_deg(g)
-    if drop_f and drop_g:
-        return 0
-    if drop_f:
-        result = pow(-g[-1] if formal_n % 2 else g[-1], drop_f, p)
-    else:
-        result = pow(f[-1], drop_g, p)
+    scale, f, g = _expand_first_column(f, g)
+    if len(f) == 1 or len(g) == 1 or not scale:
+        return scale * pow(f[0], len(g) - 1, p) * pow(g[0], len(f) - 1, p) % p
+    result = scale % p
     while zp_deg(g) > 0:
         r = zp_rem(f, g, p)
         if not r:
@@ -165,6 +189,60 @@ def zp_resultant(f: list[int], g: list[int], p: int) -> int:
         result = result * pow(g[-1], m - zp_deg(r), p) % p
         f, g = g, r
     return result * pow(g[0], zp_deg(f), p) % p
+
+
+def int_resultant(f: list[int], g: list[int]) -> int:
+    """The determinant of the Sylvester matrix of f and g over ZZ: ints low
+    degree first, at the formal degrees M = len(f) - 1 and N = len(g) - 1
+    with f's rows first, for M, N >= 0 (the contract of
+    :func:`zp_resultant`).
+
+    After :func:`_expand_first_column` both leading coefficients are
+    nonzero, and the subresultant polynomial remainder sequence of Collins
+    and Brown-Traub (Cohen, A Course in Computational Algebraic Number
+    Theory, Algorithm 3.3.7) takes the resultant in O(M N) operations on
+    ints: each pseudo-remainder is divided exactly by the previous leading
+    coefficient times h^delta, which keeps the coefficients the size of the
+    subresultants.
+    """
+    scale, f, g = _expand_first_column(f, g)
+    if len(f) == 1 or len(g) == 1 or not scale:
+        return scale * f[0] ** (len(g) - 1) * g[0] ** (len(f) - 1)
+    if len(f) < len(g):
+        f, g = g, f
+        if len(f) % 2 == 0 and len(g) % 2 == 0:
+            scale = -scale
+    lead = h = 1
+    while True:
+        m, n = len(f) - 1, len(g) - 1
+        delta = m - n
+        if m % 2 and n % 2:
+            scale = -scale
+        r = _int_pseudo_remainder(f, g)
+        if not r:
+            return 0
+        divisor = lead * h**delta
+        f, g = g, [c // divisor for c in r]
+        lead = f[-1]
+        if delta:
+            h = lead**delta // h ** (delta - 1)
+        if len(g) == 1:
+            m = len(f) - 1
+            return scale * (g[0] ** m // h ** (m - 1))
+
+
+def _int_pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """lc(b)^(deg a - deg b + 1) a mod b over ZZ, trimmed; deg a >= deg b."""
+    r = list(a)
+    n = len(b) - 1
+    lead = b[-1]
+    for k in range(len(a) - 1 - n, -1, -1):
+        top = r.pop()
+        r = [lead * c for c in r]
+        if top:
+            for j in range(n):
+                r[k + j] -= top * b[j]
+    return zp_trim(r)
 
 
 def int_interpolate(ys: list[int]) -> list[int]:

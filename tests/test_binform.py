@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from exactgeom import binform, univar
+from exactgeom import binform, univar, zpoly
 from exactgeom.binform import (
     BinaryForm,
     binary_gcd,
@@ -229,8 +229,9 @@ def test_resultant_substitutes_each_coefficient_once_per_point(monkeypatch):
     from exactgeom.transversality import d_alpha, delta_alpha
 
     f, g = delta_alpha(), d_alpha()
-    substitutions = determinants = 0
+    substitutions = resultants = determinants = 0
     original_substitute = MultiPoly.substitute
+    original_resultant = zpoly.int_resultant
     original_det = binform._det_int
 
     def counting_substitute(self, name, value):
@@ -238,18 +239,26 @@ def test_resultant_substitutes_each_coefficient_once_per_point(monkeypatch):
         substitutions += 1
         return original_substitute(self, name, value)
 
+    def counting_resultant(a, b):
+        nonlocal resultants
+        resultants += 1
+        return original_resultant(a, b)
+
     def counting_det(m):
         nonlocal determinants
         determinants += 1
         return original_det(m)
 
     monkeypatch.setattr(MultiPoly, "substitute", counting_substitute)
+    monkeypatch.setattr(zpoly, "int_resultant", counting_resultant)
     monkeypatch.setattr(binform, "_det_int", counting_det)
     sylvester_resultant(f, g)
     # the coefficients are read once into ints, never substituted; one integer
-    # determinant at each of 85 sample points (bound 12 * 4 + 18 * 2)
+    # resultant at each of 85 sample points (bound 12 * 4 + 18 * 2), and no
+    # Sylvester matrix or Bareiss determinant
     assert substitutions == 0
-    assert determinants == 85
+    assert resultants == 85
+    assert determinants == 0
 
 
 def _grid_forms():

@@ -118,6 +118,17 @@ def test_eliminant_spot_check():
     assert tv.resultant_spot_check(-7)
 
 
+def test_spot_check_holds_where_both_leading_coefficients_vanish():
+    # at alpha = -2 the x^18 coefficient of Delta and the x^12 coefficient of
+    # d are both 0; both sides stay Sylvester determinants at the formal
+    # degrees (18, 12), so they agree, and both are 0
+    delta, dd = tv.specialized_pair(-2)
+    assert (delta.degree, dd.degree) == (18, 12)
+    assert delta.coefficient_polys()[0].is_zero() and dd.coefficient_polys()[0].is_zero()
+    assert tv.resultant_R().polynomial.evaluate({"alpha": Fraction(-2)}) == 0
+    assert tv.resultant_spot_check(-2)
+
+
 def test_specialized_conditions_coprime_off_the_eliminant():
     diag = tv.resultant_R()
     count = 0

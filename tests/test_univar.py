@@ -209,18 +209,26 @@ def test_extension_products_reach_zp_mul_trimmed(monkeypatch):
         assert product.value == tuple(expected) + (0,) * (29 - len(expected))
 
 
-def _sylvester_det(f, g, p):
-    """det of the Sylvester matrix of f, g (low degree first) at the formal
-    degrees len - 1, f's rows first: taken over QQ on the ints in [0, p),
-    then reduced mod p."""
-    m, n = zpoly.zp_deg(f), zpoly.zp_deg(g)
+def _sylvester_det(f, g):
+    """det of the Sylvester matrix of f, g (ints, low degree first) at the
+    formal degrees len - 1, f's rows first, by Bareiss over QQ."""
+    m, n = len(f) - 1, len(g) - 1
     fv, gv = [Fraction(c) for c in reversed(f)], [Fraction(c) for c in reversed(g)]
     zero = Fraction(0)
     rows = [[zero] * i + fv + [zero] * (n - 1 - i) for i in range(n)]
     rows += [[zero] * i + gv + [zero] * (m - 1 - i) for i in range(m)]
     det = binform.det_constant(rows)
     assert det.denominator == 1
-    return det.numerator % p
+    return det.numerator
+
+
+def _assert_both_kernels_match(f, g, p):
+    """zp_resultant on the residues in [0, p), and int_resultant on the ints
+    themselves, against the Sylvester determinant."""
+    det = _sylvester_det(f, g)
+    assert zpoly.int_resultant(f, g) == det
+    residues = ([c % p for c in f], [c % p for c in g])
+    assert zpoly.zp_resultant(*residues, p) == det % p == zpoly.int_resultant(*residues) % p
 
 
 def test_zp_resultant_matches_the_sylvester_determinant():
@@ -241,7 +249,7 @@ def test_zp_resultant_matches_the_sylvester_determinant():
         (zpoly.zp_sub(zpoly.zp_mul([0, 0, 1], quartic, p), [p - 5, p - 1], p), quartic),
     ]
     for f, g in cases:
-        assert zpoly.zp_resultant(f, g, p) == _sylvester_det(f, g, p)
+        _assert_both_kernels_match(f, g, p)
     # formal degrees above the true ones (trailing zeros): each vanishing
     # leading coefficient of f scales by (-1)^N lc(g), each of g by lc(f)
     formal = [
@@ -252,12 +260,57 @@ def test_zp_resultant_matches_the_sylvester_determinant():
         (rand(18) + [0], rand(12) + [0]),  # both vanish: zero first column
     ]
     for f, g in formal:
-        assert zpoly.zp_resultant(f, g, p) == _sylvester_det(f, g, p)
-    assert _sylvester_det(*formal[-1], p) == 0
-    # a common root x = 4 makes both sides vanish
+        _assert_both_kernels_match(f, g, p)
+    assert _sylvester_det(*formal[-1]) == 0
+    # a common root x = 4 mod p makes both sides vanish mod p
     f = zpoly.zp_mul([p - 4, 1], rand(6), p)
     g = zpoly.zp_mul([p - 4, 1], rand(3), p)
-    assert zpoly.zp_resultant(f, g, p) == 0 == _sylvester_det(f, g, p)
+    assert zpoly.zp_resultant(f, g, p) == 0 == _sylvester_det(f, g) % p
+    _assert_both_kernels_match(f, g, p)
+    # a zero polynomial of formal degree M against a constant c of formal
+    # degree 0: M rows of c, so the determinant is c^M, not 0
+    assert zpoly.zp_resultant([0, 0], [5], 7) == 5 == zpoly.int_resultant([0, 0], [5])
+    for f, g in [([0, 0, 0], [5]), ([5], [0, 0, 0]), ([0], [0, 0]), ([0], [0]), ([0, 0], [0])]:
+        _assert_both_kernels_match(f, g, p)
+
+
+def test_int_resultant_matches_the_sylvester_determinant():
+    rng = random.Random(13)
+
+    def rand(degree, density=1.0):
+        return [rng.randrange(-40, 41) if rng.random() < density else 0 for _ in range(degree + 1)]
+
+    def mul(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+
+    cases = [
+        # the remainder of x^8 + 1 by x^5 + 3 is -3x^3 + 1: a jump of two
+        ([1, 0, 0, 0, 0, 0, 0, 0, 1], [3, 0, 0, 0, 0, 1]),
+        ([2, 0, 0, 0, 0, 0, 0, 1], [0, 0, 0, 5]),  # odd * odd; the remainder is constant
+        ([0, 0, 0, 5], [2, 0, 0, 0, 0, 0, 0, 1]),  # swapped: the sign counts
+        ([7], [1, 2, 3]),  # constant first argument: c^N
+        ([1, 2, 3, 4], [-6]),  # constant second argument: c^M
+        ([0, 1, 2, 0], [3, 0, 1, 0]),  # both leading coefficients vanish
+    ]
+    for _ in range(300):
+        f, g = rand(rng.randrange(9)), rand(rng.randrange(9))
+        cases.append((f, g))
+        # sparse: the remainder sequence jumps by more than one degree
+        cases.append((rand(rng.randrange(9), 0.3), rand(rng.randrange(9), 0.3)))
+        # a common factor: the resultant is 0
+        common = rand(rng.randrange(1, 4))
+        if common[-1]:
+            f, g = mul(f, common), mul(g, common)
+            assert zpoly.int_resultant(f, g) == 0 == _sylvester_det(f, g)
+        # one or both leading coefficients zero at the formal degree
+        f, g = rand(rng.randrange(1, 9)), rand(rng.randrange(1, 9))
+        cases += [(f + [0], g), (f, g + [0, 0]), (f + [0], g + [0])]
+    for f, g in cases:
+        assert zpoly.int_resultant(f, g) == _sylvester_det(f, g), (f, g)
 
 
 @pytest.mark.parametrize("p", [1009, 10007, 2**31 - 1])
