@@ -2,8 +2,9 @@
 
 This is the package's only implementation of univariate algorithms: the
 gcd, the inverse modulo a polynomial, the monic normalisation, the
-derivative, the squarefree part, distinct-degree plus Cantor-Zassenhaus
-splitting and the Rabin irreducibility test each exist once, here.
+derivative, the squarefree part, the Frobenius map, distinct-degree plus
+Cantor-Zassenhaus splitting and the Rabin irreducibility test each exist
+once, here.
 
 A polynomial is a list of raw field values (the int, tuple or ``Fraction``
 that a field element wraps), low degree first, with no trailing zeros;
@@ -11,10 +12,11 @@ that a field element wraps), low degree first, with no trailing zeros;
 arithmetic through the field's raw hooks (``_ris_zero``, ``_radd``,
 ``_rsub``, ``_rmul``, ``_rinv``, ``_rfrom_int``, ``_rrand``), so extension
 towers of any height run the same code.  Over a prime field the heavy steps
-(``trim``, ``mul``, ``divmod_``, ``pow_mod``) call the int kernels of
-:mod:`exactgeom.zpoly`, which is the selection on the field type that makes
-the hot GF(p) path fast.  :mod:`exactgeom.domains` multiplies, reduces and
-inverts extension elements through the functions here.
+(``trim``, ``mul``, ``divmod_``, ``pow_mod``, ``frobenius_rows``,
+``frobenius``) call the int kernels of :mod:`exactgeom.zpoly`, which is the
+selection on the field type that makes the hot GF(p) path fast.
+:mod:`exactgeom.domains` multiplies, reduces and inverts extension elements
+through the functions here.
 """
 
 from __future__ import annotations
@@ -157,15 +159,57 @@ def _x(field) -> list:
 # --- factorization over a finite field ---------------------------------------
 
 
+def frobenius_rows(f: list, field) -> list:
+    """Berlekamp's Frobenius matrix of field[x]/(f), q = field.order: the rows
+    x^(i q) mod f for i < deg f, in the form that :func:`frobenius` reads.
+
+    Over GF(p) these are the packed int rows of
+    :func:`exactgeom.zpoly.zp_frobenius_rows`; over any other finite field
+    they are lists of raw values, from one modular power x^q mod f and
+    products reduced mod f.
+    """
+    if isinstance(field, domains.PrimeField):
+        return zpoly.zp_frobenius_rows(f, field.p)
+    rows = [[field._rfrom_int(1)]]
+    if deg(f) >= 2:
+        xq = pow_mod(_x(field), field.order, f, field)
+        for _ in range(deg(f) - 1):
+            rows.append(rem(mul(rows[-1], xq, field), f, field))
+    return rows
+
+
+def frobenius(h: list, rows: list, field) -> list:
+    """h^q mod f for h reduced mod f, from the :func:`frobenius_rows` of f.
+
+    Every coefficient h_i lies in GF(q), so (sum h_i x^i)^q = sum h_i x^(i q):
+    one matrix-vector product instead of a modular power.
+    """
+    if isinstance(field, domains.PrimeField):
+        return zpoly.zp_frobenius(h, rows, field.p)
+    radd, rmul, is_zero = field._radd, field._rmul, field._ris_zero
+    out = [field._rfrom_int(0)] * len(rows)
+    for c, row in zip(h, rows):
+        if is_zero(c):
+            continue
+        for j, r in enumerate(row):
+            out[j] = radd(out[j], rmul(c, r))
+    return trim(out, field)
+
+
 def split_squarefree(f: list, field, rng) -> list[list]:
     """Irreducible factors of a squarefree monic polynomial, unsorted.
 
     Distinct-degree splitting followed by Cantor-Zassenhaus equal-degree
-    splitting; requires odd characteristic.  Deterministic given ``rng``,
-    from which the random coefficients are drawn by ``field._rrand``.
+    splitting; requires odd characteristic.  The distinct-degree step d
+    takes h = x^(q^d) mod f by one :func:`frobenius` product with the rows
+    of f, built once (the iterated Frobenius of von zur Gathen-Shoup), and
+    splits off gcd(h - x, v) from the unsplit part v; v divides f, so this
+    is the gcd with x^(q^d) - x mod v.  Deterministic given ``rng``, from
+    which the random coefficients are drawn by ``field._rrand``.
     """
     if deg(f) <= 1:
         return [f] if deg(f) == 1 else []
+    rows = frobenius_rows(f, field)
     groups: list[tuple[list, int]] = []
     v = f
     x = h = _x(field)
@@ -175,12 +219,11 @@ def split_squarefree(f: list, field, rng) -> list[list]:
         if 2 * d > deg(v):
             groups.append((v, deg(v)))
             break
-        h = pow_mod(h, field.order, v, field)
+        h = frobenius(h, rows, field)
         g = gcd(sub(h, x, field), v, field)
         if deg(g) > 0:
             groups.append((g, d))
             v = divmod_(v, g, field)[0]
-            h = rem(h, v, field)
     factors: list[list] = []
     for product, degree_each in groups:
         factors.extend(_equal_degree(product, degree_each, field, rng))
@@ -220,18 +263,17 @@ def ff_factor_squarefree(cs: list, field, rng) -> list[list]:
 
 
 def ff_is_irreducible(cs: list, field) -> bool:
-    """Rabin irreducibility test over a finite field."""
+    """Rabin irreducibility test over a finite field: f of degree n is
+    irreducible exactly when x^(q^n) = x mod f and gcd(x^(q^(n/l)) - x, f) = 1
+    for every prime l dividing n.  The probes x^(q^k) mod f are the first n
+    :func:`frobenius` images of x under the rows of f.
+    """
     n = deg(cs)
     if n <= 0:
         return False
     if n == 1:
         return True
     f = monic(cs, field)
-    q = field.order
-    x = _x(field)
-    probe = pow_mod(x, q**n, f, field)
-    if sub(probe, x, field):
-        return False
     primes = set()
     m, d = n, 2
     while d * d <= m:
@@ -242,8 +284,11 @@ def ff_is_irreducible(cs: list, field) -> bool:
         d += 1
     if m > 1:
         primes.add(m)
-    for ell in primes:
-        probe = pow_mod(x, q ** (n // ell), f, field)
-        if deg(gcd(sub(probe, x, field), f, field)) > 0:
+    cofactors = {n // ell for ell in primes}
+    rows = frobenius_rows(f, field)
+    x = h = _x(field)
+    for k in range(1, n + 1):
+        h = frobenius(h, rows, field)
+        if k in cofactors and deg(gcd(sub(h, x, field), f, field)) > 0:
             return False
-    return True
+    return not sub(h, x, field)

@@ -8,15 +8,18 @@ splitting, the Rabin test) lives in ``univar``, and
 :func:`zp_squarefree_part` and :func:`zp_factor_squarefree` are its GF(p)
 entry points.  Multiplication packs coefficients into one big integer
 (Kronecker substitution) so CPython's integer multiply performs the
-convolution.  Modular powers, the core of distinct-degree factorization,
-reduce each product by a precomputed power-series inverse of the reversed
-modulus (von zur Gathen-Gerhard, Modern Computer Algebra, 9.1), so a
-reduction costs two multiplications.  Resultants and Newton interpolation
-let eliminants be computed from values at integer points.  Both resultant
-kernels take the Sylvester determinant at the formal degrees:
-:func:`zp_resultant` by Euclid over GF(p) for the pencil count, and
-:func:`int_resultant` by the subresultant remainder sequence over ZZ for the
-resultants of :mod:`exactgeom.binform` over QQ.
+convolution.  Modular powers, and the rows x^(i p) mod f of Berlekamp's
+Frobenius matrix, reduce each product by a precomputed power-series inverse
+of the reversed modulus (von zur Gathen-Gerhard, Modern Computer Algebra,
+9.1), so a reduction costs two multiplications.  Distinct-degree
+factorization applies the Frobenius map h -> h^p mod f with those rows,
+packed one int per row: n small-int times big-int multiply-adds and one
+unpack per step, in place of a modular power.  Resultants and Newton
+interpolation let eliminants be computed from values at integer points.
+Both resultant kernels take the Sylvester determinant at the formal
+degrees: :func:`zp_resultant` by Euclid over GF(p) for the pencil count,
+and :func:`int_resultant` by the subresultant remainder sequence over ZZ
+for the resultants of :mod:`exactgeom.binform` over QQ.
 The Newton interpolator is the package's only one: :func:`int_interpolate`
 takes forward differences on ints at the points 0..N-1, and both the GF(p)
 eliminants (through :func:`zp_interpolate`) and the resultants of
@@ -68,14 +71,21 @@ def zp_mul(a: list[int], b: list[int], p: int) -> list[int]:
 def _zp_mul_kronecker(a: list[int], b: list[int], p: int) -> list[int]:
     # slot width must exceed log2(min(len) * p^2) so packed sums cannot overlap
     bits = (min(len(a), len(b)) * p * p).bit_length() + 1
+    return _unpack(_pack(a, bits) * _pack(b, bits), len(a) + len(b) - 1, bits, p)
+
+
+def _pack(cs: list[int], bits: int) -> int:
+    """The coefficients as one int, with cs[i] shifted left by i * bits."""
+    return sum(c << (bits * i) for i, c in enumerate(cs))
+
+
+def _unpack(packed: int, count: int, bits: int, p: int) -> list[int]:
+    """The first ``count`` slots of a packed int, each reduced mod p, trimmed."""
     mask = (1 << bits) - 1
-    pa = sum(c << (bits * i) for i, c in enumerate(a))
-    pb = sum(c << (bits * i) for i, c in enumerate(b))
-    prod = pa * pb
     out = []
-    for _ in range(len(a) + len(b) - 1):
-        out.append((prod & mask) % p)
-        prod >>= bits
+    for _ in range(count):
+        out.append((packed & mask) % p)
+        packed >>= bits
     return zp_trim(out)
 
 
@@ -111,12 +121,15 @@ def _zp_series_inverse(a: list[int], n: int, p: int) -> list[int]:
     return g[:n]
 
 
-def zp_pow_mod(base: list[int], exponent: int, modulus: list[int], p: int) -> list[int]:
-    acc = zp_rem(base, modulus, p)
+def _zp_reducer(modulus: list[int], p: int):
+    """A function a -> a mod modulus for deg a <= 2 deg(modulus) - 2, the
+    degree of a product of two reduced polynomials.
+
+    Its quotient has at most n - 1 = deg(modulus) - 1 coefficients, and their
+    reversal is the top of the reversed a times rev(modulus)^(-1), truncated;
+    with that inverse precomputed, a reduction costs two multiplications.
+    """
     n = zp_deg(modulus)
-    # a product of two reduced polynomials has degree <= 2n - 2, so its
-    # quotient has at most n - 1 coefficients; their reversal is the top of
-    # the reversed product times rev(modulus)^(-1), truncated
     inverse = _zp_series_inverse(modulus[::-1], n - 1, p)
 
     def reduce(a: list[int]) -> list[int]:
@@ -127,6 +140,12 @@ def zp_pow_mod(base: list[int], exponent: int, modulus: list[int], p: int) -> li
         q = [0] * (k - len(q_rev)) + q_rev[::-1]
         return zp_sub(a, zp_mul(q, modulus, p), p)
 
+    return reduce
+
+
+def zp_pow_mod(base: list[int], exponent: int, modulus: list[int], p: int) -> list[int]:
+    acc = zp_rem(base, modulus, p)
+    reduce = _zp_reducer(modulus, p)
     result = [1]
     while exponent:
         if exponent & 1:
@@ -135,6 +154,46 @@ def zp_pow_mod(base: list[int], exponent: int, modulus: list[int], p: int) -> li
         if exponent:
             acc = reduce(zp_mul(acc, acc, p))
     return result
+
+
+def zp_frobenius_rows(modulus: list[int], p: int) -> list[int]:
+    """Berlekamp's Frobenius matrix of GF(p)[x]/(modulus): the rows
+    x^(i p) mod modulus for i < n = deg(modulus), each packed into one int
+    with the slot width of :func:`zp_frobenius`.
+
+    One modular power gives x^p, and each further row is the previous one
+    times x^p, reduced by :func:`_zp_reducer`.  Only the packed rows are
+    kept.
+    """
+    n = zp_deg(modulus)
+    bits = _frobenius_bits(n, p)
+    rows = [1]
+    if n >= 2:
+        xp = zp_pow_mod([0, 1], p, modulus, p)
+        reduce = _zp_reducer(modulus, p)
+        row = [1]
+        for _ in range(n - 1):
+            row = reduce(zp_mul(row, xp, p))
+            rows.append(_pack(row, bits))
+    return rows
+
+
+def _frobenius_bits(n: int, p: int) -> int:
+    # a slot of h's image sums n products of two residues, each below p^2
+    return (n * p * p).bit_length() + 1
+
+
+def zp_frobenius(h: list[int], rows: list[int], p: int) -> list[int]:
+    """h^p mod the modulus of ``rows`` (:func:`zp_frobenius_rows`), for h
+    reduced mod that modulus: (sum h_i x^i)^p = sum h_i x^(i p) over GF(p),
+    so the image is the sum of h_i times row i, n multiply-adds on packed
+    ints and one unpack."""
+    n = len(rows)
+    packed = 0
+    for c, row in zip(h, rows):
+        if c:
+            packed += c * row
+    return _unpack(packed, n, _frobenius_bits(n, p), p)
 
 
 def _expand_first_column(f: list, g: list) -> tuple[int, list, list]:

@@ -136,6 +136,109 @@ def test_ff_is_irreducible():
     assert not univar.ff_is_irreducible([F.p - 1, 0, 1], F)  # x^2 - 1
 
 
+def test_rabin_test_counts_the_irreducibles_of_gauss_formula():
+    # there are (1/n) sum_{d | n} mu(d) q^(n/d) monic irreducibles of degree
+    # n over GF(q): 18 and 116 of degrees 4 and 6 over GF(3), and 36 and 240
+    # of degrees 2 and 3 over GF(9) = GF(3)[i]/(i^2 + 1)
+    F = PrimeField(3)
+    K = ExtensionField(F, [1, 0, 1], name="i")
+    for field, n, expected in ((F, 4, 18), (F, 6, 116), (K, 2, 36), (K, 3, 240)):
+        one = field._rfrom_int(1)
+        count = 0
+        for index in range(field.order**n):
+            cs = []
+            for _ in range(n):
+                cs.append(field._rfrom_index(index % field.order))
+                index //= field.order
+            count += univar.ff_is_irreducible(cs + [one], field)
+        assert count == expected, (field, n)
+
+
+def _random_irreducible(field, degree, rng):
+    # about one monic polynomial in `degree` is irreducible
+    one = field._rfrom_int(1)
+    for _ in range(50 * degree):
+        f = [field._rrand(rng) for _ in range(degree)] + [one]
+        if univar.ff_is_irreducible(f, field):
+            return f
+    raise AssertionError(f"no irreducible of degree {degree} found")
+
+
+@pytest.mark.parametrize("p", [1009, 10007, 2**31 - 1])
+def test_frobenius_matches_pow_mod(p):
+    F = PrimeField(p)
+    rng = random.Random(p)
+    for degree in (1, 2, 17, 90):
+        # rows of a monic and of a non-monic modulus
+        for lead in (1, rng.randrange(2, p)):
+            f = [rng.randrange(p) for _ in range(degree)] + [lead]
+            rows = univar.frobenius_rows(f, F)
+            for _ in range(4):
+                h = zpoly.zp_trim([rng.randrange(p) for _ in range(degree)])
+                assert univar.frobenius(h, rows, F) == zpoly.zp_pow_mod(h, p, f, p)
+            top = zpoly.zp_trim([p - 1] * degree)
+            assert univar.frobenius(top, rows, F) == zpoly.zp_pow_mod(top, p, f, p)
+
+
+def test_frobenius_over_gf_p2_matches_pow_mod():
+    K = ExtensionField(PrimeField(10007), [1, 0, 1], name="i")
+    rng = random.Random(10007)
+    for degree in (1, 2, 5, 9):
+        f = [K._rrand(rng) for _ in range(degree)] + [K._rrand(rng)]
+        rows = univar.frobenius_rows(f, K)
+        for _ in range(4):
+            h = univar.trim([K._rrand(rng) for _ in range(degree)], K)
+            assert univar.frobenius(h, rows, K) == univar.pow_mod(h, K.order, f, K)
+
+
+def test_distinct_degree_splitting_takes_one_modular_power(monkeypatch):
+    # irreducibles of pairwise different degrees: each distinct-degree group
+    # is one factor, so the equal-degree step takes no power, and the
+    # distinct-degree steps read the Frobenius rows built from one x^p mod f
+    p = 10007
+    F = PrimeField(p)
+    rng = random.Random(20)
+    parts = [_random_irreducible(F, d, rng) for d in (1, 2, 3, 5, 8)]
+    product = [1]
+    for part in parts:
+        product = zpoly.zp_mul(product, part, p)
+    powers = 0
+    kernel = zpoly.zp_pow_mod
+
+    def counting(base, exponent, modulus, p):
+        nonlocal powers
+        powers += 1
+        return kernel(base, exponent, modulus, p)
+
+    monkeypatch.setattr(zpoly, "zp_pow_mod", counting)
+    factors = univar.split_squarefree(product, F, rng)
+    monkeypatch.undo()
+    assert powers == 1
+    assert sorted(factors) == sorted(parts)
+
+
+def test_factorization_at_a_31_bit_prime():
+    # the packed Frobenius rows at p = 2^31 - 1 and degree 60 need slots of
+    # (60 p^2).bit_length() + 1 = 69 bits; two factors of degree 19 make the
+    # equal-degree step split a product
+    p = 2**31 - 1
+    F = PrimeField(p)
+    rng = random.Random(31)
+    parts = [_random_irreducible(F, d, rng) for d in (3, 7, 12, 19, 19)]
+    assert parts[-1] != parts[-2]
+    product = [1]
+    for part in parts:
+        product = zpoly.zp_mul(product, part, p)
+    assert zpoly.zp_deg(product) == 60
+    factors = zpoly.zp_factor_squarefree(zpoly.zp_mul(product, [5], p), p, rng)
+    reassembled = [1]
+    for f in factors:
+        assert univar.ff_is_irreducible(f, F)
+        reassembled = zpoly.zp_mul(reassembled, f, p)
+    assert reassembled == product
+    assert sorted(factors) == sorted(parts)
+
+
 def _random_squarefree(F, degree, rng):
     while True:
         f = [rng.randrange(F.p) for _ in range(degree)] + [rng.randrange(1, F.p)]
