@@ -18,8 +18,8 @@ base that module calls the int kernels of :mod:`exactgeom.zpoly`.
 All elements support ``+ - * / **`` and compare exactly; there is no floating
 point anywhere.  ``a ** e`` works on raw values through the field's
 ``_rpow`` hook: a prime field calls the built-in three-argument ``pow``, an
-extension runs square-and-multiply over its own ``_rmul``, and a negative
-exponent inverts first, so ``0 ** -1`` raises ``ZeroDivisionError``.
+extension calls :func:`exactgeom.univar.pow_mod` on its modulus, and a
+negative exponent inverts first, so ``0 ** -1`` raises ``ZeroDivisionError``.
 Domains and elements are immutable and safe to share.
 """
 
@@ -231,17 +231,6 @@ class FiniteField:
     def rand(self, rng) -> FieldElement:
         return FieldElement(self, self._rrand(rng))
 
-    def _rpow(self, a, exponent: int):
-        """``a**exponent`` on raw values for exponent >= 0, by square-and-multiply."""
-        result = self._rfrom_int(1)
-        while exponent:
-            if exponent & 1:
-                result = self._rmul(result, a)
-            exponent >>= 1
-            if exponent:
-                a = self._rmul(a, a)
-        return result
-
     def _element_iter(self, start: int = 0) -> Iterator[FieldElement]:
         """Deterministic enumeration of the field elements from index ``start`` on."""
         for n in range(start, self.order):
@@ -365,7 +354,7 @@ class PrimeField(FiniteField):
     def _rinv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def _rpow(self, a: int, exponent: int) -> int:
         return pow(a, exponent, self.p)
@@ -478,6 +467,11 @@ class ExtensionField(FiniteField):
             raise ZeroDivisionError("inverse of zero")
         base = self.base
         return self._padded(univar.inv_mod(univar.trim(list(a), base), list(self.modulus), base))
+
+    def _rpow(self, a, exponent: int):
+        base = self.base
+        power = univar.pow_mod(univar.trim(list(a), base), exponent, list(self.modulus), base)
+        return self._padded(power)
 
     def _padded(self, poly: list) -> tuple:
         """A polynomial over the base of degree below ``degree`` as a raw value."""

@@ -74,11 +74,6 @@ def is_line_class(vec: PicClass) -> bool:
     return pairing(vec, vec) == -1 and pairing(vec, CANONICAL_CLASS) == -1
 
 
-def all_lines() -> dict[str, PicClass]:
-    """The 27 labelled line classes."""
-    return dict(LINE_CLASSES)
-
-
 def line_class(label: str) -> PicClass:
     try:
         return LINE_CLASSES[label]
@@ -182,10 +177,6 @@ def identity_perm() -> Perm:
 def compose(p: Perm, q: Perm) -> Perm:
     """The permutation applying q first, then p."""
     return tuple(p[i] for i in q)
-
-
-def perm_to_label_map(p: Perm) -> dict[str, str]:
-    return {LABELS[i]: LABELS[p[i]] for i in range(len(LABELS))}
 
 
 def invert(p: Perm) -> Perm:

@@ -77,12 +77,6 @@ class MultiPoly:
             return -1
         return max(sum(ex) for ex in self.terms)
 
-    def degree_in(self, name: str) -> int:
-        idx = self._var_index(name)
-        if not self.terms:
-            return -1
-        return max(ex[idx] for ex in self.terms)
-
     def coefficient(self, expts: tuple):
         return self.terms.get(tuple(expts), Fraction(0))
 

@@ -186,8 +186,9 @@ def raw_resultant(f0: Curve34, f1: Curve34) -> tuple[int, ...]:
     """R(t) = Res_(x,y)(Delta, d) as a coefficient tuple over GF(p).
 
     Interpolated from its values at t = 0..144, each the resultant of
-    Delta(x, 1) and d(x, 1) at the formal degrees 18 and 12; the member t0
-    is read from the forms in t at the root of t - t0.
+    Delta(x, 1) and d(x, 1) at the formal degrees 18 and 12, taken by
+    :func:`zpoly.int_resultant` on the residues and reduced mod p; the member
+    t0 is read from the forms in t at the root of t - t0.
     """
     p = f0.p
     fieldp = PrimeField(p)
@@ -196,7 +197,7 @@ def raw_resultant(f0: Curve34, f1: Curve34) -> tuple[int, ...]:
     for t0 in range(ELIMINANT_POINTS):
         root = [-t0 % p, 1]
         at_t0 = [[_at_root(c, root, fieldp) for c in cs] for cs in (delta, d)]
-        values.append(zpoly.zp_resultant(*at_t0, p))
+        values.append(zpoly.int_resultant(*at_t0) % p)
     return tuple(zpoly.zp_interpolate(values, p))
 
 

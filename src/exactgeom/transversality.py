@@ -56,30 +56,10 @@ def family_coeffs() -> QuarticCoeffs:
 
 
 @functools.cache
-def family_polynomial() -> MultiPoly:
-    """The family as a polynomial in (x, y, u, v, alpha)."""
-    fam_vars = ("x", "y", "u", "v", "alpha")
-    u = MultiPoly.variable(fam_vars, "u")
-    v = MultiPoly.variable(fam_vars, "v")
-
-    def lift(poly: MultiPoly) -> MultiPoly:
-        terms = {}
-        for (ex_x, ex_y, ex_a), c in poly.terms.items():
-            terms[(ex_x, ex_y, 0, 0, ex_a)] = c
-        return MultiPoly(fam_vars, terms)
-
-    fam = family_coeffs()
-    monomials = [u**4, u**3 * v, u**2 * v**2, u * v**3, v**4]
-    return sum(
-        (lift(coeff) * mono for coeff, mono in zip(fam, monomials)),
-        MultiPoly.zero(fam_vars),
-    )
-
-
-@functools.cache
 def p0_polynomial() -> MultiPoly:
     """The alpha = 0 member as a polynomial in (x, y, u, v)."""
-    return family_polynomial().specialize({"alpha": 0})
+    terms = {(3 - i, i, 4 - j, j): Fraction(c) for (i, j), c in FAMILY_P0.items()}
+    return MultiPoly(SURFACE_VARS, terms)
 
 
 @functools.cache
@@ -171,11 +151,7 @@ class SectionReport:
 def section_coefficients() -> QuarticCoeffs:
     """Fiber-quartic coefficients along the section [x:y] = [1:0], the x^3 row
     of P_0 + alpha Q: (1, -2, 1-alpha, 2 alpha, -alpha)."""
-    (alpha,) = MultiPoly.gens(("alpha",))
-    one = MultiPoly.constant(("alpha",), 1)
-    return QuarticCoeffs(
-        *(FAMILY_P0.get((0, j), 0) * one + FAMILY_Q.get((0, j), 0) * alpha for j in range(5))
-    )
+    return QuarticCoeffs(*(c.specialize({"x": 1, "y": 0}) for c in family_coeffs()))
 
 
 def section_reducedness() -> SectionReport:

@@ -16,10 +16,10 @@ factorization applies the Frobenius map h -> h^p mod f with those rows,
 packed one int per row: n small-int times big-int multiply-adds and one
 unpack per step, in place of a modular power.  Resultants and Newton
 interpolation let eliminants be computed from values at integer points.
-Both resultant kernels take the Sylvester determinant at the formal
-degrees: :func:`zp_resultant` by Euclid over GF(p) for the pencil count,
-and :func:`int_resultant` by the subresultant remainder sequence over ZZ
-for the resultants of :mod:`exactgeom.binform` over QQ.
+:func:`int_resultant` is the package's only resultant kernel: it takes the
+Sylvester determinant at the formal degrees by the subresultant remainder
+sequence over ZZ, for the resultants of :mod:`exactgeom.binform` over QQ
+and, reduced mod p, for the pencil count over GF(p).
 The Newton interpolator is the package's only one: :func:`int_interpolate`
 takes forward differences on ints at the points 0..N-1, and both the GF(p)
 eliminants (through :func:`zp_interpolate`) and the resultants of
@@ -90,11 +90,11 @@ def _unpack(packed: int, count: int, bits: int, p: int) -> list[int]:
 
 
 def zp_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
+    if not b or not b[-1]:
+        raise ZeroDivisionError("polynomial division by zero or by an untrimmed divisor")
     r = zp_trim(list(a))
     db = zp_deg(b)
-    inv_lead = pow(b[-1], p - 2, p)
+    inv_lead = pow(b[-1], -1, p)
     q = [0] * max(0, len(r) - db)
     while zp_deg(r) >= db and r:
         factor = r[-1] * inv_lead % p
@@ -207,7 +207,7 @@ def _expand_first_column(f: list, g: list) -> tuple[int, list, list]:
     lowered by one.  Returns (scale, f, g) with the determinant equal to
     scale times the Sylvester determinant of the returned pair; there a
     formal degree is 0 or no leading coefficient vanishes, unless both do,
-    which leaves scale 0.  The scale is a plain int, not reduced mod p.
+    which leaves scale 0.
     """
     scale = 1
     while len(f) > 1 and len(g) > 1 and not (f[-1] and g[-1]):
@@ -222,39 +222,15 @@ def _expand_first_column(f: list, g: list) -> tuple[int, list, list]:
     return scale, f, g
 
 
-def zp_resultant(f: list[int], g: list[int], p: int) -> int:
-    """Res(f, g) at the formal degrees M = len(f) - 1 and N = len(g) - 1: the
-    determinant of the Sylvester matrix with the N rows of f first
-    (coefficients highest degree first), for M, N >= 0.
-
-    A constant f = [c] gives c^N and a constant g = [c] gives c^M, also for
-    a zero polynomial on the other side.  Otherwise vanishing leading
-    coefficients are expanded away by :func:`_expand_first_column`, and the
-    rest is Euclid at the true degrees, with
-    Res(f, g) = (-1)^(mn) lc(g)^(m - deg r) Res(g, r) for r = f mod g,
-    ending at Res(f, c) = c^m for a constant c.
-    """
-    scale, f, g = _expand_first_column(f, g)
-    if len(f) == 1 or len(g) == 1 or not scale:
-        return scale * pow(f[0], len(g) - 1, p) * pow(g[0], len(f) - 1, p) % p
-    result = scale % p
-    while zp_deg(g) > 0:
-        r = zp_rem(f, g, p)
-        if not r:
-            return 0
-        m, n = zp_deg(f), zp_deg(g)
-        if m * n % 2:
-            result = -result
-        result = result * pow(g[-1], m - zp_deg(r), p) % p
-        f, g = g, r
-    return result * pow(g[0], zp_deg(f), p) % p
-
-
 def int_resultant(f: list[int], g: list[int]) -> int:
     """The determinant of the Sylvester matrix of f and g over ZZ: ints low
     degree first, at the formal degrees M = len(f) - 1 and N = len(g) - 1
-    with f's rows first, for M, N >= 0 (the contract of
-    :func:`zp_resultant`).
+    with f's rows first (coefficients highest degree first), for M, N >= 0.
+    A constant f = [c] gives c^N and a constant g = [c] gives c^M, also for
+    a zero polynomial on the other side.  Subresultants are minors of the
+    Sylvester matrix, so reducing mod p commutes with them:
+    ``int_resultant(f, g) % p`` is the resultant over GF(p) of residues f
+    and g.
 
     After :func:`_expand_first_column` both leading coefficients are
     nonzero, and the subresultant polynomial remainder sequence of Collins

@@ -134,7 +134,7 @@ def test_criterion_8_oracle_equivalence():
         # 27 lines from the bounded integer box search
         solutions = set(lines.exhaustive_box_solutions())
         assert len(solutions) == 27
-        assert solutions == set(lines.all_lines().values())
+        assert solutions == set(lines.LINE_CLASSES.values())
         # closed-form monomial values against an independent falling factorial
         for g in range(1, 7):
             for d in range(1, 5):

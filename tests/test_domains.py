@@ -278,6 +278,43 @@ def test_power_matches_repeated_multiplication(build):
         zero**-1
 
 
+# monic irreducibles over GF(3), the first of each degree in enumeration order
+GF3_MODULI = {
+    2: [1, 0, 1],
+    3: [1, 0, 2, 1],
+    4: [1, 0, 1, 1, 1],
+    5: [1, 0, 0, 0, 2, 1],
+    6: [1, 0, 0, 0, 1, 1, 1],
+}
+EXTENSION_POWER_FIELDS = {
+    **{
+        f"GF(3^{k})": (lambda m=modulus: ExtensionField(PrimeField(3), m))
+        for k, modulus in GF3_MODULI.items()
+    },
+    "GF(9)[s], order 81": _gf81_tower,
+    "GF(9)[s], order 729": _gf729_tower,
+}
+
+
+@pytest.mark.parametrize(
+    "build", EXTENSION_POWER_FIELDS.values(), ids=EXTENSION_POWER_FIELDS.keys()
+)
+def test_extension_power_matches_repeated_multiplication(build):
+    # powers in GF(q) run through univar.pow_mod on the modulus, in a tower
+    # over the base field's own raw values
+    K = build()
+    q = K.order
+    rng = random.Random(q)
+    elements = [K.generator()] + [a for a in (K.rand(rng) for _ in range(2)) if a]
+    for a in elements:
+        for exponent in (0, 1, 2, 5, q - 1, q):
+            for e in (exponent, -exponent):
+                power = a**e
+                assert power.field == K
+                assert power == _repeated_product(a, e), e
+        assert a ** (q - 1) == K.one() and a**q == a
+
+
 # The square root is deterministic; these pin which of the two roots it
 # returns (None for a non-square), so a change in how powers are computed
 # cannot swap them unnoticed.

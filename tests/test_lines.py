@@ -57,7 +57,7 @@ def test_line_equations_hold():
 def test_exhaustive_box_search_matches_constructed_lines():
     solutions = set(exhaustive_box_solutions())
     assert len(solutions) == 27
-    assert solutions == set(lines.all_lines().values())
+    assert solutions == set(lines.LINE_CLASSES.values())
 
 
 def test_box_search_matches_product_filter():
@@ -91,7 +91,7 @@ def test_every_vertex_has_degree_ten():
 def test_reflection_in_root_e1_minus_e2():
     group = weyl_group()
     gen = group.generators[0]  # reflection in e1 - e2
-    mapping = lines.perm_to_label_map(gen)
+    mapping = dict(zip(LABELS, (LABELS[i] for i in gen)))
     assert mapping["a1"] == "a2" and mapping["a2"] == "a1"
     assert mapping["b1"] == "b2" and mapping["b2"] == "b1"
     assert mapping["c12"] == "c12"
@@ -101,13 +101,13 @@ def test_reflection_in_root_e1_minus_e2():
 
 def test_reflection_in_triple_root():
     gen = weyl_group().generators[5]  # reflection in h - e1 - e2 - e3
-    mapping = lines.perm_to_label_map(gen)
+    mapping = dict(zip(LABELS, (LABELS[i] for i in gen)))
     assert mapping["a1"] == "c23"
 
 
 def test_identity_fixes_everything():
     assert lines.identity_perm() in full_closure()
-    assert lines.perm_to_label_map(lines.identity_perm()) == {x: x for x in LABELS}
+    assert dict(zip(LABELS, (LABELS[i] for i in lines.identity_perm()))) == {x: x for x in LABELS}
 
 
 def test_weyl_group_order():

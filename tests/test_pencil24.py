@@ -83,9 +83,9 @@ def test_condition_degrees_for_random_pencil():
     assert max(map(zpoly.zp_deg, d_t)) <= 4
     delta, d = _symbolic_conditions(f0, f1)[:2]
     assert delta.degree == 18
-    assert delta.poly.degree_in("t") <= 6
+    assert _degree_in(delta.poly, "t") <= 6
     assert d.degree == 12
-    assert d.poly.degree_in("t") <= 4
+    assert _degree_in(d.poly, "t") <= 4
 
 
 def test_family_pencil_reproduces_section_seminvariant():
@@ -190,7 +190,7 @@ def test_eliminant_is_reduction_of_the_rational_one():
     f0, f1 = pc.family_pencil(P)
     r = list(pc.raw_resultant(f0, f1))
     rational = tv.resultant_R().polynomial
-    expected = [0] * (rational.degree_in("alpha") + 1)
+    expected = [0] * (_degree_in(rational, "alpha") + 1)
     for ex, c in rational.terms.items():
         assert c.denominator == 1
         expected[ex[0]] = c.numerator % P
@@ -327,6 +327,12 @@ def test_validate_member_where_both_conditions_vanish_identically(multiples, exp
 # --- the eliminant from integer evaluations ------------------------------------
 
 
+def _degree_in(poly, name):
+    """The degree of a nonzero MultiPoly in one of its variables."""
+    index = poly.variables.index(name)
+    return max(ex[index] for ex in poly.terms)
+
+
 def _symbolic_conditions(f0, f1):
     """Delta, d and the closure-square conditions for A != 0 and for A = 0,
     built symbolically in (x, y, t) over QQ from A..E of F0 + t F1, with the
@@ -430,7 +436,7 @@ def test_member_forms_in_t_match_the_symbolic_ones(a_vanishes_at_0):
     symbolic = _symbolic_conditions(f0, f1)
     assert [n for _, n in forms] == [6, 4, 3, 4, 1, 2]
     for (cs, n), form, degree in zip(forms, symbolic, (18, 12, 9, 12, 3, 6)):
-        assert form.degree == degree and form.poly.degree_in("t") <= n
+        assert form.degree == degree and _degree_in(form.poly, "t") <= n
         assert cs == _t_polynomials(form, degree, P)
 
 
@@ -462,7 +468,7 @@ def test_symbolic_family_resultant_is_reduction_of_the_rational_one():
 
     delta, d = _symbolic_conditions(*pc.family_pencil(P))[:2]
     rational = tv.resultant_R().polynomial
-    expected = [0] * (rational.degree_in("alpha") + 1)
+    expected = [0] * (_degree_in(rational, "alpha") + 1)
     for ex, c in rational.terms.items():
         expected[ex[0]] = c.numerator * pow(c.denominator, -1, P) % P
     assert _values_at_sample_points(expected, P) == _specialized_resultants(delta, d, P)
@@ -482,6 +488,26 @@ def test_raw_resultant_where_both_leading_coefficients_vanish():
     delta, d = _symbolic_conditions(f0, f1)[:2]
     assert _table_conditions(f0, f1) == (_t_polynomials(delta, 18, P), _t_polynomials(d, 12, P))
     assert _values_at_sample_points(r, P) == _specialized_resultants(delta, d, P)
+
+
+def test_raw_resultant_takes_one_integer_resultant_per_point(monkeypatch):
+    f0, f1 = pc.random_pencil(P, 1)
+    calls = []
+    original_resultant = zpoly.int_resultant
+
+    def counting_resultant(a, b):
+        calls.append((a, b))
+        return original_resultant(a, b)
+
+    monkeypatch.setattr(zpoly, "int_resultant", counting_resultant)
+    r = pc.raw_resultant.__wrapped__(f0, f1)  # past the cache
+    monkeypatch.undo()
+    # one resultant of the residues of Delta(x, 1) and d(x, 1) at the formal
+    # degrees 18 and 12 at each sample point, reduced mod p
+    assert len(calls) == pc.ELIMINANT_POINTS == 145
+    assert all(len(a) == 19 and len(b) == 13 for a, b in calls)
+    assert all(0 <= c < P for a, b in calls for c in a + b)
+    assert r == pc.raw_resultant(f0, f1)
 
 
 @pytest.mark.parametrize("p", [101, 139])

@@ -168,12 +168,21 @@ def test_rational_projective_roots_counts_distinct_roots():
 
 
 def test_family_is_marked_member_plus_parameter_times_correction():
-    # P_alpha - P_0 = alpha * (-x^3 v^2 (u - v)^2)
-    fam_vars = ("x", "y", "u", "v", "alpha")
-    x, y, u, v, alpha = MultiPoly.gens(fam_vars)
-    p0_lifted = MultiPoly(fam_vars, {ex + (0,): c for ex, c in tv.p0_polynomial().terms.items()})
-    correction = -(x**3) * v**2 * (u - v) ** 2
-    assert tv.family_polynomial() == p0_lifted + alpha * correction
+    # P_0 is the member of the module docstring at alpha = 0
+    x, y, u, v = MultiPoly.gens(tv.SURFACE_VARS)
+    member = (
+        (x**3 + y**3) * u**4
+        - 2 * x**3 * u**3 * v
+        + x**3 * u**2 * v**2
+        + (x**2 * y + y**3) * v**4
+    )
+    assert tv.p0_polynomial() == member
+    # P_alpha - P_0 = alpha * (-x^3 v^2 (u - v)^2), read per coefficient of
+    # u^(4-j) v^j
+    x, y, alpha = MultiPoly.gens(tv.FAMILY_VARS)
+    p0_coeffs = [x**3 + y**3, -2 * x**3, x**3, 0, x**2 * y + y**3]
+    correction = [0, 0, -(x**3), 2 * x**3, -(x**3)]
+    assert list(tv.family_coeffs()) == [c + alpha * q for c, q in zip(p0_coeffs, correction)]
 
 
 def test_smoothness_certificate_of_marked_member():
