@@ -2,20 +2,20 @@
 
 A :class:`BinaryForm` is a :class:`MultiPoly` over QQ that is homogeneous
 in a designated pair of variables; the remaining variables act as
-parameters.  Resultants eliminate the designated pair; the pencil count
-over GF(p) takes its resultants in :mod:`exactgeom.zpoly`.  The coefficients
-of the two forms are read once into ints (each form scaled by the lcm of its
-denominators), evaluated on one grid of integer sample points, 0..bound in
-each parameter with degree bound n deg f + m deg g for forms of degrees m and
-n, and the resultant at each point is taken by
+parameters, of which at most one may occur.  Resultants eliminate the
+designated pair; the pencil count over GF(p) takes its resultants in
+:mod:`exactgeom.zpoly`.  The coefficients of the two forms are read once
+into int lists in the parameter (each form scaled by the lcm of its
+denominators), evaluated by :func:`exactgeom.zpoly.int_eval` at the sample
+points 0..bound, with degree bound n deg f + m deg g for forms of degrees m
+and n, and the resultant at each point is taken by
 :func:`exactgeom.zpoly.int_resultant`, the subresultant remainder sequence on
 ints; no Sylvester matrix is built.  Bareiss elimination on ints, the
 package's only determinant routine, remains behind :func:`det_constant` for
-matrices of rationals.  The grid of values is
-interpolated one parameter axis at a time, straight into the terms of the
-result, by :func:`exactgeom.zpoly.int_interpolate`: Newton's forward
-differences on ints, scaled by bound! per axis.  The scales are divided out
-once at the end, into the denominators of the result.
+matrices of rationals.  The values are interpolated once by
+:func:`exactgeom.zpoly.int_interpolate`, Newton's forward differences on
+ints scaled by bound!, which is divided out at the end, into the
+denominators of the result.
 The point at infinity is handled explicitly throughout: the gcd strips and
 restores pure powers of either pair variable, so a common root at [1:0] or
 [0:1] is never lost.
@@ -23,7 +23,6 @@ restores pure powers of either pair variable, so a common root at [1:0] or
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -154,20 +153,21 @@ def det_constant(matrix) -> Fraction:
     return Fraction(_det_int(rows), scale)
 
 
-def _raw_sequence(cs: list[MultiPoly], active: list[int]) -> tuple[list, int]:
-    """Coefficients as lists of (int, exponents of the active variables).
+def _raw_sequence(cs: list[MultiPoly], var: int) -> tuple[list[list[int]], int]:
+    """Coefficients as dense int lists in variable ``var``, low degree first,
+    in reversed order (low degree in u first), as ``zpoly.int_resultant``
+    takes them.
 
     The whole sequence is multiplied by the lcm of its denominators, which
     is returned as the scale.
     """
     scale = math.lcm(*(c.denominator for poly in cs for c in poly.terms.values()))
-    seq = [
-        [
-            (c.numerator * (scale // c.denominator), tuple(ex[i] for i in active))
-            for ex, c in poly.terms.items()
-        ]
-        for poly in cs
-    ]
+    seq = []
+    for poly in reversed(cs):
+        dense = [0] * (1 + max((ex[var] for ex in poly.terms), default=0))
+        for ex, c in poly.terms.items():
+            dense[ex[var]] = c.numerator * (scale // c.denominator)
+        seq.append(dense)
     return seq, scale
 
 
@@ -175,80 +175,43 @@ def det_polynomial_matrix(fc: list[MultiPoly], gc: list[MultiPoly]) -> MultiPoly
     """Determinant of the Sylvester matrix of two coefficient sequences over QQ.
 
     With m = len(fc) - 1 and n = len(gc) - 1, the matrix holds n shifted
-    copies of ``fc`` and m of ``gc``.  A variable is active when some
-    coefficient has positive degree in it; each active variable gets the
-    integer sample points 0, ..., bound, where bound is n * deg fc + m * deg gc
-    in that variable.  The coefficients are read once into ints (each
-    sequence scaled by the lcm D of its denominators, so the determinant is
-    scaled by D_f^n D_g^m), evaluated at every point of the grid of sample
-    points, and the determinant at each point is taken from the two int
-    sequences by ``zpoly.int_resultant`` (the subresultant remainder
+    copies of ``fc`` and m of ``gc``.  At most one variable, the parameter,
+    may have positive degree in a coefficient; two or more raise
+    ``ValueError``.  The parameter gets the integer sample points
+    0, ..., bound, where bound is n * deg fc + m * deg gc.  The coefficients
+    are read once into ints (each sequence scaled by the lcm D of its
+    denominators, so the determinant is scaled by D_f^n D_g^m), evaluated at
+    every sample point, and the determinant at each point is taken from the
+    two int sequences by ``zpoly.int_resultant`` (the subresultant remainder
     sequence, at the formal degrees m and n), without building the matrix.
-    The grid of values is then interpolated
-    one axis at a time, from the last active variable to the first, by
-    ``zpoly.int_interpolate`` on ints.  Its factor bound! per axis is divided
-    out with D_f^n D_g^m at the end, as the denominator of each coefficient.
-    With no active variable the result is the constant determinant, as a
-    constant ``MultiPoly``.
+    The values are interpolated by ``zpoly.int_interpolate`` on ints, and its
+    factor bound! is divided out with D_f^n D_g^m, as the denominator of each
+    coefficient.  With no parameter the result is the constant determinant,
+    as a constant ``MultiPoly``.
     """
     variables = fc[0].variables
     m, n = len(fc) - 1, len(gc) - 1
+    active = [
+        name for i, name in enumerate(variables) if any(ex[i] for c in fc + gc for ex in c.terms)
+    ]
+    if len(active) > 1:
+        raise ValueError(f"resultant coefficients depend on more than one parameter: {active}")
+    # with no parameter every exponent is 0, so any variable serves
+    var = variables.index(active[0]) if active else 0
+    fs, scale_f = _raw_sequence(fc, var)
+    gs, scale_g = _raw_sequence(gc, var)
+    bound = n * (max(map(len, fs)) - 1) + m * (max(map(len, gs)) - 1)
 
-    def degrees(cs: list[MultiPoly]) -> list[int]:
-        width = len(variables)
-        return [max((ex[i] for c in cs for ex in c.terms), default=0) for i in range(width)]
-
-    deg_f, deg_g = degrees(fc), degrees(gc)
-    active = [i for i in range(len(variables)) if deg_f[i] or deg_g[i]]
-    bounds = [n * deg_f[i] + m * deg_g[i] for i in active]
-    fs, scale_f = _raw_sequence(fc, active)
-    gs, scale_g = _raw_sequence(gc, active)
-
-    # powers[a][k][e] = k^e, for axis a of the grid
-    powers = [
-        [[x**e for e in range(max(deg_f[i], deg_g[i]) + 1)] for x in range(bound + 1)]
-        for i, bound in zip(active, bounds)
+    values = [
+        zpoly.int_resultant([zpoly.int_eval(c, x) for c in fs], [zpoly.int_eval(c, x) for c in gs])
+        for x in range(bound + 1)
     ]
 
-    def evaluate(seq: list, point: tuple) -> list[int]:
-        tables = [powers[a][k] for a, k in enumerate(point)]
-        values = []
-        for terms in seq:
-            total = 0
-            for c, ex in terms:
-                for table, e in zip(tables, ex):
-                    c *= table[e]
-                total += c
-            values.append(total)
-        return values
-
-    table: dict = {}
-    for point in itertools.product(*(range(bound + 1) for bound in bounds)):
-        # the sequences run from u^m down; the kernel takes low degree first
-        det = zpoly.int_resultant(evaluate(fs, point)[::-1], evaluate(gs, point)[::-1])
-        if det:
-            table[point] = det
-
-    # interpolate along each axis in turn; a key holds grid indices for the
-    # axes still to do and exponents for the axes done.  The values stay
-    # ints: each axis multiplies them by bound!, divided out at the end
-    scale = scale_f**n * scale_g**m
-    for a in reversed(range(len(active))):
-        lines: dict = {}
-        for key, value in table.items():
-            lines.setdefault(key[:a] + key[a + 1 :], [0] * (bounds[a] + 1))[key[a]] = value
-        table = {}
-        for rest, ys in lines.items():
-            for e, c in enumerate(zpoly.int_interpolate(ys)):
-                if c:
-                    table[rest[:a] + (e,) + rest[a:]] = c
-        scale *= math.factorial(bounds[a])
-
+    scale = scale_f**n * scale_g**m * math.factorial(bound)
     terms = {}
-    for key, c in table.items():
+    for e, c in enumerate(zpoly.int_interpolate(values)):
         ex = [0] * len(variables)
-        for i, e in zip(active, key):
-            ex[i] = e
+        ex[var] = e
         terms[tuple(ex)] = Fraction(c, scale)
     return MultiPoly(variables, terms)
 

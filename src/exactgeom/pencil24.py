@@ -13,11 +13,12 @@ as ints, Delta(x, 1), d(x, 1) and the closure-square conditions of the fiber
 quartic are interpolated from their values at x = 0..18, and every x^i
 coefficient of these six forms is interpolated in t.  Every member the count
 needs is read from these t-polynomials.  R(t) comes from integer evaluations
-(Collins 1971): at each of the members t = 0..144 (the degree bound
-12 * 6 + 18 * 4), the resultant of Delta(x, 1) and d(x, 1) at the formal
-degrees 18 and 12 is taken by Euclid mod p, and the 145 values are
-interpolated in t.  Validation reads the forms at a root of each factor of R
-and at t = infinity, and works on coefficient lists in x at y = 1.
+(Collins 1971): each of the members t = 0..144 (the degree bound
+12 * 6 + 18 * 4) is read by :func:`exactgeom.zpoly.int_eval`, the resultant
+of Delta(x, 1) and d(x, 1) at the formal degrees 18 and 12 is taken by
+:func:`exactgeom.zpoly.int_resultant` on the residues and reduced mod p, and
+the 145 values are interpolated in t.  Validation reads the forms modulo each
+factor of R and at t = infinity, and works on coefficient lists in x at y = 1.
 
 The raw eliminant is heavily non-reduced and contains extraneous factors
 (leading-coefficient collapse, fibers where A and B both vanish, and the
@@ -188,15 +189,13 @@ def raw_resultant(f0: Curve34, f1: Curve34) -> tuple[int, ...]:
     Interpolated from its values at t = 0..144, each the resultant of
     Delta(x, 1) and d(x, 1) at the formal degrees 18 and 12, taken by
     :func:`zpoly.int_resultant` on the residues and reduced mod p; the member
-    t0 is read from the forms in t at the root of t - t0.
+    t0 is read from the forms in t by :func:`zpoly.int_eval`.
     """
     p = f0.p
-    fieldp = PrimeField(p)
     (delta, _), (d, _) = _forms_in_t(f0, f1)[:2]
     values = []
     for t0 in range(ELIMINANT_POINTS):
-        root = [-t0 % p, 1]
-        at_t0 = [[_at_root(c, root, fieldp) for c in cs] for cs in (delta, d)]
+        at_t0 = [[zpoly.int_eval(c, t0) % p for c in cs] for cs in (delta, d)]
         values.append(zpoly.int_resultant(*at_t0) % p)
     return tuple(zpoly.zp_interpolate(values, p))
 

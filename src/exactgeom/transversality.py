@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .binform import BinaryForm, sylvester_resultant
-from . import binform, univar
+from . import binform, univar, zpoly
 from .domains import QQ
 from .errors import VerificationError
 from .multipoly import MultiPoly
@@ -245,8 +245,7 @@ def _rational_projective_roots(form: BinaryForm) -> tuple[list[tuple[Fraction, F
                 cand = Fraction(sign * num, den)
                 if cand in rational:
                     continue
-                value = sum(c * cand**k for k, c in enumerate(ints))
-                if value == 0:
+                if zpoly.int_eval(ints, cand) == 0:
                     rational.add(cand)
     roots.extend((r, Fraction(1)) for r in sorted(rational))
     # the squarefree core has simple roots, so the rest of its degree is irrational
@@ -286,6 +285,20 @@ def _fiber_singularity_witness(partials: dict[str, MultiPoly], x0, y0) -> Option
     return {"fiber": (x0, y0), "common_factor": str(g)}
 
 
+def _uv_eliminant(f: MultiPoly, g: MultiPoly) -> Optional[BinaryForm]:
+    """Res_(u,v)(f, g) of two bihomogeneous partials as an (x, y)-form, or None
+    when f, g or the resultant is zero.  The resultant has degree
+    deg_uv(g) deg_xy(f) + deg_uv(f) deg_xy(g) in (x, y), so it is taken at
+    y = 1, in the one parameter x, and homogenized to that degree."""
+    if f.is_zero() or g.is_zero():
+        return None
+    (xy_f, uv_f), (xy_g, uv_g) = _bidegree(f), _bidegree(g)
+    degree = uv_g * xy_f + uv_f * xy_g
+    result = sylvester_resultant(*(BinaryForm(h.substitute("y", 1), ("u", "v")) for h in (f, g)))
+    terms = {(i, degree - i): c for (i, _), c in result.terms.items()}
+    return BinaryForm(MultiPoly(result.variables, terms), ("x", "y")) if terms else None
+
+
 _SCAN_FIBERS = [(1, 1), (1, 0), (0, 1), (1, -1), (2, 1), (1, 2), (3, 1), (1, 3), (2, -1), (-1, 2)]
 
 
@@ -308,8 +321,11 @@ def smoothness_certificate(P: MultiPoly) -> SmoothnessCertificate:
     if P.variables != SURFACE_VARS:
         raise ValueError(f"expected variables {SURFACE_VARS}")
     deg_xy, deg_uv = _bidegree(P)
-    if deg_xy < 1 or deg_uv < 1:
-        raise ValueError("certificate needs positive bidegree in both factors")
+    if deg_xy < 1 or deg_uv < 2:
+        raise ValueError(
+            "certificate needs (x, y)-degree at least 1 and (u, v)-degree at least 2: "
+            "the partials P_u and P_v are eliminated as forms in (u, v)"
+        )
 
     partials = {
         "Pu": P.partial_derivative("u"),
@@ -317,15 +333,6 @@ def smoothness_certificate(P: MultiPoly) -> SmoothnessCertificate:
         "Px": P.partial_derivative("x"),
         "Py": P.partial_derivative("y"),
     }
-
-    def eliminant(n1: str, n2: str) -> Optional[BinaryForm]:
-        f, g = partials[n1], partials[n2]
-        if f.is_zero() or g.is_zero():
-            return None
-        result = sylvester_resultant(BinaryForm(f, ("u", "v")), BinaryForm(g, ("u", "v")))
-        if result.is_zero():
-            return None
-        return BinaryForm(result, ("x", "y"))
 
     # a singular point kills all four partials, so the eliminant of *any* pair
     # vanishes there; two nonzero eliminants suffice even if the pairs overlap
@@ -339,7 +346,7 @@ def smoothness_certificate(P: MultiPoly) -> SmoothnessCertificate:
     ]
     found: list[tuple[tuple[str, str], BinaryForm]] = []
     for pair in candidate_pairs:
-        g = eliminant(*pair)
+        g = _uv_eliminant(*(partials[name] for name in pair))
         if g is not None:
             found.append((pair, g))
         if len(found) == 2:

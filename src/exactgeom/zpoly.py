@@ -23,7 +23,8 @@ and, reduced mod p, for the pencil count over GF(p).
 The Newton interpolator is the package's only one: :func:`int_interpolate`
 takes forward differences on ints at the points 0..N-1, and both the GF(p)
 eliminants (through :func:`zp_interpolate`) and the resultants of
-:mod:`exactgeom.binform` over QQ use it.
+:mod:`exactgeom.binform` over QQ use it.  :func:`int_eval` (Horner's rule)
+is the package's only evaluator of a polynomial at a point.
 """
 
 from __future__ import annotations
@@ -278,6 +279,15 @@ def _int_pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
             for j in range(n):
                 r[k + j] -= top * b[j]
     return zp_trim(r)
+
+
+def int_eval(cs: list, x):
+    """cs(x) by Horner's rule, for coefficients low degree first (``[]`` is
+    0), in any ring: ints, or a ``Fraction`` x."""
+    value = 0
+    for c in reversed(cs):
+        value = value * x + c
+    return value
 
 
 def int_interpolate(ys: list[int]) -> list[int]:

@@ -44,11 +44,15 @@ def test_homogeneity_validation():
 
 
 def test_resultant_two_linear_forms():
-    # Res(a u + b v, c u + d v) = a d - b c
-    names = ("u", "v", "a", "b", "c", "d")
-    u, v, a, b, c, d = MultiPoly.gens(names)
-    res = sylvester_resultant(BinaryForm(a * u + b * v, UV), BinaryForm(c * u + d * v, UV))
-    assert res == a.drop_vars(UV) * d.drop_vars(UV) - b.drop_vars(UV) * c.drop_vars(UV)
+    # Res(a u + b v, c u + d v) = a d - b c, with a the parameter
+    u, v, a = MultiPoly.gens(("u", "v", "a"))
+    (a_only,) = MultiPoly.gens(("a",))
+    rng = random.Random(3)
+    for _ in range(10):
+        b, d = rng.randrange(-9, 10), rng.randrange(-9, 10)
+        c = rng.choice([-1, 1]) * rng.randrange(1, 10)
+        res = sylvester_resultant(BinaryForm(a * u + b * v, UV), BinaryForm(c * u + d * v, UV))
+        assert res == d * a_only - b * c
 
 
 def test_resultant_single_variable():
@@ -217,12 +221,12 @@ def test_det_constant_paths_agree():
 
 
 def test_resultant_when_a_sequence_vanishes_at_a_sample_point():
-    # at s = 0 the first form vanishes, so the inner interpolation in t sees a
-    # zero sequence: its degree bound must not go negative
-    u, v, s, t = MultiPoly.gens(("u", "v", "s", "t"))
-    res = sylvester_resultant(BinaryForm(s * u + s * t * v, UV), BinaryForm(u**2 + t * v**2, UV))
-    s_, t_ = MultiPoly.gens(("s", "t"))
-    assert res == s_**2 * t_**2 + s_**2 * t_
+    # at s = 0 the first form vanishes, and the second has degree 0 in s, so
+    # its share of the degree bound is 0: Res = s^2 Res(u + v, u^2 + 2 v^2)
+    u, v, s = MultiPoly.gens(("u", "v", "s"))
+    res = sylvester_resultant(BinaryForm(s * u + s * v, UV), BinaryForm(u**2 + 2 * v**2, UV))
+    (s_only,) = MultiPoly.gens(("s",))
+    assert res == 3 * s_only**2
 
 
 def test_resultant_substitutes_each_coefficient_once_per_point(monkeypatch):
@@ -261,18 +265,21 @@ def test_resultant_substitutes_each_coefficient_once_per_point(monkeypatch):
     assert determinants == 0
 
 
-def _grid_forms():
+def _parameter_forms(variables=("u", "v", "s")):
     """Forms of degrees 2 and 3 in (u, v) whose coefficients are polynomials
-    in s and t with non-integer rational coefficients."""
-    u, v, s, t = MultiPoly.gens(("u", "v", "s", "t"))
+    with non-integer rational coefficients in s, and in t when ``variables``
+    holds it."""
+    gens = MultiPoly.gens(variables)
+    u, v, s = gens[:3]
+    t = gens[3] if len(gens) > 3 else 1
     c = Fraction
 
-    f = (c(1, 2) * s + t) * u**2 + (s * t - c(3, 4)) * u * v + (t**2 + c(2, 3) * s) * v**2
+    f = (c(1, 2) * s + t) * u**2 + (s**2 - c(3, 4)) * u * v + (t + c(2, 3) * s) * v**2
     g = (
         u**3
         + (c(5, 6) * s**2 - t) * u**2 * v
         + c(7, 3) * u * v**2
-        + (s - c(1, 5) * t**2 + 1) * v**3
+        + (s - c(1, 5) * s**3 + 1) * v**3
     )
     return BinaryForm(f, UV), BinaryForm(g, UV)
 
@@ -287,17 +294,21 @@ def _specialized_sylvester_det(f, g, point):
     return binform.det_constant(rows)
 
 
-def test_resultant_on_a_grid_of_two_parameters():
-    f, g = _grid_forms()
+def test_resultant_in_one_parameter_against_the_bareiss_oracle():
+    f, g = _parameter_forms()
     res = sylvester_resultant(f, g)
-    assert res.variables == ("s", "t")
+    assert res.variables == ("s",)
     rng = random.Random(23)
-    points = [(0, 0), (-4, 3), (1, -1)] + [
-        (rng.randrange(-40, 41), rng.randrange(-40, 41)) for _ in range(6)
-    ]
-    for s0, t0 in points:
-        point = {"s": Fraction(s0), "t": Fraction(t0)}
+    points = [0, -4, 1, Fraction(-7, 3)] + [rng.randrange(-40, 41) for _ in range(6)]
+    for s0 in points:
+        point = {"s": Fraction(s0)}
         assert res.evaluate(point) == _specialized_sylvester_det(f, g, point)
+
+
+def test_resultant_refuses_two_parameters():
+    f, g = _parameter_forms(("u", "v", "s", "t"))
+    with pytest.raises(ValueError, match="more than one parameter"):
+        sylvester_resultant(f, g)
 
 
 def test_resultant_without_parameters_is_a_fraction():

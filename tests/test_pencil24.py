@@ -451,13 +451,12 @@ def test_member_forms_in_t_match_the_symbolic_ones(a_vanishes_at_0):
 )
 def test_eliminant_members_read_from_the_forms_in_t(pencil):
     # raw_resultant reads Delta and d of the members t = 0..144 from the
-    # t-polynomials interpolated at t = 0..6; the per-member evaluator is the
-    # oracle at every one of the 145 points
+    # t-polynomials interpolated at t = 0..6, by Horner mod p; the per-member
+    # evaluator is the oracle at every one of the 145 points
     f0, f1 = pencil()
-    field = PrimeField(P)
     forms = pc._forms_in_t(f0, f1)[:2]
     for t, expected in enumerate(_eliminant_members(f0, f1)):
-        read = tuple(tuple(pc._at_root(c, [-t % P, 1], field) for c in cs) for cs, _ in forms)
+        read = tuple(tuple(zpoly.int_eval(c, t) % P for c in cs) for cs, _ in forms)
         assert read == expected
 
 

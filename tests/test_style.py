@@ -1,8 +1,13 @@
 """Source conventions that no runtime test would notice."""
 
+import importlib
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "exactgeom"
+
+# a Sphinx cross-reference such as :func:`exactgeom.zpoly.int_eval`
+CROSS_REFERENCE = re.compile(r":(?:func|class|mod):`~?([\w.]+)`")
 
 
 def test_source_lines_fit_in_100_columns():
@@ -13,3 +18,36 @@ def test_source_lines_fit_in_100_columns():
         if len(line) > 100
     ]
     assert not long_lines, long_lines
+
+
+def _resolves(target: str, home) -> bool:
+    """A bare name is looked up in ``home``, the module that names it; a
+    dotted one imports its longest importable prefix, as given (stdlib or
+    package) or under ``exactgeom``, and follows the remaining attributes."""
+    parts = target.split(".")
+    if len(parts) == 1:
+        return hasattr(home, target)
+    for cut in range(len(parts), 0, -1):
+        prefix = ".".join(parts[:cut])
+        for name in (prefix, f"exactgeom.{prefix}"):
+            try:
+                obj = importlib.import_module(name)
+            except ImportError:
+                continue
+            for attribute in parts[cut:]:
+                if not hasattr(obj, attribute):
+                    return False
+                obj = getattr(obj, attribute)
+            return True
+    return False
+
+
+def test_docstring_cross_references_resolve():
+    stale = []
+    for path in sorted(SRC.glob("*.py")):
+        module = "exactgeom" if path.stem == "__init__" else f"exactgeom.{path.stem}"
+        home = importlib.import_module(module)
+        for target in CROSS_REFERENCE.findall(path.read_text(encoding="utf-8")):
+            if not _resolves(target, home):
+                stale.append(f"{path.name}: {target}")
+    assert not stale, stale

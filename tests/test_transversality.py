@@ -1,11 +1,13 @@
 """The bitangent family: conditions, eliminant, section, smoothness."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from exactgeom import binform
 from exactgeom import transversality as tv
-from exactgeom.binform import binary_gcd, form_from_coefficients
+from exactgeom.binform import BinaryForm, binary_gcd, form_from_coefficients
 from exactgeom.domains import QQ
 from exactgeom.multipoly import MultiPoly
 from exactgeom.quartic import QuarticCoeffs, perfect_square_witness
@@ -211,6 +213,67 @@ def test_smoothness_control_reducible_fails():
         assert control.partial_derivative(name).evaluate(point) == 0
     cert = tv.smoothness_certificate(control)
     assert cert.status == "fail"
+
+
+def _specialized_uv_resultant(f, g, x0, y0):
+    """The Bareiss determinant of the Sylvester matrix of f and g in (u, v),
+    their coefficients specialized at [x0 : y0]."""
+    at = {"x": Fraction(x0), "y": Fraction(y0)}
+    fc = [c.evaluate(at) for c in BinaryForm(f, ("u", "v")).coefficient_polys()]
+    gc = [c.evaluate(at) for c in BinaryForm(g, ("u", "v")).coefficient_polys()]
+    m, n = len(fc) - 1, len(gc) - 1
+    zero = Fraction(0)
+    rows = [[zero] * i + fc + [zero] * (n - 1 - i) for i in range(n)]
+    rows += [[zero] * i + gc + [zero] * (m - 1 - i) for i in range(m)]
+    return binform.det_constant(rows)
+
+
+def test_certificate_eliminants_are_the_specialized_resultants(monkeypatch):
+    # each (u, v)-eliminant is taken at y = 1 and homogenized: it must agree
+    # with the resultant of the partials specialized at any [x0 : y0],
+    # including [1:0], which y = 1 never sees
+    built = []
+    original = tv._uv_eliminant
+
+    def recording(f, g):
+        eliminant = original(f, g)
+        built.append((f, g, eliminant))
+        return eliminant
+
+    monkeypatch.setattr(tv, "_uv_eliminant", recording)
+    for P in (tv.p0_polynomial(), tv.control_nonreduced(), tv.control_reducible_singular()):
+        tv.smoothness_certificate(P)
+    assert sum(eliminant is not None for _, _, eliminant in built) >= 4
+    rng = random.Random(31)
+    points = [(1, 0), (0, 1), (1, 1)] + [
+        (rng.randrange(-20, 21), rng.randrange(-20, 21)) for _ in range(6)
+    ]
+    for f, g, eliminant in built:
+        if f.is_zero() or g.is_zero():
+            assert eliminant is None
+            continue
+        for x0, y0 in points:
+            if not (x0 or y0):
+                continue
+            value = 0 if eliminant is None else eliminant.poly.evaluate({"x": x0, "y": y0})
+            assert value == _specialized_uv_resultant(f, g, x0, y0)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        lambda x, y, u, v: x * u + y * v,
+        lambda x, y, u, v: x**2 * u + y**2 * v,
+        lambda x, y, u, v: x * (u + v),
+    ],
+    ids=["xu+yv", "x2u+y2v", "x(u+v)"],
+)
+def test_smoothness_refuses_uv_degree_one(shape):
+    # P_u and P_v have no (u, v) left to eliminate; x (u + v) is singular at
+    # ([0:1], [1:-1]), so the refusal must not turn into a "smooth" verdict
+    P = shape(*MultiPoly.gens(tv.SURFACE_VARS))
+    with pytest.raises(ValueError, match=r"\(u, v\)-degree at least 2"):
+        tv.smoothness_certificate(P)
 
 
 def test_smoothness_rejects_zero_and_wrong_shape():

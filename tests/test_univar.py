@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from exactgeom import binform, univar, zpoly
+from exactgeom import binform, pencil24, univar, zpoly
 from exactgeom.domains import QQ, ExtensionField, PrimeField
 from exactgeom.errors import InterpolationError
 
@@ -456,6 +456,25 @@ def test_zp_interpolate_round_trip():
         assert zpoly.zp_interpolate([v % p for v in values], p) == poly
         assert zpoly.zp_interpolate([3] * 5, p) == [3]
         assert zpoly.zp_interpolate([0] * 5, p) == []
+
+
+def test_int_eval_is_horner_in_any_ring():
+    assert zpoly.int_eval([], 5) == 0
+    assert zpoly.int_eval([], Fraction(1, 3)) == 0
+    rng = random.Random(37)
+    for _ in range(30):
+        cs = [rng.randrange(-10**6, 10**6) for _ in range(rng.randrange(1, 20))]
+        x = rng.randrange(-50, 51)
+        assert zpoly.int_eval(cs, x) == sum(c * x**k for k, c in enumerate(cs))
+        q = Fraction(rng.randrange(-50, 51), rng.randrange(1, 30))
+        assert zpoly.int_eval(cs, q) == sum(c * q**k for k, c in enumerate(cs))
+    # over GF(p), the value at t0 is the remainder mod t - t0
+    p = 10007
+    field = PrimeField(p)
+    for _ in range(30):
+        cs = [rng.randrange(p) for _ in range(rng.randrange(1, 20))]
+        t0 = rng.randrange(p)
+        assert zpoly.int_eval(cs, t0) % p == pencil24._at_root(cs, [-t0 % p, 1], field)
 
 
 def test_int_interpolate_is_scaled_by_the_factorial():
