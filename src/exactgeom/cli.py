@@ -259,6 +259,8 @@ def _output_path(text: str) -> str:
     directory = os.path.dirname(text) or "."
     if not os.path.isdir(directory):
         raise argparse.ArgumentTypeError(f"directory {directory!r} does not exist")
+    if os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"{text!r} is a directory")
     return text
 
 

@@ -178,7 +178,7 @@ class FieldElement:
         return FieldElement(self.field, self.field._rmul(raw, self.field._rinv(self.value)))
 
     def __neg__(self):
-        return FieldElement(self.field, self.field._rneg(self.value))
+        return FieldElement(self.field, self.field._rsub(self.field._rfrom_int(0), self.value))
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
@@ -217,7 +217,7 @@ class FiniteField:
     order: int
 
     def zero(self) -> FieldElement:
-        return FieldElement(self, self._rzero())
+        return FieldElement(self, self._rfrom_int(0))
 
     def one(self) -> FieldElement:
         return FieldElement(self, self._rfrom_int(1))
@@ -264,44 +264,46 @@ class FiniteField:
     def sqrt(self, a: FieldElement) -> Optional[FieldElement]:
         """A square root of ``a`` in this field, or None if ``a`` is a non-square.
 
-        Uses the exponentiation shortcut when the order is 3 mod 4 and
-        Tonelli-Shanks otherwise.  Deterministic.
+        One Tonelli-Shanks on raw values, deterministic.  With q - 1 = 2^m e,
+        e odd, one power b = a^((e - 1)/2) gives r = a b and t = r b = a^e,
+        so r^2 = a t.  Each step finds the least i with t^(2^i) = 1 and
+        multiplies t by an element of order 2^i; i = m means a^((q - 1)/2) =
+        -1, a non-square.  The non-residue z (c = z^e) is looked up at the
+        first step only.  For q = 3 mod 4, m = 1 and a square takes no step,
+        so r = a^((q + 1)/4).
         """
         if a.field != self:
             raise DomainMismatchError("sqrt of an element from a different field")
-        if not a:
+        a = a.value
+        if self._ris_zero(a):
             return self.zero()
         q = self.order
         if q % 2 == 0:
             raise ValueError("square roots unsupported in characteristic 2")
-        if q % 4 == 3:
-            # r^2 = a * a^((q - 1)/2), which is a for a square and -a != a otherwise
-            r = a ** ((q + 1) // 4)
-            return r if r * r == a else None
-        one = self.one()
-        if a ** ((q - 1) // 2) != one:
-            return None
-        # Tonelli-Shanks
-        exp, two_power = q - 1, 0
-        while exp % 2 == 0:
-            exp //= 2
-            two_power += 1
-        z = self._nonresidue()
-        m = two_power
-        c = z**exp
-        t = a**exp
-        r = a ** ((exp + 1) // 2)
+        e, m = q - 1, 0
+        while e % 2 == 0:
+            e //= 2
+            m += 1
+        mul, one = self._rmul, self._rfrom_int(1)
+        b = self._rpow(a, (e - 1) // 2)
+        r = mul(a, b)
+        t = mul(r, b)
+        c = None
         while t != one:
             i, probe = 0, t
             while probe != one:
-                probe = probe * probe
+                probe = mul(probe, probe)
                 i += 1
-            b = c ** (1 << (m - i - 1))
+            if i == m:
+                return None
+            if c is None:
+                c = self._rpow(self._nonresidue().value, e)
+            b = self._rpow(c, 1 << (m - i - 1))
             m = i
-            c = b * b
-            t = t * c
-            r = r * b
-        return r
+            c = mul(b, b)
+            t = mul(t, c)
+            r = mul(r, b)
+        return FieldElement(self, r)
 
     def coeff_str(self, a: FieldElement) -> str:
         raise NotImplementedError
@@ -327,9 +329,6 @@ class PrimeField(FiniteField):
     def order(self) -> int:
         return self.p
 
-    def _rzero(self) -> int:
-        return 0
-
     def _ris_zero(self, a: int) -> bool:
         return a == 0
 
@@ -347,9 +346,6 @@ class PrimeField(FiniteField):
 
     def _rmul(self, a: int, b: int) -> int:
         return a * b % self.p
-
-    def _rneg(self, a: int) -> int:
-        return -a % self.p
 
     def _rinv(self, a: int) -> int:
         if a == 0:
@@ -413,7 +409,7 @@ class ExtensionField(FiniteField):
 
     def generator(self) -> FieldElement:
         """The class of the adjoined variable t."""
-        raw = [self.base._rzero()] * self.degree
+        raw = [self.base._rfrom_int(0)] * self.degree
         raw[1] = self.base._rfrom_int(1)
         return FieldElement(self, tuple(raw))
 
@@ -421,18 +417,15 @@ class ExtensionField(FiniteField):
         """Embed an element of the base field."""
         if a.field != self.base:
             raise DomainMismatchError("from_base expects an element of the base field")
-        raw = [self.base._rzero()] * self.degree
+        raw = [self.base._rfrom_int(0)] * self.degree
         raw[0] = a.value
         return FieldElement(self, tuple(raw))
-
-    def _rzero(self):
-        return (self.base._rzero(),) * self.degree
 
     def _ris_zero(self, a) -> bool:
         return all(self.base._ris_zero(c) for c in a)
 
     def _rfrom_int(self, n: int):
-        raw = [self.base._rzero()] * self.degree
+        raw = [self.base._rfrom_int(0)] * self.degree
         raw[0] = self.base._rfrom_int(n)
         return tuple(raw)
 
@@ -451,10 +444,6 @@ class ExtensionField(FiniteField):
     def _rsub(self, a, b):
         sub = self.base._rsub
         return tuple(sub(x, y) for x, y in zip(a, b))
-
-    def _rneg(self, a):
-        neg = self.base._rneg
-        return tuple(neg(x) for x in a)
 
     def _rmul(self, a, b):
         base = self.base
@@ -475,7 +464,7 @@ class ExtensionField(FiniteField):
 
     def _padded(self, poly: list) -> tuple:
         """A polynomial over the base of degree below ``degree`` as a raw value."""
-        return tuple(poly) + (self.base._rzero(),) * (self.degree - len(poly))
+        return tuple(poly) + (self.base._rfrom_int(0),) * (self.degree - len(poly))
 
     def _rrand(self, rng):
         return tuple(self.base._rrand(rng) for _ in range(self.degree))

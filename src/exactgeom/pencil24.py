@@ -238,11 +238,6 @@ def absolute_degree(field: FiniteField) -> int:
     return degree
 
 
-def _cubic(cs: list, x0, y0):
-    """The (x, y)-cubic whose x^i y^(3-i) coefficient is cs[i], at [x0:y0]."""
-    return sum(c * x0**i * y0 ** (3 - i) for i, c in enumerate(cs))
-
-
 def _at_root(c: list[int], m: list[int], field: FiniteField):
     """c(tau) at a root tau of m, as a raw value of field = GF(p)[t]/(m), or of
     GF(p) for a linear m: the remainder of c mod m in the basis 1, t, ..., t^(deg m - 1)."""
@@ -251,8 +246,12 @@ def _at_root(c: list[int], m: list[int], field: FiniteField):
 
 
 def _fiber_witness(abcde: list, field: FiniteField, x0, y0, label: str) -> Optional[dict]:
-    """A verified perfect-square witness for the fiber quartic at [x0:y0], if any."""
-    fiber = QuarticCoeffs(*(_cubic(cs, x0, y0) for cs in abcde))
+    """A verified perfect-square witness for the fiber quartic at [x0:y0], if any.
+
+    Every caller passes y0 = 1, where the cubic with x^i y^(3-i) coefficient
+    cs[i] is cs(x0) by :func:`exactgeom.zpoly.int_eval`, or [1:0], where it is cs[3].
+    """
+    fiber = QuarticCoeffs(*(zpoly.int_eval(cs, x0) if y0 else cs[3] for cs in abcde))
     witness = closure_square_witness(fiber, field)
     if witness is None:
         return None

@@ -12,11 +12,13 @@ boundary (A, B) = (0, 0) forces both to vanish while e.g. (0,0,1,0,1) is not
 a square, and there is a second non-square branch with A != 0 (for instance
 (1,0,6,16,9)).  For this reason the ground-truth predicate everywhere is the
 perfect-square *witness*: an explicit quadratic whose square reproduces the
-quartic, searched by coefficient matching with exact square roots.  A closure
-variant adjoins the single missing square root when the base field lacks it.
-The matching itself (``_match_square``) runs on raw field values through the
-field's raw hooks (``_rmul``, ``_rinv`` and so on; a rational is its own raw
-value), and the public searches wrap only the witness they return.
+quartic.  The matching (``_match_square``) runs in the base field alone, on
+raw values through the field's raw hooks (``_rmul``, ``_rinv`` and so on; a
+rational is its own raw value): it writes the quartic as s k^2 with k in the
+field, and the witness is r k for a square root r of s.  The callers take
+that one root: ``perfect_square_witness`` in the field itself, and the
+closure variant through ``adjoin_sqrt``, which builds the quadratic extension
+when the base field lacks it.
 
 Both condition polynomials are evaluated with plain ring arithmetic, so the
 coefficients may be rationals, finite-field elements, or multivariate
@@ -24,7 +26,7 @@ polynomials.  They may also be plain ints whose values are then reduced
 mod p: the formulas have integer coefficients, so that gives the value over
 GF(p).  ``fuzz_square_criterion`` runs on ints end to end: over GF(p) it
 works this way, over QQ it clears the denominators of each draw (the
-conditions are homogeneous), and it calls the raw witness search on the
+conditions are homogeneous), and it calls ``perfect_square_witness`` on the
 same ints.
 """
 
@@ -102,26 +104,20 @@ def _raw(x):
     return x.value if isinstance(x, FieldElement) else x
 
 
-def _field_root(field):
-    """A ``root`` for :func:`_match_square` that stays in ``field`` itself."""
-
-    def root(a):
-        r = field.sqrt(field.wrap(a))
-        return None if r is None else (field, _raw(r), _identity)
-
-    return root
-
-
-def perfect_square_witness(c: QuarticCoeffs, field) -> Optional[tuple]:
+def perfect_square_witness(c: tuple, field) -> Optional[tuple]:
     """A quadratic (q0, q1, q2) with square equal to the quartic, if one exists
-    with coordinates in the given field.
+    with coordinates in the given field, on raw values of the field.
 
-    Found by coefficient matching: q0^2 = A, 2 q0 q1 = B, and so on, taking
-    exact square roots in the field; returns None when the quartic is not a
-    square or the required square roots do not exist in the field.
+    Coefficient matching in the field gives quartic = s k^2, and the witness
+    is q = r k with r = ``field.sqrt(s)``; returns None when the quartic is
+    not a square or s has no square root in the field.
     """
-    found = _match_square(tuple(map(_raw, c)), field, _field_root(field))
-    return None if found is None else tuple(map(field.wrap, found[1:]))
+    found = _match_square(c, field)
+    if found is None:
+        return None
+    s, *k = found
+    r = field.sqrt(field.wrap(s))
+    return None if r is None else tuple(field._rmul(_raw(r), x) for x in k)
 
 
 @dataclass(frozen=True)
@@ -146,68 +142,48 @@ class ClosureWitness:
 def closure_square_witness(c: QuarticCoeffs, field: FiniteField) -> Optional[ClosureWitness]:
     """Witness search over the algebraic closure of a finite field.
 
-    At most one square root is ever missing from the base field; when it is,
-    the quadratic extension adjoining it is constructed and the witness is
+    Only the square root of s in quartic = s k^2 can be missing from the
+    base field; :func:`exactgeom.domains.adjoin_sqrt` takes it, in the
+    quadratic extension adjoining it when it is missing, and the witness is
     returned there.
     """
-
-    def root(a):
-        field2, r, lift = adjoin_sqrt(field, field.wrap(a))
-        if field2 is field:
-            return field, r.value, _identity
-        return field2, r.value, lambda x: lift(field.wrap(x)).value
-
-    found = _match_square(tuple(map(_raw, c)), field, root)
+    found = _match_square(tuple(map(_raw, c)), field)
     if found is None:
         return None
-    field2, *q = found
-    lift = _identity if field2 is field else field2.from_base
-    return ClosureWitness(field2, lift, *map(field2.wrap, q))
+    s, *k = found
+    field2, root, lift = adjoin_sqrt(field, field.wrap(s))
+    return ClosureWitness(field2, lift, *(root * lift(field.wrap(x)) for x in k))
 
 
-def _match_square(c: tuple, field, root) -> Optional[tuple]:
-    """Coefficient matching q0^2 = A, 2 q0 q1 = B, and so on, on raw values.
+def _match_square(c: tuple, field) -> Optional[tuple]:
+    """Coefficient matching for quartic = s (k0 u^2 + k1 u v + k2 v^2)^2, on
+    raw values, with no square root.
 
     ``c`` holds raw values of ``field`` and the arithmetic runs through the
-    field's raw hooks.  Only the first nonzero of A, C, E needs a square
-    root; ``root(a)`` returns ``(field2, raw sqrt of a in field2, raw lift
-    from field into field2)``, or None when no root is available.  Returns
-    ``(field2, q0, q1, q2)`` with raw values of field2, or None.
+    field's raw hooks.  A witness q with q^2 = quartic is q = r k, where
+    r^2 = s and s is the first nonzero of A, C, E; so k lies in ``field`` and
+    every condition is checked there.  Returns raw ``(s, k0, k1, k2)``, or
+    None when the quartic is not a square over the algebraic closure.
     """
     _check_char(field)
     A, B, C, D, E = c
+    mul, inv = field._rmul, field._rinv
+    zero, one, two = field._rfrom_int(0), field._rfrom_int(1), field._rfrom_int(2)
     if not field._ris_zero(A):
-        found = root(A)
-        if found is None:
-            return None
-        field2, q0, lift = found
-        mul, two = field2._rmul, field2._rfrom_int(2)
-        inv = field2._rinv(mul(two, q0))
-        q1 = mul(lift(B), inv)
-        q2 = mul(field2._rsub(lift(C), mul(q1, q1)), inv)
-        if mul(two, mul(q1, q2)) == lift(D) and mul(q2, q2) == lift(E):
-            return field2, q0, q1, q2
+        half = inv(mul(two, A))
+        k1 = mul(B, half)
+        k2 = mul(field._rsub(C, mul(A, mul(k1, k1))), half)
+        if mul(B, k2) == D and mul(A, mul(k2, k2)) == E:
+            return A, one, k1, k2
         return None
     if not field._ris_zero(B):
         return None
     if not field._ris_zero(C):
-        found = root(C)
-        if found is None:
-            return None
-        field2, q1, lift = found
-        mul = field2._rmul
-        q2 = mul(lift(D), field2._rinv(mul(field2._rfrom_int(2), q1)))
-        if mul(q2, q2) == lift(E):
-            return field2, field2._rfrom_int(0), q1, q2
-        return None
+        k2 = mul(D, inv(mul(two, C)))
+        return (C, zero, one, k2) if mul(C, mul(k2, k2)) == E else None
     if not field._ris_zero(D):
         return None
-    found = root(E)
-    if found is None:
-        return None
-    field2, q2, _ = found
-    zero = field2._rfrom_int(0)
-    return field2, zero, zero, q2
+    return E, zero, zero, one
 
 
 def closure_conditions_a_nonzero(c: QuarticCoeffs) -> Iterator:
@@ -315,11 +291,9 @@ def fuzz_square_criterion(field, count: int, rng, square_count: Optional[int] = 
 
         cleared = _identity
 
-    root = _field_root(field)
-
     def witnessed(c):
-        found = _match_square(c, field, root)
-        return found is not None and tuple(map(reduce, square_coefficients(*found[1:]))) == c
+        found = perfect_square_witness(c, field)
+        return found is not None and tuple(map(reduce, square_coefficients(*found))) == c
 
     discrepancies = []
     for _ in range(count):

@@ -86,6 +86,9 @@ def test_output_path_in_a_missing_directory_exits_2_before_any_check(monkeypatch
     for argv in (
         ["verify-intersection", "--out", str(missing / "r.json")],
         ["verify-lines", "--dot", str(missing / "lines.dot")],
+        # an existing directory cannot be written as a file
+        ["verify-intersection", "--out", str(tmp_path)],
+        ["verify-lines", "--dot", str(tmp_path), "--quiet"],
     ):
         with pytest.raises(SystemExit) as exc:
             run_main(argv)

@@ -346,3 +346,38 @@ def test_extension_sqrt_returns_the_pinned_root():
     for a, root in PINNED_EXTENSION_ROOTS.items():
         found = K.sqrt(K.wrap(a))
         assert (None if found is None else found.value) == root, a
+
+
+# (p, a, is a square, non-residue lookups): 5 and 3 are non-squares mod 10007
+# and 65537; 4 mod 65537 has t = a^e = 4 != 1, so it takes a Tonelli-Shanks step
+SQRT_POWER_CASES = [
+    (10007, 4, True, 0),
+    (10007, 5, False, 0),
+    (65537, 3, False, 0),
+    (65537, 4, True, 1),
+]
+
+
+@pytest.mark.parametrize("p, a, square, lookups", SQRT_POWER_CASES)
+def test_sqrt_takes_one_power_of_its_argument(monkeypatch, p, a, square, lookups):
+    F = PrimeField(p)
+    bases, nonresidues = [], 0
+    power, nonresidue = PrimeField._rpow, PrimeField._nonresidue
+
+    def counting_power(self, base, exponent):
+        bases.append(base)
+        return power(self, base, exponent)
+
+    def counting_nonresidue(self):
+        nonlocal nonresidues
+        nonresidues += 1
+        return nonresidue(self)
+
+    monkeypatch.setattr(PrimeField, "_rpow", counting_power)
+    monkeypatch.setattr(PrimeField, "_nonresidue", counting_nonresidue)
+    root = F.sqrt(F.elem(a))
+    monkeypatch.undo()
+    assert (root is not None) == square
+    assert root is None or root * root == F.elem(a)
+    assert bases.count(a) == 1
+    assert nonresidues == lookups

@@ -15,6 +15,8 @@ from exactgeom.quartic import (
     SPURIOUS_NON_SQUARE,
     QuarticCoeffs,
     _cleared,
+    _match_square,
+    _raw,
     _verdicts,
     closure_square_witness,
     disc_delta,
@@ -182,6 +184,58 @@ def test_closure_witness_pinned(field_name, shape, expected):
     assert (witness.field is field) == (expected[0] == absolute_degree(field))
     got = (absolute_degree(witness.field), repr(witness.q0), repr(witness.q1), repr(witness.q2))
     assert got == expected
+
+
+def _gf81_tower():
+    gf9 = ExtensionField(PrimeField(3), [1, 0, 1], name="i")
+    return ExtensionField(gf9, [-(gf9.generator() + 1), 0, 1], name="s")
+
+
+MATCH_FIELDS = {
+    "GF(10007)": lambda: F,
+    "GF(10007)[t]/(t^2 + t + 5)": lambda: ExtensionField(F, [5, 1, 1], name="t"),
+    "GF(9)[s], order 81": _gf81_tower,
+    "QQ": lambda: QQ,
+}
+
+
+@pytest.mark.parametrize("build", MATCH_FIELDS.values(), ids=MATCH_FIELDS.keys())
+def test_match_square_writes_the_quartic_as_s_times_a_square(build):
+    field = build()
+    rng = random.Random(f"match:{field!r}")
+    if field is QQ:
+        zero = Fraction(0)
+
+        def draw():
+            return Fraction(rng.randrange(-30, 31), rng.randrange(1, 6))
+
+    else:
+        zero = field.zero()
+
+        def draw():
+            return field.rand(rng)
+
+    branches = set()
+    for n in range(60):
+        # every third draw zeroes q0, every ninth q1 too: the branches of
+        # A != 0, of A = B = 0 with C != 0, and of only E
+        q = [draw(), draw(), draw()]
+        if n % 3 == 0:
+            q[0] = zero
+        if n % 9 == 0:
+            q[1] = zero
+        quartic = square_coefficients(*q)
+        found = _match_square(tuple(map(_raw, quartic)), field)
+        assert found is not None, q
+        s, *k = map(field.wrap, found)
+        lead = next((i for i in (0, 2) if quartic[i]), 4)
+        assert s == quartic[lead]
+        assert tuple(s * x for x in square_coefficients(*k)) == quartic, q
+        branches.add(lead)
+    assert branches == {0, 2, 4}
+    elem = field.elem if field is not QQ else Fraction
+    for non_square in (BOUNDARY_NON_SQUARE, SPURIOUS_NON_SQUARE, (0, 1, 2, 3, 4)):
+        assert _match_square(tuple(_raw(elem(c)) for c in non_square), field) is None
 
 
 small_fracs = st.fractions(

@@ -1,5 +1,6 @@
 """Source conventions that no runtime test would notice."""
 
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -51,3 +52,26 @@ def test_docstring_cross_references_resolve():
             if not _resolves(target, home):
                 stale.append(f"{path.name}: {target}")
     assert not stale, stale
+
+
+def _private_definitions_and_references(trees):
+    defined, referenced = set(), set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defined.add(node.name)
+            elif isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    return defined, referenced
+
+
+def test_private_definitions_are_used():
+    # a private function, method or class that nothing in the package names
+    # is dead code: its callers were removed or never existed
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))]
+    defined, referenced = _private_definitions_and_references(trees)
+    assert defined, "no private definitions found"
+    assert not sorted(defined - referenced), sorted(defined - referenced)
