@@ -256,6 +256,8 @@ def _validated_seed(text: str) -> int:
 
 def _output_path(text: str) -> str:
     # checked before any check runs, so a bad path costs no work
+    if not text:
+        raise argparse.ArgumentTypeError("the path is empty")
     directory = os.path.dirname(text) or "."
     if not os.path.isdir(directory):
         raise argparse.ArgumentTypeError(f"directory {directory!r} does not exist")

@@ -24,14 +24,14 @@ The raw eliminant is heavily non-reduced and contains extraneous factors
 (leading-coefficient collapse, fibers where A and B both vanish, and the
 non-square branch of the joint discriminant/seminvariant locus), so the
 degree of its squarefree part overcounts.  Every irreducible factor m(t) is
-therefore validated in the exact field GF(p)[t]/(m): the specialized forms
-must have a nonconstant gcd, and at a root of that gcd (constructed in a
-further extension when necessary) the fiber quartic must admit a
-perfect-square witness, which is re-verified by squaring; there a
-polynomial c(t) takes the value c mod m.  The validated count is the sum of
-deg(m) over validated factors; for a generic pencil it equals the degree 24
-of the vertical-bitangent hypersurface.  The member at t = infinity (F1
-itself) is checked separately and never added to the count.
+therefore validated in the exact field GF(p)[t]/(m), where a polynomial c(t)
+takes the value c mod m: some fiber of the member, found from the
+closure-square conditions alone (a square fiber has Delta = d = 0) and
+constructed in a further extension when necessary, must admit a
+perfect-square witness, which is re-verified by squaring.  The validated
+count is the sum of deg(m) over validated factors; for a generic pencil it
+equals the degree 24 of the vertical-bitangent hypersurface.  The member at
+t = infinity (F1 itself) is checked separately and never added to the count.
 """
 
 from __future__ import annotations
@@ -317,6 +317,17 @@ class PencilCountReport:
         }
 
 
+def _common_roots(forms: list, field: FiniteField) -> list:
+    """The monic squarefree polynomial whose roots are the common roots x0 != 0
+    of the forms (lists in x at y = 1) that do not vanish identically."""
+    g = []
+    for cs in forms:
+        core = dehomogenize(cs[::-1], field)[2]
+        if core:
+            g = univar.gcd(core, g, field) if g else core
+    return univar.squarefree_part(g, field)
+
+
 def validate_member(
     delta: list, d: list, abcde: list, conditions: list, field: FiniteField, rng: random.Random
 ) -> tuple[bool, dict]:
@@ -328,54 +339,40 @@ def validate_member(
     cubics A..E (4 each), and the four closure-square conditions (10, 13, 4
     and 7), those of :func:`quartic.closure_conditions_a_nonzero` then those
     of :func:`quartic.closure_conditions_a_zero`; A..E are boxed as field
-    elements once, for the witness.  The two condition forms must share a
-    root, and some shared root must carry a perfect-square fiber.  The search
-    is root-free: gcds against the cores of the closure-square conditions of
-    the branch, split by whether A vanishes at the root.  Only a validated
-    member has an explicit root and witness constructed, in a tower extension
-    when the root or the square root lives outside the field.
+    elements once, for the witness.  A square fiber has Delta = d = 0, so
+    Delta and d only detect a degenerate member and pick the ends [1:0] and
+    [0:1] to probe; the roots x0 != 0 are searched root-free, by gcds of the
+    closure-square conditions of the branch (A != 0, else A = 0).  Only a
+    validated member has an explicit root and witness constructed, in a tower
+    extension when the root or the square root lives outside the field.
+
+    The failure detail holds for a root of R(t), where Delta and d share a
+    projective root; at t = infinity only the verdict is read.
     """
     one, zero = field.one(), field.zero()
+    is_zero = field._ris_zero
     boxed = [[field.wrap(c) for c in cs] for cs in abcde]
-    splits = [dehomogenize(cs[::-1], field) for cs in (delta, d)]
-    splits = [split for split in splits if split[2]]
-    if not splits:
-        # both conditions vanish identically in (x, y): degenerate member;
-        # probe the ends of the projective line and one more fiber
-        for x0, y0, label in ((one, zero, "[1:0]"), (zero, one, "[0:1]"), (one, one, "[1:1]")):
-            outcome = _fiber_witness(boxed, field, x0, y0, label)
-            if outcome is not None:
-                return True, outcome
+    degenerate = all(map(is_zero, delta + d))
+    # an end is probed only where both Delta and d vanish; a degenerate
+    # member, on which both vanish identically, also at one more fiber
+    ends = ((-1, one, zero, "[1:0]"), (0, zero, one, "[0:1]"))
+    probes = [(x0, y0, label) for i, x0, y0, label in ends if is_zero(delta[i]) and is_zero(d[i])]
+    if degenerate:
+        probes.append((one, one, "[1:1]"))
+    for x0, y0, label in probes:
+        outcome = _fiber_witness(boxed, field, x0, y0, label)
+        if outcome is not None:
+            return True, outcome
+    if degenerate:
         return False, {"detail": "both condition forms vanish identically"}
 
-    # shared powers of x mark a common root at [0:1], shared powers of y one at [1:0]
-    x_power = min(split[0] for split in splits)
-    y_power = min(split[1] for split in splits)
-    core = splits[0][2] if len(splits) == 1 else univar.gcd(splits[0][2], splits[1][2], field)
-    if univar.deg(core) == 0 and not x_power and not y_power:
-        return False, {"detail": "specialized conditions are coprime"}
-    for power, x0, y0, label in ((y_power, one, zero, "[1:0]"), (x_power, zero, one, "[0:1]")):
-        if power:
-            outcome = _fiber_witness(boxed, field, x0, y0, label)
-            if outcome is not None:
-                return True, outcome
-
-    if univar.deg(core) >= 1:
-        gbar = univar.squarefree_part(core, field)
-        abar = dehomogenize(abcde[0][::-1], field)[2]
-        g_a = univar.gcd(gbar, abar, field) if abar else gbar
-        g_main = univar.divmod_(gbar, g_a, field)[0]
-        # main branch (A != 0), then the boundary branch (A = 0)
-        for g, pair in ((g_main, conditions[:2]), (g_a, conditions[2:])):
-            if univar.deg(g) < 1:
-                continue
-            for cs in pair:
-                s = dehomogenize(cs[::-1], field)[2]
-                g = univar.gcd(g, s, field) if s else g
-                if univar.deg(g) < 1:
-                    break
-            else:
-                return True, _witness_at_gcd_root(boxed, field, g, rng)
+    a_core = dehomogenize(abcde[0][::-1], field)[2]
+    w = _common_roots(conditions[:2], field)
+    w = univar.divmod_(w, univar.gcd(a_core, w, field), field)[0]
+    if univar.deg(w) < 1:
+        w = _common_roots(conditions[2:] + abcde[:1], field)
+    if univar.deg(w) >= 1:
+        return True, _witness_at_gcd_root(boxed, field, w, rng)
     return False, {"detail": "conditions share roots but no fiber is a perfect square"}
 
 

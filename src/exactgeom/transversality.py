@@ -302,6 +302,12 @@ def _uv_eliminant(f: MultiPoly, g: MultiPoly) -> Optional[BinaryForm]:
 _SCAN_FIBERS = [(1, 1), (1, 0), (0, 1), (1, -1), (2, 1), (1, 2), (3, 1), (1, 3), (2, -1), (-1, 2)]
 
 
+def _scanned_witness(partials: dict[str, MultiPoly]) -> Optional[dict]:
+    """The singular-point witness on the first of the scanned fibers that has one, or None."""
+    witnesses = (_fiber_singularity_witness(partials, x0, y0) for x0, y0 in _SCAN_FIBERS)
+    return next((w for w in witnesses if w is not None), None)
+
+
 def smoothness_certificate(P: MultiPoly) -> SmoothnessCertificate:
     """Certify that the divisor P = 0 in P^1 x P^1 is smooth, or fail.
 
@@ -359,14 +365,13 @@ def smoothness_certificate(P: MultiPoly) -> SmoothnessCertificate:
         if not found
         else "only one partial pair has a nonzero eliminant"
     )
-    for x0, y0 in _SCAN_FIBERS:
-        witness = _fiber_singularity_witness(partials, x0, y0)
-        if witness is not None:
-            return SmoothnessCertificate(
-                status="fail",
-                detail=f"{shortfall}; singular point exhibited on a scanned fiber",
-                witness=witness,
-            )
+    witness = _scanned_witness(partials)
+    if witness is not None:
+        return SmoothnessCertificate(
+            status="fail",
+            detail=f"{shortfall}; singular point exhibited on a scanned fiber",
+            witness=witness,
+        )
     return SmoothnessCertificate(
         status="inconclusive",
         detail=f"{shortfall} and no witness was found on the scanned fibers",
@@ -384,17 +389,12 @@ def _certify_with_eliminants(partials, pair1, pair2, g1: BinaryForm, g2: BinaryF
         )
     resultant = sylvester_resultant(g1, g2).constant_value()
     if not resultant:
-        witness = None
-        for x0, y0 in _SCAN_FIBERS:
-            witness = _fiber_singularity_witness(partials, x0, y0)
-            if witness is not None:
-                break
         return SmoothnessCertificate(
             status="fail",
             detail="the eliminants share a root: a common zero of all four partials "
             "is not excluded",
             pairs_used=pairs_used,
-            witness=witness,
+            witness=_scanned_witness(partials),
         )
 
     # explicit check of fibers where the leading (u, v)-coefficients of a used

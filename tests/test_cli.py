@@ -89,6 +89,9 @@ def test_output_path_in_a_missing_directory_exits_2_before_any_check(monkeypatch
         # an existing directory cannot be written as a file
         ["verify-intersection", "--out", str(tmp_path)],
         ["verify-lines", "--dot", str(tmp_path), "--quiet"],
+        # an empty path names no file at all
+        ["verify-intersection", "--out", ""],
+        ["verify-lines", "--dot", "", "--quiet"],
     ):
         with pytest.raises(SystemExit) as exc:
             run_main(argv)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from exactgeom import zpoly
+from exactgeom import univar, zpoly
 from exactgeom import pencil24 as pc
 from exactgeom.binform import BinaryForm, sylvester_resultant
 from exactgeom.domains import ExtensionField, PrimeField
@@ -16,6 +16,7 @@ from exactgeom.quartic import (
     QuarticCoeffs,
     closure_conditions_a_nonzero,
     closure_conditions_a_zero,
+    closure_square_conditions,
     disc_delta,
     sem_d,
     square_coefficients,
@@ -163,6 +164,74 @@ def test_validated_count_is_24_for_a_random_pencil(p, seed):
             assert rep.root_field_degree is not None
 
 
+def test_validation_takes_no_gcd_of_delta_and_d(monkeypatch):
+    # a square fiber has Delta = d = 0, so validation runs Euclid only on the
+    # closure-square conditions (degrees 9, 12, 3 and 6) and on A, never on
+    # Delta (degree 18) and d
+    degrees, inside = [], False
+    gcd, validate = univar.gcd, pc.validate_member
+
+    def recording_gcd(a, b, field):
+        if inside:
+            degrees.append(max(univar.deg(a), univar.deg(b)))
+        return gcd(a, b, field)
+
+    def flagged_validate(*args):
+        nonlocal inside
+        inside = True
+        try:
+            return validate(*args)
+        finally:
+            inside = False
+
+    monkeypatch.setattr(univar, "gcd", recording_gcd)
+    monkeypatch.setattr(pc, "validate_member", flagged_validate)
+    report = pc.pencil_intersection_count(*pc.random_pencil(P, 1), seed=1)
+    monkeypatch.undo()
+    assert report.validated_count == 24
+    assert degrees and max(degrees) <= 12
+
+
+def _brute_force_square_fibers(f0, f1, t):
+    """The fibers [x:1], x in GF(p), and [1:0] of the member F0 + t F1 that are
+    perfect squares over the closure, read straight from the curve coefficients."""
+    p = f0.p
+    rows = [[(a + t * b) % p for a, b in zip(r0, r1)] for r0, r1 in zip(f0.coeffs, f1.coeffs)]
+    hits = []
+    for x, y, label in [(x, 1, f"[{x}:1]") for x in range(p)] + [(1, 0, "[1:0]")]:
+        # c[i][j] multiplies x^(3-i) y^i in the fiber coefficient number j
+        fiber = QuarticCoeffs(
+            *(sum(c[i] * x ** (3 - i) * y**i for i in range(4)) % p for c in zip(*rows))
+        )
+        if not any(value % p for value in closure_square_conditions(fiber)):
+            hits.append(label)
+    return hits
+
+
+def test_validated_roots_against_a_brute_force_fiber_scan():
+    # every fiber of the members at the roots of the four linear factors of R
+    # and at 50 members off R: exactly the validated linear factors carry a
+    # square fiber, and it sits at the root their witness names
+    p = 1009
+    f0, f1 = pc.random_pencil(p, 5)
+    report = pc.pencil_intersection_count(f0, f1, seed=5)
+    linear = {-rep.modulus[0] % p: rep for rep in report.factors if rep.degree == 1}
+    assert sum(rep.validated for rep in linear.values()) == 3 and len(linear) == 4
+    rng = random.Random("off the eliminant")
+    r = pc.raw_resultant(f0, f1)
+    off = set()
+    while len(off) < 50:
+        t = rng.randrange(p)
+        if zpoly.int_eval(list(r), t) % p:
+            off.add(t)
+    for t in sorted(linear) + sorted(off):
+        hits = _brute_force_square_fibers(f0, f1, t)
+        if t in linear and linear[t].validated:
+            assert linear[t].detail.removeprefix("perfect-square fiber at ") in hits
+        else:
+            assert hits == []
+
+
 def test_count_invariant_under_swap():
     f0, f1 = pc.random_pencil(P, 3)
     forward = pc.pencil_intersection_count(f0, f1, seed=3)
@@ -290,6 +359,63 @@ def test_validate_member_over_an_extension_builds_the_root_above_it():
         " + (((8474*t^2 + 7348*t + 2579)*s))*v^2",
         "distinct_double_roots": True,
     }
+
+
+def _random_quadratics(rng):
+    """Five (x, y)-quadratic forms, coefficients drawn in [0, P)."""
+    x, y, _ = MultiPoly.gens(("x", "y", "t"))
+    return [sum(rng.randrange(P) * x**i * y ** (2 - i) for i in range(3)) for _ in range(5)]
+
+
+def _square_fiber_at_2_with_a_and_b_vanishing():
+    # A..E_j = (x - 2y) P_j + S(x, y) [(c u + e v)^2]_j: A and B vanish at
+    # [2:1], where the fiber S(2, 1) v^2 (c u + e v)^2 is a square
+    rng = random.Random(1)
+    x, y, _ = MultiPoly.gens(("x", "y", "t"))
+    s = x**3 + 3 * x * y**2 + 5 * y**3
+    p_forms = _random_quadratics(rng)
+    q_squared = square_coefficients(0, rng.randrange(P), rng.randrange(P))
+    return [(x - 2 * y) * p_forms[j] + s * q_squared[j] for j in range(5)]
+
+
+def _square_fiber_at_0():
+    # A..E_j = x P_j + y^3 [Q^2]_j: the fiber at [0:1] is Q^2
+    rng = random.Random(2)
+    x, y, _ = MultiPoly.gens(("x", "y", "t"))
+    p_forms = _random_quadratics(rng)
+    q_squared = square_coefficients(*(rng.randrange(P) for _ in range(3)))
+    return [x * p_forms[j] + y**3 * q_squared[j] for j in range(5)]
+
+
+@pytest.mark.parametrize(
+    "forms, expected",
+    [
+        # the A = 0 branch: B and D^2 - 4CE share the root 2 with A
+        (
+            _square_fiber_at_2_with_a_and_b_vanishing,
+            {
+                "detail": "perfect-square fiber at [2:1]",
+                "root_field_degree": 1,
+                "witness": "(0)*u^2 + (6427)*u*v + (5852)*v^2",
+                "distinct_double_roots": True,
+            },
+        ),
+        # the end [0:1]: the constant coefficients of Delta and d both vanish
+        (
+            _square_fiber_at_0,
+            {
+                "detail": "perfect-square fiber at [0:1]",
+                "root_field_degree": 1,
+                "witness": "(1667)*u^2 + (3912)*u*v + (1092)*v^2",
+                "distinct_double_roots": True,
+            },
+        ),
+    ],
+    ids=["a_zero_branch", "zero_end"],
+)
+def test_validate_member_finds_the_square_fiber(forms, expected):
+    # pinned values: a changed witness must be announced like a golden change
+    assert _validate(forms(), PrimeField(P)) == (True, expected)
 
 
 @pytest.mark.parametrize(
