@@ -3,19 +3,11 @@
 A :class:`BinaryForm` is a :class:`MultiPoly` over QQ that is homogeneous
 in a designated pair of variables; the remaining variables act as
 parameters, of which at most one may occur.  Resultants eliminate the
-designated pair; the pencil count over GF(p) takes its resultants in
-:mod:`exactgeom.zpoly`.  The coefficients of the two forms are read once
-into int lists in the parameter (each form scaled by the lcm of its
-denominators), evaluated by :func:`exactgeom.zpoly.int_eval` at the sample
-points 0..bound, with degree bound n deg f + m deg g for forms of degrees m
-and n, and the resultant at each point is taken by
-:func:`exactgeom.zpoly.int_resultant`, the subresultant remainder sequence on
-ints; no Sylvester matrix is built.  Bareiss elimination on ints, the
-package's only determinant routine, remains behind :func:`det_constant` for
-matrices of rationals.  The values are interpolated once by
-:func:`exactgeom.zpoly.int_interpolate`, Newton's forward differences on
-ints scaled by bound!, which is divided out at the end, into the
-denominators of the result.
+designated pair: the coefficients of the two forms are read once into int
+lists in the parameter (each form scaled by the lcm of its denominators)
+for :func:`exactgeom.zpoly.sampled_resultant`; no Sylvester matrix is
+built.  Bareiss elimination on ints, the package's only determinant
+routine, remains behind :func:`det_constant` for matrices of rationals.
 The point at infinity is handled explicitly throughout: the gcd strips and
 restores pure powers of either pair variable, so a common root at [1:0] or
 [0:1] is never lost.
@@ -155,8 +147,8 @@ def det_constant(matrix) -> Fraction:
 
 def _raw_sequence(cs: list[MultiPoly], var: int) -> tuple[list[list[int]], int]:
     """Coefficients as dense int lists in variable ``var``, low degree first,
-    in reversed order (low degree in u first), as ``zpoly.int_resultant``
-    takes them.
+    in reversed order (low degree in u first), as
+    :func:`exactgeom.zpoly.sampled_resultant` takes them.
 
     The whole sequence is multiplied by the lcm of its denominators, which
     is returned as the scale.
@@ -177,17 +169,10 @@ def det_polynomial_matrix(fc: list[MultiPoly], gc: list[MultiPoly]) -> MultiPoly
     With m = len(fc) - 1 and n = len(gc) - 1, the matrix holds n shifted
     copies of ``fc`` and m of ``gc``.  At most one variable, the parameter,
     may have positive degree in a coefficient; two or more raise
-    ``ValueError``.  The parameter gets the integer sample points
-    0, ..., bound, where bound is n * deg fc + m * deg gc.  The coefficients
-    are read once into ints (each sequence scaled by the lcm D of its
-    denominators, so the determinant is scaled by D_f^n D_g^m), evaluated at
-    every sample point, and the determinant at each point is taken from the
-    two int sequences by ``zpoly.int_resultant`` (the subresultant remainder
-    sequence, at the formal degrees m and n), without building the matrix.
-    The values are interpolated by ``zpoly.int_interpolate`` on ints, and its
-    factor bound! is divided out with D_f^n D_g^m, as the denominator of each
-    coefficient.  With no parameter the result is the constant determinant,
-    as a constant ``MultiPoly``.
+    ``ValueError``.  Each sequence is scaled to ints by the lcm D of its
+    denominators, so :func:`exactgeom.zpoly.sampled_resultant` returns the
+    determinant times D_f^n D_g^m, which is divided out.  With no parameter
+    the result is the constant determinant, as a constant ``MultiPoly``.
     """
     variables = fc[0].variables
     m, n = len(fc) - 1, len(gc) - 1
@@ -200,16 +185,9 @@ def det_polynomial_matrix(fc: list[MultiPoly], gc: list[MultiPoly]) -> MultiPoly
     var = variables.index(active[0]) if active else 0
     fs, scale_f = _raw_sequence(fc, var)
     gs, scale_g = _raw_sequence(gc, var)
-    bound = n * (max(map(len, fs)) - 1) + m * (max(map(len, gs)) - 1)
-
-    values = [
-        zpoly.int_resultant([zpoly.int_eval(c, x) for c in fs], [zpoly.int_eval(c, x) for c in gs])
-        for x in range(bound + 1)
-    ]
-
-    scale = scale_f**n * scale_g**m * math.factorial(bound)
+    scale = scale_f**n * scale_g**m
     terms = {}
-    for e, c in enumerate(zpoly.int_interpolate(values)):
+    for e, c in enumerate(zpoly.sampled_resultant(fs, gs)):
         ex = [0] * len(variables)
         ex[var] = e
         terms[tuple(ex)] = Fraction(c, scale)

@@ -318,8 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(
         command=args.command,
-        primes=tuple(args.primes) if args.primes else DEFAULT_PRIMES,
-        seeds=tuple(args.seeds) if args.seeds else DEFAULT_SEEDS,
+        # a repeated value would run the same pencil twice
+        primes=tuple(dict.fromkeys(args.primes)) if args.primes else DEFAULT_PRIMES,
+        seeds=tuple(dict.fromkeys(args.seeds)) if args.seeds else DEFAULT_SEEDS,
         trials=args.trials,
         out=args.out,
         fuzz_count=args.fuzz_count,

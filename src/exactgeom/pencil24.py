@@ -12,13 +12,10 @@ The pencil is sampled once: at the members t = 0..6, A..E are read at y = 1
 as ints, Delta(x, 1), d(x, 1) and the closure-square conditions of the fiber
 quartic are interpolated from their values at x = 0..18, and every x^i
 coefficient of these six forms is interpolated in t.  Every member the count
-needs is read from these t-polynomials.  R(t) comes from integer evaluations
-(Collins 1971): each of the members t = 0..144 (the degree bound
-12 * 6 + 18 * 4) is read by :func:`exactgeom.zpoly.int_eval`, the resultant
-of Delta(x, 1) and d(x, 1) at the formal degrees 18 and 12 is taken by
-:func:`exactgeom.zpoly.int_resultant` on the residues and reduced mod p, and
-the 145 values are interpolated in t.  Validation reads the forms modulo each
-factor of R and at t = infinity, and works on coefficient lists in x at y = 1.
+needs is read from these t-polynomials: R(t) is
+:func:`exactgeom.zpoly.sampled_resultant` of Delta(x, 1) and d(x, 1) mod p,
+and validation reads the forms modulo each factor of R and at t = infinity,
+working on coefficient lists in x at y = 1.
 
 The raw eliminant is heavily non-reduced and contains extraneous factors
 (leading-coefficient collapse, fibers where A and B both vanish, and the
@@ -60,7 +57,8 @@ MIN_PRIME = 1000
 # (x, y)-degrees of Delta and d, and their t-degrees (A..E are linear in t)
 DELTA_DEGREE, D_DEGREE = 18, 12
 DELTA_T_DEGREE, D_T_DEGREE = 6, 4
-# R(t) is a 30 x 30 Sylvester determinant: 12 rows of Delta, 18 rows of d
+# R(t) is a 30 x 30 Sylvester determinant: 12 rows of Delta, 18 rows of d;
+# a generic pencil samples it at this many points
 ELIMINANT_POINTS = D_DEGREE * DELTA_T_DEGREE + DELTA_DEGREE * D_T_DEGREE + 1
 # t-degrees of the forms of _member_forms (Delta, d and the closure-square
 # conditions for A != 0 and A = 0): their degrees in A..E
@@ -184,20 +182,10 @@ def _forms_in_t(f0: Curve34, f1: Curve34) -> list[tuple[list[list[int]], int]]:
 
 @functools.lru_cache(maxsize=64)
 def raw_resultant(f0: Curve34, f1: Curve34) -> tuple[int, ...]:
-    """R(t) = Res_(x,y)(Delta, d) as a coefficient tuple over GF(p).
-
-    Interpolated from its values at t = 0..144, each the resultant of
-    Delta(x, 1) and d(x, 1) at the formal degrees 18 and 12, taken by
-    :func:`zpoly.int_resultant` on the residues and reduced mod p; the member
-    t0 is read from the forms in t by :func:`zpoly.int_eval`.
-    """
-    p = f0.p
+    """R(t) = Res_(x,y)(Delta, d) as a coefficient tuple over GF(p): the
+    resultant of Delta(x, 1) and d(x, 1) at the formal degrees 18 and 12."""
     (delta, _), (d, _) = _forms_in_t(f0, f1)[:2]
-    values = []
-    for t0 in range(ELIMINANT_POINTS):
-        at_t0 = [[zpoly.int_eval(c, t0) % p for c in cs] for cs in (delta, d)]
-        values.append(zpoly.int_resultant(*at_t0) % p)
-    return tuple(zpoly.zp_interpolate(values, p))
+    return tuple(zpoly.sampled_resultant(delta, d, f0.p))
 
 
 # --- validation of a single member --------------------------------------------

@@ -14,17 +14,16 @@ of the reversed modulus (von zur Gathen-Gerhard, Modern Computer Algebra,
 9.1), so a reduction costs two multiplications.  Distinct-degree
 factorization applies the Frobenius map h -> h^p mod f with those rows,
 packed one int per row: n small-int times big-int multiply-adds and one
-unpack per step, in place of a modular power.  Resultants and Newton
-interpolation let eliminants be computed from values at integer points.
+unpack per step, in place of a modular power.
 :func:`int_resultant` is the package's only resultant kernel: it takes the
 Sylvester determinant at the formal degrees by the subresultant remainder
-sequence over ZZ, for the resultants of :mod:`exactgeom.binform` over QQ
-and, reduced mod p, for the pencil count over GF(p).
-The Newton interpolator is the package's only one: :func:`int_interpolate`
-takes forward differences on ints at the points 0..N-1, and both the GF(p)
-eliminants (through :func:`zp_interpolate`) and the resultants of
-:mod:`exactgeom.binform` over QQ use it.  :func:`int_eval` (Horner's rule)
-is the package's only evaluator of a polynomial at a point.
+sequence over ZZ.  The Newton interpolator is the package's only one:
+:func:`int_interpolate` takes forward differences on ints at the points
+0..N-1, and :func:`zp_interpolate` reduces it mod p.  :func:`int_eval`
+(Horner's rule) is the package's only evaluator of a polynomial at a point.
+:func:`sampled_resultant` is the package's only resultant in a parameter,
+from these three: the resultants of :mod:`exactgeom.binform` over QQ and
+the pencil eliminant over GF(p) are each one call to it.
 """
 
 from __future__ import annotations
@@ -325,6 +324,34 @@ def zp_interpolate(values: list[int], p: int) -> list[int]:
         raise InterpolationError(f"need {n} sample points but the field has only {p} elements")
     scale = pow(math.factorial(n - 1), -1, p)
     return zp_trim([c * scale % p for c in int_interpolate([v % p for v in values])])
+
+
+def sampled_resultant(fs: list[list[int]], gs: list[list[int]], p: int | None = None) -> list[int]:
+    """The resultant in x of f = sum fs[i] x^i and g = sum gs[i] x^i, whose
+    coefficients are int polynomials in t, at the formal degrees
+    M = len(fs) - 1 and N = len(gs) - 1: an int polynomial in t, trimmed,
+    reduced mod p when p is given.
+
+    Its t-degree is at most bound = N deg_t fs + M deg_t gs, so it is read
+    from integer evaluations (Collins 1971): at each point t = 0..bound the
+    coefficients are evaluated by :func:`int_eval` (and reduced mod p), the
+    Sylvester determinant is taken by :func:`int_resultant`, and the values
+    are interpolated by :func:`zp_interpolate` mod p, or else by
+    :func:`int_interpolate`, whose factor bound! divides the integer
+    resultant exactly.
+    """
+    deg_f, deg_g = (max(1, *map(len, cs)) - 1 for cs in (fs, gs))
+    bound = (len(gs) - 1) * deg_f + (len(fs) - 1) * deg_g
+    values = []
+    for t in range(bound + 1):
+        f, g = ([int_eval(c, t) for c in cs] for cs in (fs, gs))
+        if p is not None:
+            f, g = [c % p for c in f], [c % p for c in g]
+        values.append(int_resultant(f, g))
+    if p is not None:
+        return zp_interpolate(values, p)
+    scale = math.factorial(bound)
+    return zp_trim([c // scale for c in int_interpolate(values)])
 
 
 def zp_squarefree_part(cs: list[int], p: int) -> list[int]:

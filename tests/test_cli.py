@@ -170,3 +170,22 @@ def test_pencil_subcommand_single_trial(tmp_path):
     (entry,) = document["checks"]
     assert entry["witness"]["validated_count"] == 24
     assert entry["status"] == "pass"
+
+
+def test_repeated_prime_and_seed_run_one_pencil(tmp_path):
+    out = tmp_path / "pencil.json"
+    argv = ["verify-pencil24", "--quiet", "--prime", "10007", "--prime", "10007"]
+    argv += ["--seed", "1", "--seed", "1", "--out", str(out)]
+    assert run_main(argv) == 0
+    document = json.loads(out.read_text())
+    (entry,) = document["checks"]
+    assert entry["check"] == "pencil-count-p10007-s1"
+    assert document["config"]["primes"] == [10007]
+    assert document["config"]["seeds"] == [1]
+    # duplicates go in order, before --trials caps the combinations
+    args = cli.build_parser().parse_args(
+        ["verify-pencil24", "--prime", "31991", "--prime", "10007", "--prime", "31991"]
+        + ["--seed", "2", "--seed", "2", "--seed", "1", "--trials", "3"]
+    )
+    config = cli.config_from_args(args)
+    assert (config.primes, config.seeds, config.trials) == ((31991, 10007), (2, 1), 3)

@@ -635,6 +635,31 @@ def test_raw_resultant_takes_one_integer_resultant_per_point(monkeypatch):
     assert r == pc.raw_resultant(f0, f1)
 
 
+def test_family_eliminant_takes_the_points_its_t_degrees_need(monkeypatch):
+    # Delta and d of the family pencil have t-degrees 4 and 2, so R(alpha)
+    # mod p is sampled at 12 * 4 + 18 * 2 + 1 = 85 points, not 145
+    f0, f1 = pc.family_pencil(P)
+    (delta, _), (d, _) = pc._forms_in_t(f0, f1)[:2]
+    assert (max(map(len, delta)), max(map(len, d))) == (5, 3)
+    calls = []
+    original_resultant = zpoly.int_resultant
+
+    def counting_resultant(a, b):
+        calls.append((a, b))
+        return original_resultant(a, b)
+
+    monkeypatch.setattr(zpoly, "int_resultant", counting_resultant)
+    r = pc.raw_resultant.__wrapped__(f0, f1)  # past the cache
+    monkeypatch.undo()
+    assert len(calls) == 85
+    values = [
+        zpoly.int_resultant(*([zpoly.int_eval(c, t) % P for c in cs] for cs in (delta, d)))
+        for t in range(pc.ELIMINANT_POINTS)
+    ]
+    assert list(r) == zpoly.zp_interpolate(values, P)
+    assert len(r) == 46
+
+
 @pytest.mark.parametrize("p", [101, 139])
 def test_pencil_count_needs_145_sample_points(p):
     # R(t) is interpolated at t = 0..144, which are not distinct mod p < 145

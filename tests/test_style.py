@@ -75,3 +75,18 @@ def test_private_definitions_are_used():
     defined, referenced = _private_definitions_and_references(trees)
     assert defined, "no private definitions found"
     assert not sorted(defined - referenced), sorted(defined - referenced)
+
+
+def test_only_zpoly_samples_resultants():
+    # a one-parameter resultant is one call to zpoly.sampled_resultant; a
+    # module that names the per-point kernels forks its sampling loop
+    kernels = {"int_resultant", "int_interpolate"}
+    named = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "zpoly.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            # a Name, an Attribute, an imported alias or a definition
+            names = {getattr(node, key, None) for key in ("id", "attr", "name")}
+            named += [f"{path.name}:{node.lineno}: {name}" for name in kernels & names]
+    assert not named, named

@@ -1,5 +1,6 @@
 """Univariate helpers: Euclid over any field, raw GF(p) kernel, factorization."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -487,3 +488,73 @@ def test_zp_interpolate_needs_distinct_points():
     with pytest.raises(InterpolationError, match="only 101 elements"):
         zpoly.zp_interpolate([0] * 102, 101)
     assert zpoly.zp_interpolate(list(range(101)), 101) == [0, 1]
+
+
+def _per_point_resultant(fs, gs, points, p=None):
+    """The reference for sampled_resultant: int_resultant at t = 0..points-1
+    on coefficients evaluated term by term, then zp_interpolate mod p, or
+    int_interpolate divided by (points - 1)! over ZZ."""
+    values = []
+    for t in range(points):
+        f, g = ([sum(c * t**k for k, c in enumerate(cs)) for cs in seq] for seq in (fs, gs))
+        if p is not None:
+            f, g = [c % p for c in f], [c % p for c in g]
+        values.append(zpoly.int_resultant(f, g))
+    if p is not None:
+        return zpoly.zp_interpolate(values, p)
+    scale = math.factorial(points - 1)
+    assert all(c % scale == 0 for c in zpoly.int_interpolate(values))
+    return zpoly.zp_trim([c // scale for c in zpoly.int_interpolate(values)])
+
+
+def _counting_points(monkeypatch):
+    calls = []
+    original = zpoly.int_resultant
+
+    def counting(f, g):
+        calls.append((f, g))
+        return original(f, g)
+
+    monkeypatch.setattr(zpoly, "int_resultant", counting)
+    return calls
+
+
+def test_sampled_resultant_matches_the_per_point_reference(monkeypatch):
+    p = 10007
+    rng = random.Random(41)
+    for _ in range(40):
+        m, n = rng.randrange(5), rng.randrange(5)
+        dt_f, dt_g = rng.randrange(4), rng.randrange(4)
+        for modulus, low, high in ((p, 0, p), (None, -9, 10)):
+            fs = [[rng.randrange(low, high) for _ in range(dt_f + 1)] for _ in range(m + 1)]
+            gs = [[rng.randrange(low, high) for _ in range(dt_g + 1)] for _ in range(n + 1)]
+            bound = n * dt_f + m * dt_g
+            calls = _counting_points(monkeypatch)
+            result = zpoly.sampled_resultant(fs, gs, modulus)
+            monkeypatch.undo()
+            assert len(calls) == bound + 1
+            # three more points than the bound: a bound too small would show
+            assert result == _per_point_resultant(fs, gs, bound + 4, modulus), (fs, gs)
+
+
+def test_sampled_resultant_edge_cases(monkeypatch):
+    p = 7
+    # t x + 1 and t x + 2: the bound is 2 but the t^2 terms cancel, Res = t
+    assert zpoly.sampled_resultant([[1], [0, 1]], [[2], [0, 1]]) == [0, 1]
+    assert zpoly.sampled_resultant([[1], [0, 1]], [[2], [0, 1]], p) == [0, 1]
+    # the x^2 coefficient t (t - 1) of f and the x coefficient t of g both
+    # vanish at t = 0, where the first Sylvester column is zero
+    fs, gs = [[3, 1], [2, 0, 5], [0, -1, 1]], [[1, 4], [0, 1]]
+    for modulus in (None, 10007):
+        result = zpoly.sampled_resultant(fs, gs, modulus)
+        assert result == _per_point_resultant(fs, gs, 8, modulus)
+        assert result and result[0] == 0
+    # constant sequences: bound 0, so one point; Res(x + 3, 2 x + 5) = -1
+    calls = _counting_points(monkeypatch)
+    assert zpoly.sampled_resultant([[3], [1]], [[5], [2]]) == [-1]
+    assert zpoly.sampled_resultant([[3], [1]], [[5], [2]], p) == [p - 1]
+    monkeypatch.undo()
+    assert len(calls) == 2
+    # all-zero sequences give the zero polynomial
+    for fs, gs in [([[], []], [[], [], []]), ([[0], [0]], [[0, 0], [0]]), ([[], [0, 0, 0]], [[]])]:
+        assert zpoly.sampled_resultant(fs, gs) == [] == zpoly.sampled_resultant(fs, gs, p)
