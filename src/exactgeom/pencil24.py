@@ -8,14 +8,14 @@ pencil F0 + t F1 the fiber-quartic coefficients A..E become polynomials in
 whose roots are the pencil members for which the two conditions share a
 fiber.
 
-The pencil is sampled once: at the members t = 0..6, A..E are read at y = 1
-as ints, Delta(x, 1), d(x, 1) and the closure-square conditions of the fiber
-quartic are interpolated from their values at x = 0..18, and every x^i
-coefficient of these six forms is interpolated in t.  Every member the count
-needs is read from these t-polynomials: R(t) is
-:func:`exactgeom.zpoly.sampled_resultant` of Delta(x, 1) and d(x, 1) mod p,
-and validation reads the forms modulo each factor of R and at t = infinity,
-working on coefficient lists in x at y = 1.
+The pencil is sampled once, into a cached table: at the members t = 0..6,
+A..E are read at y = 1 as ints, Delta(x, 1), d(x, 1) and the closure-square
+conditions of the fiber quartic are interpolated from their values at
+x = 0..18, and every x^i coefficient of these six forms is interpolated in t.
+R(t) is :func:`exactgeom.zpoly.sampled_resultant` of Delta(x, 1) and d(x, 1)
+mod p; validation reads A..E and the conditions modulo each factor of R and
+at t = infinity, as coefficient lists in x at y = 1, and Delta and d only to
+flag a degenerate member.
 
 The raw eliminant is heavily non-reduced and contains extraneous factors
 (leading-coefficient collapse, fibers where A and B both vanish, and the
@@ -141,13 +141,13 @@ def _member_forms(f0: Curve34, f1: Curve34, t: int) -> Iterator[tuple[int, ...]]
     Ints mod p, low degree first, padded to the degrees 18, 12, 9, 12, 3 and 6
     (so the leading coefficient may be 0)."""
     p = f0.p
-    rows = [
-        [(a + t * b) % p for a, b in zip(row0, row1)] for row0, row1 in zip(f0.coeffs, f1.coeffs)
+    # column j at y = 1 is the cubic c[3][j] + c[2][j] x + c[1][j] x^2 + c[0][j] x^3
+    cubics = [
+        [(a + t * b) % p for a, b in zip(col0[::-1], col1[::-1])]
+        for col0, col1 in zip(zip(*f0.coeffs), zip(*f1.coeffs))
     ]
-    # column j at y = 1 is the cubic c[0][j] x^3 + c[1][j] x^2 + c[2][j] x + c[3][j]
     fibers = [
-        QuarticCoeffs(*(((c0 * x + c1) * x + c2) * x + c3 for c0, c1, c2, c3 in zip(*rows)))
-        for x in range(DELTA_DEGREE + 1)
+        QuarticCoeffs(*(zpoly.int_eval(cs, x) for cs in cubics)) for x in range(DELTA_DEGREE + 1)
     ]
 
     def interpolated(values, degree: int) -> tuple[int, ...]:
@@ -165,19 +165,22 @@ def _padded(cs: list[int], degree: int) -> tuple[int, ...]:
     return tuple(cs) + (0,) * (degree + 1 - len(cs))
 
 
-def _forms_in_t(f0: Curve34, f1: Curve34) -> list[tuple[list[list[int]], int]]:
+@functools.lru_cache(maxsize=64)
+def _forms_in_t(f0: Curve34, f1: Curve34) -> tuple[tuple[tuple, int], ...]:
     """The forms of F0 + t F1 as x^i coefficients in GF(p)[t], with their
     t-degrees: the six of :func:`_member_forms` interpolated from t = 0..6,
     then the cubics A..E, whose x^i coefficient is c0[3-i][j] + t c1[3-i][j].
-    Every member, t = infinity included, is read from these polynomials."""
+    Every member, t = infinity included, is read from these polynomials; the
+    table is cached, so a pencil is sampled once."""
     if f0.p != f1.p:
         raise ValueError("pencil members live over different fields")
     p = f0.p
     rows = [tuple(_member_forms(f0, f1, t)) for t in range(DELTA_T_DEGREE + 1)]
-    return [
+    forms = [
         ([zpoly.zp_interpolate(col, p) for col in zip(*(row[k] for row in rows[: n + 1]))], n)
         for k, n in enumerate(FORM_T_DEGREES)
     ] + [([[f0.coeffs[3 - i][j], f1.coeffs[3 - i][j]] for i in range(4)], 1) for j in range(5)]
+    return tuple((tuple(map(tuple, cs)), n) for cs, n in forms)
 
 
 @functools.lru_cache(maxsize=64)
@@ -317,34 +320,29 @@ def _common_roots(forms: list, field: FiniteField) -> list:
 
 
 def validate_member(
-    delta: list, d: list, abcde: list, conditions: list, field: FiniteField, rng: random.Random
+    abcde: list, conditions: list, degenerate: bool, field: FiniteField, rng: random.Random
 ) -> tuple[bool, dict]:
-    """Does a single (3,4)-curve, given by its condition forms and fiber
-    coefficients over GF(p) or GF(p)[t]/(m), carry an honest vertical bitangent?
+    """Does a single (3,4)-curve, given by its fiber cubics A..E and closure-square
+    conditions over GF(p) or GF(p)[t]/(m), carry an honest vertical bitangent?
 
     Every form is a coefficient list in x at y = 1 of raw field values, low
-    degree first and padded to its degree: Delta (19 entries), d (13), the
-    cubics A..E (4 each), and the four closure-square conditions (10, 13, 4
-    and 7), those of :func:`quartic.closure_conditions_a_nonzero` then those
-    of :func:`quartic.closure_conditions_a_zero`; A..E are boxed as field
-    elements once, for the witness.  A square fiber has Delta = d = 0, so
-    Delta and d only detect a degenerate member and pick the ends [1:0] and
-    [0:1] to probe; the roots x0 != 0 are searched root-free, by gcds of the
-    closure-square conditions of the branch (A != 0, else A = 0).  Only a
-    validated member has an explicit root and witness constructed, in a tower
+    degree first and padded to its degree: A..E (4 entries each), boxed as
+    field elements once for the witness, and the four conditions (10, 13, 4
+    and 7) of :func:`quartic.closure_conditions_a_nonzero`, then of
+    :func:`quartic.closure_conditions_a_zero`.  A square fiber has
+    Delta = d = 0, so Delta and d are not read: the ends [1:0] and [0:1] are
+    always probed, and [1:1] too on a ``degenerate`` member (Delta and d
+    vanish identically); the roots x0 != 0 are searched root-free, by gcds of
+    the conditions of the branch (A != 0, else A = 0).  Only a validated
+    member has an explicit root and witness constructed, in a tower
     extension when the root or the square root lives outside the field.
 
     The failure detail holds for a root of R(t), where Delta and d share a
     projective root; at t = infinity only the verdict is read.
     """
     one, zero = field.one(), field.zero()
-    is_zero = field._ris_zero
     boxed = [[field.wrap(c) for c in cs] for cs in abcde]
-    degenerate = all(map(is_zero, delta + d))
-    # an end is probed only where both Delta and d vanish; a degenerate
-    # member, on which both vanish identically, also at one more fiber
-    ends = ((-1, one, zero, "[1:0]"), (0, zero, one, "[0:1]"))
-    probes = [(x0, y0, label) for i, x0, y0, label in ends if is_zero(delta[i]) and is_zero(d[i])]
+    probes = [(one, zero, "[1:0]"), (zero, one, "[0:1]")]
     if degenerate:
         probes.append((one, one, "[1:1]"))
     for x0, y0, label in probes:
@@ -389,18 +387,19 @@ def pencil_intersection_count(
 
     forms = _forms_in_t(f0, f1)
 
-    def member(value) -> tuple[list, list, list, list]:
-        """Delta, d, A..E and the closure-square conditions of one member:
-        value(c, n) for each c of t-degree <= n."""
-        delta, d, *conditions_abcde = ([value(c, n) for c in cs] for cs, n in forms)
-        return delta, d, conditions_abcde[4:], conditions_abcde[:4]
+    def validate(value, field: FiniteField) -> tuple[bool, dict]:
+        # the member reads each c of t-degree <= n as value(c, n); Delta and d
+        # only flag a degenerate member, read up to a first nonzero coefficient
+        conditions_abcde = [[value(c, n) for c in cs] for cs, n in forms[2:]]
+        degenerate = all(field._ris_zero(value(c, n)) for cs, n in forms[:2] for c in cs)
+        return validate_member(conditions_abcde[4:], conditions_abcde[:4], degenerate, field, rng)
 
     reports = []
     validated_total = 0
     for m in irreducibles:
         deg_m = zpoly.zp_deg(m)
         target = fieldp if deg_m == 1 else ExtensionField(fieldp, m, name="t", check=False)
-        ok, info = validate_member(*member(lambda c, _: _at_root(c, m, target)), target, rng)
+        ok, info = validate(lambda c, _: _at_root(c, m, target), target)
         reports.append(FactorReport(tuple(m), deg_m, ok, **info))
         if ok:
             validated_total += deg_m
@@ -408,7 +407,7 @@ def pencil_intersection_count(
     # the t = infinity member is F1 itself, reported separately and never
     # counted: every form is homogeneous in (F0, F1) of its t-degree, so the
     # forms of F1 are the top t-coefficients
-    inf_ok, _ = validate_member(*member(lambda c, n: _padded(c, n)[n]), fieldp, rng)
+    inf_ok, _ = validate(lambda c, n: _padded(c, n)[n], fieldp)
 
     return PencilCountReport(
         prime=p,

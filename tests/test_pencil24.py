@@ -192,6 +192,62 @@ def test_validation_takes_no_gcd_of_delta_and_d(monkeypatch):
     assert degrees and max(degrees) <= 12
 
 
+@pytest.mark.parametrize(
+    "pencil, degenerate_at_infinity",
+    [(lambda: pc.random_pencil(P, 1), False), (lambda: pc.family_pencil(P), True)],
+    ids=["random", "family"],
+)
+def test_validation_reads_delta_and_d_only_to_flag_a_degenerate_member(
+    monkeypatch, pencil, degenerate_at_infinity
+):
+    # a factor of R costs one reduction of each of the 54 coefficients of A..E
+    # and the closure-square conditions, and Delta and d are read only up to
+    # a first nonzero coefficient: one more reduction on a member that is not
+    # degenerate, not all 32 coefficients of Delta and d
+    f0, f1 = pencil()
+    coefficients = sum(len(cs) for cs, _ in pc._forms_in_t(f0, f1)[2:])
+    calls, members = 0, []
+    at_root, validate = pc._at_root, pc.validate_member
+
+    def counting_at_root(*args):
+        nonlocal calls
+        calls += 1
+        return at_root(*args)
+
+    def recording_validate(abcde, conditions, degenerate, field, rng):
+        nonlocal calls
+        members.append((calls, degenerate))
+        calls = 0
+        return validate(abcde, conditions, degenerate, field, rng)
+
+    monkeypatch.setattr(pc, "_at_root", counting_at_root)
+    monkeypatch.setattr(pc, "validate_member", recording_validate)
+    report = pc.pencil_intersection_count(f0, f1, seed=1)
+    monkeypatch.undo()
+    assert coefficients == 54 and len(members) == report.factor_count + 1
+    assert all(n <= coefficients + 1 and not degenerate for n, degenerate in members[:-1])
+    # t = infinity reads the top t-coefficients, with no reduction
+    assert members[-1] == (0, degenerate_at_infinity)
+
+
+def test_a_pencil_is_sampled_once(monkeypatch):
+    # the eliminant screen of random_pencil, raw_resultant and the count all
+    # read one cached table of forms, sampled at the members t = 0..6
+    member_forms, members = pc._member_forms, []
+
+    def recording_member_forms(f0, f1, t):
+        members.append(t)
+        return member_forms(f0, f1, t)
+
+    monkeypatch.setattr(pc, "_member_forms", recording_member_forms)
+    pc._forms_in_t.cache_clear()
+    pc.raw_resultant.cache_clear()
+    f0, f1 = pc.random_pencil(P, 1)
+    assert pc.pencil_intersection_count(f0, f1, seed=1).validated_count == 24
+    monkeypatch.undo()
+    assert members == list(range(7))
+
+
 def _brute_force_square_fibers(f0, f1, t):
     """The fibers [x:1], x in GF(p), and [1:0] of the member F0 + t F1 that are
     perfect squares over the closure, read straight from the curve coefficients."""
@@ -288,17 +344,23 @@ def _at_y1(form, degree, field):
     return [c[0] if c else 0 for c in cs]
 
 
+def _vanishes(form, degree, field):
+    return all(map(field._ris_zero, _at_y1(form, degree, field)))
+
+
 def _validate(forms, field):
     """validate_member on the member whose fiber cubics A..E are the
     (x, y, t)-forms ``forms`` read over ``field``, with every other form
-    derived from them over QQ."""
+    derived from them over QQ.  The member is degenerate where d and Delta
+    vanish over ``field``; Delta, the costly expansion, is built only when d
+    vanishes identically."""
     quartic = QuarticCoeffs(*forms)
     conditions = [*closure_conditions_a_nonzero(quartic), *closure_conditions_a_zero(quartic)]
+    degenerate = _vanishes(sem_d(quartic), 12, field) and _vanishes(disc_delta(quartic), 18, field)
     return pc.validate_member(
-        _at_y1(disc_delta(quartic), 18, field),
-        _at_y1(sem_d(quartic), 12, field),
         [_at_y1(form, 3, field) for form in forms],
         [_at_y1(s, n, field) for s, n in zip(conditions, (9, 12, 3, 6))],
+        degenerate,
         field,
         random.Random("member"),
     )
@@ -563,7 +625,7 @@ def test_member_forms_in_t_match_the_symbolic_ones(a_vanishes_at_0):
     assert [n for _, n in forms] == [6, 4, 3, 4, 1, 2]
     for (cs, n), form, degree in zip(forms, symbolic, (18, 12, 9, 12, 3, 6)):
         assert form.degree == degree and _degree_in(form.poly, "t") <= n
-        assert cs == _t_polynomials(form, degree, P)
+        assert cs == tuple(map(tuple, _t_polynomials(form, degree, P)))
 
 
 @pytest.mark.parametrize(

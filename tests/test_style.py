@@ -90,3 +90,34 @@ def test_only_zpoly_samples_resultants():
             names = {getattr(node, key, None) for key in ("id", "attr", "name")}
             named += [f"{path.name}:{node.lineno}: {name}" for name in kernels & names]
     assert not named, named
+
+
+def _multiplier(node):
+    """The name v of a product ... * v, else None."""
+    is_product = isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+    return node.right.id if is_product and isinstance(node.right, ast.Name) else None
+
+
+def _is_horner_step(node) -> bool:
+    """(... * v + ...) * v on one name v: a product by v whose other factor is
+    a sum that starts with a product by v."""
+    inner = getattr(node, "left", None)
+    return (
+        _multiplier(node) is not None
+        and isinstance(inner, ast.BinOp)
+        and isinstance(inner.op, ast.Add)
+        and _multiplier(inner.left) == _multiplier(node)
+    )
+
+
+def test_only_zpoly_spells_out_horner_chains():
+    # a polynomial is evaluated by zpoly.int_eval; a module that nests
+    # (c0 * x + c1) * x + ... by hand is a second evaluator
+    chains = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "zpoly.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if _is_horner_step(node)
+    ]
+    assert not chains, chains
