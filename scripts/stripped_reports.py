@@ -25,6 +25,12 @@ COMMANDS = [
     ("verify-intersection", ["verify-intersection"]),
     ("verify-quartic-fuzz", ["verify-quartic-fuzz"]),
     ("verify-quartic-fuzz-2000", ["verify-quartic-fuzz", "--fuzz-count", "2000"]),
+    # the one subcommand that takes every option; --trials caps two pencils to one
+    (
+        "all",
+        ["all", "--prime", "10007", "--prime", "31991", "--seed", "3", "--trials", "1"]
+        + ["--fuzz-count", "1000"],
+    ),
 ] + [
     (f"verify-pencil24-p{p}-s{s}", ["verify-pencil24", "--prime", str(p), "--seed", str(s)])
     # the default primes are 3 mod 4; 65537 (1 mod 4) takes square roots by

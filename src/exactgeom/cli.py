@@ -9,9 +9,11 @@ Subcommands::
     exactgeom verify-quartic-fuzz     randomized square-criterion equivalence
     exactgeom all                     everything above
 
-A human summary is printed to stdout; ``--out PATH`` additionally writes the
-JSON report.  Exit codes: 0 all checks pass, 1 a check failed, 2 usage
-error, 3 internal error.
+Each subcommand takes the options its checks read (``SUBCOMMAND_OPTIONS``),
+and ``--out`` and ``--quiet``; any other option is a usage error.  A human
+summary is printed to stdout; ``--out PATH`` additionally writes the JSON
+report, whose config lists every setting, defaults included.  Exit codes:
+0 all checks pass, 1 a check failed, 2 usage error, 3 internal error.
 """
 
 from __future__ import annotations
@@ -273,60 +275,57 @@ def _validated_count(text: str) -> int:
     return value
 
 
+OPTIONS = {
+    "--prime": dict(
+        action="append", type=_validated_prime, dest="primes", metavar="P",
+        help=f"prime modulus for pencil trials, repeatable (default {list(DEFAULT_PRIMES)})",
+    ),
+    "--seed": dict(
+        action="append", type=_validated_seed, dest="seeds", metavar="N",
+        help=f"pencil seed, repeatable (default {list(DEFAULT_SEEDS)})",
+    ),
+    "--trials": dict(type=_validated_count, help="cap the number of (prime, seed) trials"),
+    "--fuzz-count": dict(
+        type=_validated_count,
+        help=f"number of random quartics over the prime field (default {DEFAULT_FUZZ})",
+    ),
+    "--dot": dict(type=_output_path, help="write the incidence graph in DOT format"),
+    "--out": dict(type=_output_path, help="write the JSON report to this path"),
+    "--quiet": dict(action="store_true", help="suppress the summary table"),
+}
+
+# the options each subcommand takes: those its checks read, then --out and --quiet
+SUBCOMMAND_OPTIONS = {
+    "verify-intersection": (),
+    "verify-lines": ("--dot",),
+    "verify-transversality": (),
+    "verify-pencil24": ("--prime", "--seed", "--trials"),
+    "verify-quartic-fuzz": ("--fuzz-count",),
+    "all": ("--prime", "--seed", "--trials", "--fuzz-count", "--dot"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="exactgeom",
         description="Exact-arithmetic verification toolkit (see README for the checks).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in CHECK_RUNNERS:
-        cmd = sub.add_parser(name)
-        cmd.add_argument(
-            "--prime",
-            action="append",
-            type=_validated_prime,
-            dest="primes",
-            metavar="P",
-            help=f"prime modulus for pencil trials, repeatable (default {list(DEFAULT_PRIMES)})",
-        )
-        cmd.add_argument(
-            "--seed",
-            action="append",
-            type=_validated_seed,
-            dest="seeds",
-            metavar="N",
-            help=f"pencil seed, repeatable (default {list(DEFAULT_SEEDS)})",
-        )
-        cmd.add_argument(
-            "--trials", type=_validated_count, help="cap the number of (prime, seed) trials"
-        )
-        cmd.add_argument("--out", type=_output_path, help="write the JSON report to this path")
-        cmd.add_argument(
-            "--fuzz-count",
-            type=_validated_count,
-            default=DEFAULT_FUZZ,
-            help="number of random quartics over the prime field (default %(default)s)",
-        )
-        cmd.add_argument("--quiet", action="store_true", help="suppress the summary table")
-        if name in ("verify-lines", "all"):
-            cmd.add_argument(
-                "--dot", type=_output_path, help="write the incidence graph in DOT format"
-            )
+    for name, options in SUBCOMMAND_OPTIONS.items():
+        # an option that is not given sets nothing, so RunConfig keeps its default
+        cmd = sub.add_parser(name, argument_default=argparse.SUPPRESS)
+        for option in options + ("--out", "--quiet"):
+            cmd.add_argument(option, **OPTIONS[option])
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        # a repeated value would run the same pencil twice
-        primes=tuple(dict.fromkeys(args.primes)) if args.primes else DEFAULT_PRIMES,
-        seeds=tuple(dict.fromkeys(args.seeds)) if args.seeds else DEFAULT_SEEDS,
-        trials=args.trials,
-        out=args.out,
-        fuzz_count=args.fuzz_count,
-        quiet=args.quiet,
-        dot=getattr(args, "dot", None),
-    )
+    settings = dict(vars(args))
+    for key in ("primes", "seeds"):
+        if key in settings:
+            # a repeated value would run the same pencil twice
+            settings[key] = tuple(dict.fromkeys(settings[key]))
+    return RunConfig(**settings)
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -437,15 +437,15 @@ def tritangent_pairs(label: str) -> tuple[frozenset[str], ...]:
     return tuple(pairs)
 
 
-def verification_summary(marked: str = "a1") -> dict:
+def verification_summary() -> dict:
     """All line-configuration facts in one machine-readable bundle."""
     group = weyl_group()
-    stab = stabilizer(marked)
-    fiber = classify_fiber(marked)
+    stab = stabilizer(MARKED_LINE)
+    fiber = classify_fiber(MARKED_LINE)
     orbit_partition = stab.orbits()
     orbit_sizes = sorted(len(o) for o in orbit_partition)
     orbit_sets = {frozenset(o) for o in orbit_partition}
-    incidence_sets = {frozenset((marked,)), fiber.meeting, fiber.skew}
+    incidence_sets = {frozenset((MARKED_LINE,)), fiber.meeting, fiber.skew}
     pairing_ok = all(
         pairing(line_class(LABELS[g[i]]), line_class(LABELS[g[j]]))
         == pairing(line_class(LABELS[i]), line_class(LABELS[j]))
@@ -453,13 +453,13 @@ def verification_summary(marked: str = "a1") -> dict:
         for i in range(len(LABELS))
         for j in range(i + 1, len(LABELS))
     )
-    matching = tritangent_pairs(marked)
+    matching = tritangent_pairs(MARKED_LINE)
     return {
         "line_count": len(LABELS),
         "box_search_count": len(exhaustive_box_solutions()),
         "weyl_order": group.order,
         "stabilizer_order": stab.order,
-        "stabilizer_type": dynkin_type(cartan_matrix(stabilizer_roots(marked))),
+        "stabilizer_type": dynkin_type(cartan_matrix(stabilizer_roots(MARKED_LINE))),
         "index": len(group.transversal),
         "orbit_sizes": orbit_sizes,
         "orbits_match_incidence": orbit_sets == incidence_sets,
@@ -468,5 +468,5 @@ def verification_summary(marked: str = "a1") -> dict:
         "srg": list(srg_parameters()),
         "tritangent_pair_count": len(matching),
         "tritangent_pairs": [sorted(pair) for pair in matching],
-        "marked_line": marked,
+        "marked_line": MARKED_LINE,
     }

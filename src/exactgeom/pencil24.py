@@ -54,15 +54,13 @@ from .quartic import (
 from .transversality import FAMILY_P0, FAMILY_Q
 
 MIN_PRIME = 1000
-# (x, y)-degrees of Delta and d, and their t-degrees (A..E are linear in t)
-DELTA_DEGREE, D_DEGREE = 18, 12
-DELTA_T_DEGREE, D_T_DEGREE = 6, 4
-# R(t) is a 30 x 30 Sylvester determinant: 12 rows of Delta, 18 rows of d;
-# a generic pencil samples it at this many points
-ELIMINANT_POINTS = D_DEGREE * DELTA_T_DEGREE + DELTA_DEGREE * D_T_DEGREE + 1
-# t-degrees of the forms of _member_forms (Delta, d and the closure-square
-# conditions for A != 0 and A = 0): their degrees in A..E
-FORM_T_DEGREES = (DELTA_T_DEGREE, D_T_DEGREE, 3, 4, 1, 2)
+# degrees k in A..E of the forms of _member_forms (Delta, d and the
+# closure-square conditions for A != 0 and A = 0): A..E are linear in t and
+# cubic in x, so a form has t-degree k and x-degree 3k
+FORM_T_DEGREES = (6, 4, 3, 4, 1, 2)
+# R(t) is a Sylvester determinant: 3 * 4 rows of Delta, 3 * 6 rows of d, each
+# of t-degree 6 or 4; a generic pencil samples it at this many points
+ELIMINANT_POINTS = 2 * 3 * FORM_T_DEGREES[0] * FORM_T_DEGREES[1] + 1
 
 
 @dataclass(frozen=True)
@@ -135,30 +133,31 @@ def random_pencil(p: int, seed: int) -> tuple[Curve34, Curve34]:
 
 
 def _member_forms(f0: Curve34, f1: Curve34, t: int) -> Iterator[tuple[int, ...]]:
-    """Lazily, from the int fiber quartics of the member F0 + t F1 at y = 1 and
-    x = 0..18: Delta(x, 1), d(x, 1) and the two pairs of closure-square
-    conditions, each branch read at every x whatever the value of A there.
-    Ints mod p, low degree first, padded to the degrees 18, 12, 9, 12, 3 and 6
-    (so the leading coefficient may be 0)."""
+    """Lazily, from the int fiber quartics of the member F0 + t F1 at y = 1:
+    Delta(x, 1), d(x, 1) and the two pairs of closure-square conditions, each
+    branch read at every x whatever the value of A there.  A form of degree k
+    in A..E (:data:`FORM_T_DEGREES`) is interpolated from x = 0..3k: ints mod
+    p, low degree first, padded to degree 3k (the leading one may be 0)."""
     p = f0.p
-    # column j at y = 1 is the cubic c[3][j] + c[2][j] x + c[1][j] x^2 + c[0][j] x^3
-    cubics = [
-        [(a + t * b) % p for a, b in zip(col0[::-1], col1[::-1])]
-        for col0, col1 in zip(zip(*f0.coeffs), zip(*f1.coeffs))
-    ]
-    fibers = [
-        QuarticCoeffs(*(zpoly.int_eval(cs, x) for cs in cubics)) for x in range(DELTA_DEGREE + 1)
-    ]
+    cubics = [[(a + t * b) % p for a, b in cs] for cs in _cubics_in_t(f0, f1)]
+    delta_k, d_k, *ks = FORM_T_DEGREES
+    xs = range(3 * delta_k + 1)
+    fibers = [QuarticCoeffs(*(zpoly.int_eval(cs, x) for cs in cubics)) for x in xs]
 
-    def interpolated(values, degree: int) -> tuple[int, ...]:
-        return _padded(zpoly.zp_interpolate(values, p), degree)
+    def interpolated(values, k: int) -> tuple[int, ...]:
+        return _padded(zpoly.zp_interpolate(values, p), 3 * k)
 
-    yield interpolated([disc_delta(q) for q in fibers], DELTA_DEGREE)
-    yield interpolated([sem_d(q) for q in fibers[: D_DEGREE + 1]], D_DEGREE)
-    branches = ((closure_conditions_a_nonzero, (9, 12)), (closure_conditions_a_zero, (3, 6)))
-    for branch, degrees in branches:
-        for values, degree in zip(zip(*map(branch, fibers[: max(degrees) + 1])), degrees):
-            yield interpolated(values, degree)
+    yield interpolated([disc_delta(q) for q in fibers], delta_k)
+    yield interpolated([sem_d(q) for q in fibers[: 3 * d_k + 1]], d_k)
+    branches = (closure_conditions_a_nonzero, ks[:2]), (closure_conditions_a_zero, ks[2:])
+    for branch, pair in branches:
+        for values, k in zip(zip(*map(branch, fibers[: 3 * max(pair) + 1])), pair):
+            yield interpolated(values, k)
+
+
+def _cubics_in_t(f0: Curve34, f1: Curve34) -> list[list[tuple[int, int]]]:
+    # A..E at y = 1: column j is the cubic whose x^i coefficient is c0[3-i][j] + t c1[3-i][j]
+    return [[(f0.coeffs[3 - i][j], f1.coeffs[3 - i][j]) for i in range(4)] for j in range(5)]
 
 
 def _padded(cs: list[int], degree: int) -> tuple[int, ...]:
@@ -169,17 +168,17 @@ def _padded(cs: list[int], degree: int) -> tuple[int, ...]:
 def _forms_in_t(f0: Curve34, f1: Curve34) -> tuple[tuple[tuple, int], ...]:
     """The forms of F0 + t F1 as x^i coefficients in GF(p)[t], with their
     t-degrees: the six of :func:`_member_forms` interpolated from t = 0..6,
-    then the cubics A..E, whose x^i coefficient is c0[3-i][j] + t c1[3-i][j].
-    Every member, t = infinity included, is read from these polynomials; the
-    table is cached, so a pencil is sampled once."""
+    then the cubics A..E of :func:`_cubics_in_t`.  Every member, t = infinity
+    included, is read from these polynomials; the table is cached, so a pencil
+    is sampled once."""
     if f0.p != f1.p:
         raise ValueError("pencil members live over different fields")
     p = f0.p
-    rows = [tuple(_member_forms(f0, f1, t)) for t in range(DELTA_T_DEGREE + 1)]
+    rows = [tuple(_member_forms(f0, f1, t)) for t in range(max(FORM_T_DEGREES) + 1)]
     forms = [
         ([zpoly.zp_interpolate(col, p) for col in zip(*(row[k] for row in rows[: n + 1]))], n)
         for k, n in enumerate(FORM_T_DEGREES)
-    ] + [([[f0.coeffs[3 - i][j], f1.coeffs[3 - i][j]] for i in range(4)], 1) for j in range(5)]
+    ] + [(cs, 1) for cs in _cubics_in_t(f0, f1)]
     return tuple((tuple(map(tuple, cs)), n) for cs, n in forms)
 
 

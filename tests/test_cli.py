@@ -1,5 +1,6 @@
 """The command-line interface: subcommands, report format, exit codes."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import pytest
 
 from exactgeom import cli, lines, pencil24
 from exactgeom.errors import VerificationError
-from exactgeom.report import strip_timings
+from exactgeom.report import PASS, CheckResult, strip_timings
 
 
 def run_main(argv):
@@ -98,6 +99,67 @@ def test_output_path_in_a_missing_directory_exits_2_before_any_check(monkeypatch
         assert exc.value.code == 2
 
 
+def _subparsers():
+    actions = cli.build_parser()._actions
+    (sub,) = [a for a in actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def test_each_subcommand_takes_the_options_its_checks_read():
+    common = {"-h", "--help", "--out", "--quiet"}
+    pencil = {"--prime", "--seed", "--trials"}
+    expected = {
+        "verify-intersection": common,
+        "verify-lines": common | {"--dot"},
+        "verify-transversality": common,
+        "verify-pencil24": common | pencil,
+        "verify-quartic-fuzz": common | {"--fuzz-count"},
+        "all": common | pencil | {"--fuzz-count", "--dot"},
+    }
+    taken = {
+        name: {flag for action in parser._actions for flag in action.option_strings}
+        for name, parser in _subparsers().items()
+    }
+    assert taken == expected
+
+
+def test_an_option_the_subcommand_does_not_read_exits_2_before_any_check(monkeypatch):
+    def forbidden(config):
+        raise AssertionError("a check ran with an option it does not read")
+
+    for command in cli.CHECK_RUNNERS:
+        monkeypatch.setitem(cli.CHECK_RUNNERS, command, (forbidden,))
+    for argv in (
+        ["verify-lines", "--prime", "10007"],
+        ["verify-intersection", "--trials", "1"],
+        ["verify-transversality", "--fuzz-count", "5"],
+        ["verify-quartic-fuzz", "--seed", "1"],
+        ["verify-pencil24", "--fuzz-count", "5"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run_main(argv)
+        assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "command", ["verify-intersection", "verify-lines", "verify-transversality"]
+)
+def test_a_subcommand_without_settings_reports_the_default_config(monkeypatch, tmp_path, command):
+    def stub(config):
+        return [CheckResult("stub", "always passes", PASS, {})]
+
+    monkeypatch.setitem(cli.CHECK_RUNNERS, command, (stub,))
+    out = tmp_path / "report.json"
+    assert run_main([command, "--quiet", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["config"] == {
+        "command": command,
+        "primes": [10007, 31991],
+        "seeds": [1, 2, 3],
+        "trials": None,
+        "fuzz_count": 10000,
+    }
+
+
 def test_largest_admissible_prime_is_accepted():
     assert cli._validated_prime("2147483647") == 2**31 - 1
 
@@ -125,7 +187,9 @@ def test_verification_error_fails_the_check(monkeypatch, tmp_path, command, modu
 
     monkeypatch.setattr(module, name, failing)
     out = tmp_path / "report.json"
-    argv = [command, "--quiet", "--prime", "10007", "--seed", "3", "--out", str(out)]
+    argv = [command, "--quiet", "--out", str(out)]
+    if command == "verify-pencil24":
+        argv += ["--prime", "10007", "--seed", "3"]
     assert run_main(argv) == 1
     document = json.loads(out.read_text())
     assert document["overall"] == "fail"
