@@ -22,14 +22,12 @@ computations are carried out:
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .binform import BinaryForm, sylvester_resultant
-from . import binform, univar, zpoly
-from .domains import QQ
+from . import binform
 from .errors import VerificationError
 from .multipoly import MultiPoly
 from .quartic import QuarticCoeffs, disc_delta, sem_d
@@ -185,19 +183,18 @@ def fiber_quartic(x0, y0, a0) -> QuarticCoeffs:
 class SmoothnessCertificate:
     """Outcome of the resultant-based smoothness check of a surface divisor.
 
-    ``status`` is "smooth" only when the eliminant resultant is nonzero and
-    every degenerate fiber check passed; "fail" when a singular point was
-    exhibited or the certificate could not exclude one; "inconclusive" when
-    every eliminant of every partial pair vanished identically and no
-    witness was found.  A "smooth" verdict is never emitted spuriously.
+    ``status`` is "smooth" only when an eliminant is a nonzero constant or
+    the resultant of the two eliminants is nonzero; "fail" when a singular
+    point was exhibited or the certificate could not exclude one;
+    "inconclusive" when fewer than two partial pairs have a nonzero
+    eliminant and no witness was found.  A "smooth" verdict is never
+    emitted spuriously.
     """
 
     status: str
     detail: str
     pairs_used: tuple[tuple[str, str], ...] = ()
     resultant_value_digits: Optional[int] = None
-    degenerate_fibers_checked: int = 0
-    nonrational_degenerate_factors: int = 0
     witness: Optional[dict] = None
 
     def summary(self) -> dict:
@@ -205,8 +202,6 @@ class SmoothnessCertificate:
             "status": self.status,
             "detail": self.detail,
             "pairs_used": ["/".join(pair) for pair in self.pairs_used],
-            "degenerate_fibers_checked": self.degenerate_fibers_checked,
-            "nonrational_degenerate_factors": self.nonrational_degenerate_factors,
         }
         if self.resultant_value_digits is not None:
             out["resultant_digits"] = self.resultant_value_digits
@@ -221,49 +216,6 @@ def _bidegree(P: MultiPoly) -> tuple[int, int]:
     if len(degrees_xy) != 1 or len(degrees_uv) != 1:
         raise ValueError("polynomial is not bihomogeneous in ((x,y),(u,v))")
     return degrees_xy.pop(), degrees_uv.pop()
-
-
-def _rational_projective_roots(form: BinaryForm) -> tuple[list[tuple[Fraction, Fraction]], int]:
-    """Distinct rational projective roots of a nonzero (x, y)-form over QQ,
-    plus the number of its distinct non-rational roots (left unresolved)."""
-    x_power, y_power, dehom = binform.dehomogenize(form.coefficient_list(), QQ)
-    roots = []
-    if y_power:
-        roots.append((Fraction(1), Fraction(0)))
-    if x_power:
-        roots.append((Fraction(0), Fraction(1)))
-    core = univar.squarefree_part(dehom, QQ)
-    if len(core) <= 1:
-        return roots, 0
-    denom = math.lcm(*(c.denominator for c in core))
-    ints = [int(c * denom) for c in core]
-    lead, const = abs(ints[-1]), abs(ints[0])
-    rational = set()
-    for num in _divisors(const):
-        for den in _divisors(lead):
-            for sign in (1, -1):
-                cand = Fraction(sign * num, den)
-                if cand in rational:
-                    continue
-                if zpoly.int_eval(ints, cand) == 0:
-                    rational.add(cand)
-    roots.extend((r, Fraction(1)) for r in sorted(rational))
-    # the squarefree core has simple roots, so the rest of its degree is irrational
-    return roots, univar.deg(core) - len(rational)
-
-
-def _divisors(n: int) -> list[int]:
-    if n == 0:
-        return [1]
-    n = abs(n)
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return sorted(out)
 
 
 def _fiber_singularity_witness(partials: dict[str, MultiPoly], x0, y0) -> Optional[dict]:
@@ -316,11 +268,9 @@ def smoothness_certificate(P: MultiPoly) -> SmoothnessCertificate:
     final resultant excludes any common zero of all four partials, and the
     Euler relations (deg_x P = x P_x + y P_y, deg_u P = u P_u + v P_v, in
     characteristic 0) make the four partials sufficient: the divisor is
-    smooth.  Fibers where the leading (u, v)-coefficients of a used pair
-    both vanish are additionally checked head-on at their rational points.
-    If an eliminant pair is unavailable (identically zero eliminants), a
-    direct fiber scan looks for a singular witness; with a witness the
-    status is "fail", otherwise "inconclusive".
+    smooth.  If an eliminant pair is unavailable (identically zero
+    eliminants), a direct fiber scan looks for a singular witness; with a
+    witness the status is "fail", otherwise "inconclusive".
     """
     if P.is_zero():
         raise ValueError("zero polynomial does not define a divisor")
@@ -397,43 +347,14 @@ def _certify_with_eliminants(partials, pair1, pair2, g1: BinaryForm, g2: BinaryF
             witness=_scanned_witness(partials),
         )
 
-    # explicit check of fibers where the leading (u, v)-coefficients of a used
-    # pair both vanish; nonrational fibers are already excluded by the nonzero
-    # resultant (a singular point forces both eliminants to vanish there)
-    checked = 0
-    unresolved_total = 0
-    for n1, n2 in pairs_used:
-        lead1 = BinaryForm(partials[n1], ("u", "v")).coefficient_polys()[0]
-        lead2 = BinaryForm(partials[n2], ("u", "v")).coefficient_polys()[0]
-        f1 = BinaryForm(lead1, ("x", "y")) if lead1 else None
-        f2 = BinaryForm(lead2, ("x", "y")) if lead2 else None
-        if f1 is None and f2 is None:
-            continue
-        if f1 is None or f2 is None:
-            locus = f1 or f2
-        else:
-            locus = binform.binary_gcd(f1, f2)
-        if locus.degree <= 0:
-            continue
-        roots, unresolved = _rational_projective_roots(locus)
-        unresolved_total += unresolved
-        for x0, y0 in roots:
-            checked += 1
-            witness = _fiber_singularity_witness(partials, x0, y0)
-            if witness is not None:
-                return SmoothnessCertificate(
-                    status="fail",
-                    detail="singular point found on a degenerate fiber",
-                    pairs_used=pairs_used,
-                    witness=witness,
-                )
+    # g_i at a fiber [x0 : y0] is the resultant of the specialized pair at its
+    # formal (u, v)-degrees (see _uv_eliminant), so a singular point makes
+    # g1 = g2 = 0 at its fiber, even where both leading coefficients vanish
     return SmoothnessCertificate(
         status="smooth",
-        detail="nonzero eliminant resultant; degenerate fibers verified",
+        detail="nonzero eliminant resultant",
         pairs_used=pairs_used,
         resultant_value_digits=len(str(abs(resultant.numerator))),
-        degenerate_fibers_checked=checked,
-        nonrational_degenerate_factors=unresolved_total,
     )
 
 

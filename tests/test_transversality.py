@@ -7,7 +7,7 @@ import pytest
 
 from exactgeom import binform
 from exactgeom import transversality as tv
-from exactgeom.binform import BinaryForm, binary_gcd, form_from_coefficients
+from exactgeom.binform import BinaryForm, binary_gcd
 from exactgeom.domains import QQ
 from exactgeom.multipoly import MultiPoly
 from exactgeom.quartic import QuarticCoeffs, perfect_square_witness
@@ -151,24 +151,6 @@ def test_conditions_share_marked_root_at_alpha_zero():
     assert g.poly.evaluate({"x": Fraction(1), "y": Fraction(0)}) == 0  # the shared root is [1:0]
 
 
-def _rational_roots(coeffs):
-    form = form_from_coefficients(("x", "y"), ("x", "y"), [Fraction(c) for c in coeffs])
-    return tv._rational_projective_roots(form)
-
-
-def test_rational_projective_roots_counts_distinct_roots():
-    one, zero = Fraction(1), Fraction(0)
-    # x y (x - y)^2 (x^2 - 2 y^2): [1:0], [0:1], the double root [1:1] and an irrational pair
-    roots, unresolved = _rational_roots([0, 1, -2, -1, 4, -2, 0])
-    assert roots == [(one, zero), (zero, one), (one, one)]
-    assert unresolved == 2
-    # a repeated rational root leaves nothing unresolved
-    assert _rational_roots([1, -2, 1]) == ([(one, one)], 0)
-    # one irreducible factor over QQ, two distinct non-rational roots
-    assert _rational_roots([1, 0, -2]) == ([], 2)
-    assert _rational_roots([1, 0, -2, 0, 0]) == ([(zero, one)], 2)
-
-
 def test_family_is_marked_member_plus_parameter_times_correction():
     # P_0 is the member of the module docstring at alpha = 0
     x, y, u, v = MultiPoly.gens(tv.SURFACE_VARS)
@@ -215,6 +197,41 @@ def test_smoothness_control_reducible_fails():
     assert cert.status == "fail"
 
 
+def _random_form(rng, deg_xy, deg_uv):
+    """A bihomogeneous form in ((x, y), (u, v)) with coefficients in [-3, 3]."""
+    x, y, u, v = MultiPoly.gens(tv.SURFACE_VARS)
+    out = MultiPoly.zero(tv.SURFACE_VARS)
+    for i in range(deg_xy + 1):
+        for j in range(deg_uv + 1):
+            monomial = x ** (deg_xy - i) * y**i * u ** (deg_uv - j) * v**j
+            out = out + rng.randint(-3, 3) * monomial
+    return out
+
+
+def _smooth_with_degenerate_fiber():
+    """v^2 Q1 + y Q2, a smooth (3,4)-divisor: at [1:0] both P_u and P_v are
+    divisible by v, so their leading u-coefficients vanish there."""
+    rng = random.Random(1)
+    _, y, _, v = MultiPoly.gens(tv.SURFACE_VARS)
+    return v**2 * _random_form(rng, 3, 2) + y * _random_form(rng, 2, 4)
+
+
+def _singular_in_yv_squared():
+    """v^2 Q1 + y v Q2 + y^2 Q3 lies in (y, v)^2, so it is singular at
+    ([1:0], [1:0]) whatever the coefficients."""
+    rng = random.Random(5)
+    _, y, _, v = MultiPoly.gens(tv.SURFACE_VARS)
+    q1, q2, q3 = (_random_form(rng, 3 - k, 2 + k) for k in range(3))
+    return v**2 * q1 + y * v * q2 + y**2 * q3
+
+
+def _leading_uv_at(P, x0, y0):
+    """The u-leading coefficients of P_u and P_v at the fiber [x0 : y0]."""
+    at = {"x": Fraction(x0), "y": Fraction(y0)}
+    partials = (P.partial_derivative(name) for name in ("u", "v"))
+    return [BinaryForm(f, ("u", "v")).coefficient_polys()[0].evaluate(at) for f in partials]
+
+
 def _specialized_uv_resultant(f, g, x0, y0):
     """The Bareiss determinant of the Sylvester matrix of f and g in (u, v),
     their coefficients specialized at [x0 : y0]."""
@@ -241,7 +258,12 @@ def test_certificate_eliminants_are_the_specialized_resultants(monkeypatch):
         return eliminant
 
     monkeypatch.setattr(tv, "_uv_eliminant", recording)
-    for P in (tv.p0_polynomial(), tv.control_nonreduced(), tv.control_reducible_singular()):
+    degenerate = _smooth_with_degenerate_fiber()
+    # at [1:0] the eliminant of P_u and P_v is taken at formal degrees whose
+    # leading coefficients both vanish
+    assert _leading_uv_at(degenerate, 1, 0) == [0, 0]
+    inputs = (tv.p0_polynomial(), tv.control_nonreduced(), tv.control_reducible_singular())
+    for P in inputs + (degenerate,):
         tv.smoothness_certificate(P)
     assert sum(eliminant is not None for _, _, eliminant in built) >= 4
     rng = random.Random(31)
@@ -257,6 +279,24 @@ def test_certificate_eliminants_are_the_specialized_resultants(monkeypatch):
                 continue
             value = 0 if eliminant is None else eliminant.poly.evaluate({"x": x0, "y": y0})
             assert value == _specialized_uv_resultant(f, g, x0, y0)
+
+
+def test_resultant_alone_settles_fibers_where_both_leading_coefficients_vanish():
+    # smooth: a nonzero Res(g1, g2) is the whole verdict
+    cert = tv.smoothness_certificate(_smooth_with_degenerate_fiber())
+    assert cert.status == "smooth"
+    assert cert.detail == "nonzero eliminant resultant"
+    assert set(cert.summary()) == {"status", "detail", "pairs_used", "resultant_digits"}
+    # singular on such a fiber: the eliminants share the root [1:0]
+    P = _singular_in_yv_squared()
+    assert _leading_uv_at(P, 1, 0) == [0, 0]
+    point = {"x": Fraction(1), "y": Fraction(0), "u": Fraction(1), "v": Fraction(0)}
+    for name in ("x", "y", "u", "v"):
+        assert P.partial_derivative(name).evaluate(point) == 0
+    cert = tv.smoothness_certificate(P)
+    assert cert.status == "fail"
+    assert cert.detail.startswith("the eliminants share a root: ")
+    assert cert.witness is not None and cert.witness["fiber"] == (1, 0)
 
 
 @pytest.mark.parametrize(
