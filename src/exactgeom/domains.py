@@ -11,9 +11,9 @@ Three kinds of domain are supported:
   Elements wrap a tuple of base raw values, low degree first.
 
 No polynomial arithmetic is implemented here.  At every tower height an
-extension element is multiplied, reduced and inverted by
-:mod:`exactgeom.univar` on the raw values of its base field; over a prime
-base that module calls the int kernels of :mod:`exactgeom.zpoly`.
+extension element is multiplied, reduced (by the field's one reducer) and
+inverted by :mod:`exactgeom.univar` on the raw values of its base field;
+over a prime base that module calls the int kernels of :mod:`exactgeom.zpoly`.
 
 All elements support ``+ - * / **`` and compare exactly; there is no floating
 point anywhere.  ``a ** e`` works on raw values through the field's
@@ -376,10 +376,11 @@ class ExtensionField(FiniteField):
 
     Raw values are tuples of ``degree`` base raw values, low degree first.
     ``base`` may itself be an ExtensionField, giving towers; ``order`` and
-    ``char`` are computed through the tower.
+    ``char`` are computed through the tower.  Products are reduced by the
+    field's :func:`exactgeom.univar.reducer` of the modulus, built once here.
     """
 
-    __slots__ = ("base", "modulus", "degree", "name", "_order")
+    __slots__ = ("base", "modulus", "degree", "name", "_order", "_reduce")
 
     def __init__(self, base: FiniteField, modulus, name: str = "t", *, check: bool = True) -> None:
         if any(isinstance(c, FieldElement) and c.field != base for c in modulus):
@@ -396,6 +397,7 @@ class ExtensionField(FiniteField):
         self.degree = len(mod) - 1
         self.name = name
         self._order = base.order**self.degree
+        self._reduce = univar.reducer(list(mod), base)
         if check and not univar.ff_is_irreducible(list(mod), base):
             raise ValueError("extension modulus is reducible over the base field")
 
@@ -449,7 +451,7 @@ class ExtensionField(FiniteField):
         base = self.base
         # trimmed factors keep short products below the Kronecker threshold
         prod = univar.mul(univar.trim(list(a), base), univar.trim(list(b), base), base)
-        return self._padded(univar.rem(prod, list(self.modulus), base))
+        return self._padded(self._reduce(prod))
 
     def _rinv(self, a):
         if self._ris_zero(a):

@@ -12,9 +12,11 @@ that a field element wraps), low degree first, with no trailing zeros;
 arithmetic through the field's raw hooks (``_ris_zero``, ``_radd``,
 ``_rsub``, ``_rmul``, ``_rinv``, ``_rfrom_int``, ``_rrand``), so extension
 towers of any height run the same code.  Over a prime field the heavy steps
-(``trim``, ``mul``, ``divmod_``, ``pow_mod``, ``frobenius_rows``,
-``frobenius``) call the int kernels of :mod:`exactgeom.zpoly`, which is the
-selection on the field type that makes the hot GF(p) path fast.
+(``trim``, ``mul``, ``divmod_``, ``reducer``, the packing of the Frobenius
+rows and ``frobenius``) call the int kernels of :mod:`exactgeom.zpoly`,
+which is the selection on the field type that makes the hot GF(p) path fast.
+``reducer`` is the one reduction by a fixed modulus: ``pow_mod``,
+``frobenius_rows`` and extension products all go through it.
 :mod:`exactgeom.domains` multiplies, reduces and inverts extension elements
 through the functions here.
 """
@@ -138,17 +140,27 @@ def squarefree_part(cs: list, field) -> list:
     return monic(divmod_(cs, g, field)[0], field)
 
 
-def pow_mod(base: list, exponent: int, modulus: list, field) -> list:
+def reducer(modulus: list, field):
+    """A function a -> a mod modulus for deg a <= 2 deg(modulus) - 2, the
+    degree of a product of two reduced polynomials: the package's one
+    reduction by a fixed modulus, :func:`exactgeom.zpoly.zp_reducer` over
+    GF(p) and :func:`rem` over any other field."""
     if isinstance(field, domains.PrimeField):
-        return zpoly.zp_pow_mod(base, exponent, modulus, field.p)
+        return zpoly.zp_reducer(modulus, field.p)
+    return lambda a: rem(a, modulus, field)
+
+
+def pow_mod(base: list, exponent: int, modulus: list, field) -> list:
+    """base^exponent mod modulus: the package's one square-and-multiply."""
+    reduce = reducer(modulus, field)
     result = [field._rfrom_int(1)]
     acc = rem(base, modulus, field)
     while exponent:
         if exponent & 1:
-            result = rem(mul(result, acc, field), modulus, field)
+            result = reduce(mul(result, acc, field))
         exponent >>= 1
         if exponent:
-            acc = rem(mul(acc, acc, field), modulus, field)
+            acc = reduce(mul(acc, acc, field))
     return result
 
 
@@ -161,20 +173,19 @@ def _x(field) -> list:
 
 def frobenius_rows(f: list, field) -> list:
     """Berlekamp's Frobenius matrix of field[x]/(f), q = field.order: the rows
-    x^(i q) mod f for i < deg f, in the form that :func:`frobenius` reads.
-
-    Over GF(p) these are the packed int rows of
-    :func:`exactgeom.zpoly.zp_frobenius_rows`; over any other finite field
-    they are lists of raw values, from one modular power x^q mod f and
-    products reduced mod f.
+    x^(i q) mod f for i < deg f, from one modular power x^q mod f and
+    products reduced mod f, in the form that :func:`frobenius` reads: packed
+    one int per row over GF(p) (:func:`exactgeom.zpoly.zp_pack_rows`), lists
+    of raw values over any other finite field.
     """
-    if isinstance(field, domains.PrimeField):
-        return zpoly.zp_frobenius_rows(f, field.p)
     rows = [[field._rfrom_int(1)]]
     if deg(f) >= 2:
+        reduce = reducer(f, field)
         xq = pow_mod(_x(field), field.order, f, field)
         for _ in range(deg(f) - 1):
-            rows.append(rem(mul(rows[-1], xq, field), f, field))
+            rows.append(reduce(mul(rows[-1], xq, field)))
+    if isinstance(field, domains.PrimeField):
+        return zpoly.zp_pack_rows(rows, field.p)
     return rows
 
 

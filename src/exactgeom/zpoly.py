@@ -8,13 +8,13 @@ splitting, the Rabin test) lives in ``univar``, and
 :func:`zp_squarefree_part` and :func:`zp_factor_squarefree` are its GF(p)
 entry points.  Multiplication packs coefficients into one big integer
 (Kronecker substitution) so CPython's integer multiply performs the
-convolution.  Modular powers, and the rows x^(i p) mod f of Berlekamp's
-Frobenius matrix, reduce each product by a precomputed power-series inverse
-of the reversed modulus (von zur Gathen-Gerhard, Modern Computer Algebra,
-9.1), so a reduction costs two multiplications.  Distinct-degree
-factorization applies the Frobenius map h -> h^p mod f with those rows,
-packed one int per row: n small-int times big-int multiply-adds and one
-unpack per step, in place of a modular power.
+convolution.  :func:`zp_reducer`, the GF(p) reduction by a fixed modulus that
+:func:`exactgeom.univar.reducer` selects, multiplies by a precomputed series
+inverse of the reversed modulus (von zur Gathen-Gerhard, Modern Computer
+Algebra, 9.1).  Distinct-degree factorization applies the Frobenius map
+h -> h^p mod f with the rows x^(i p) mod f of Berlekamp's matrix, packed one
+int per row by :func:`zp_pack_rows`: n small-int times big-int multiply-adds
+and one unpack per step, in place of a modular power.
 :func:`int_resultant` is the package's only resultant kernel: it takes the
 Sylvester determinant at the formal degrees by the subresultant remainder
 sequence over ZZ.  The Newton interpolator is the package's only one:
@@ -121,9 +121,10 @@ def _zp_series_inverse(a: list[int], n: int, p: int) -> list[int]:
     return g[:n]
 
 
-def _zp_reducer(modulus: list[int], p: int):
+def zp_reducer(modulus: list[int], p: int):
     """A function a -> a mod modulus for deg a <= 2 deg(modulus) - 2, the
-    degree of a product of two reduced polynomials.
+    degree of a product of two reduced polynomials; the GF(p) reduction that
+    :func:`exactgeom.univar.reducer` selects.
 
     Its quotient has at most n - 1 = deg(modulus) - 1 coefficients, and their
     reversal is the top of the reversed a times rev(modulus)^(-1), truncated;
@@ -143,39 +144,10 @@ def _zp_reducer(modulus: list[int], p: int):
     return reduce
 
 
-def zp_pow_mod(base: list[int], exponent: int, modulus: list[int], p: int) -> list[int]:
-    acc = zp_rem(base, modulus, p)
-    reduce = _zp_reducer(modulus, p)
-    result = [1]
-    while exponent:
-        if exponent & 1:
-            result = reduce(zp_mul(result, acc, p))
-        exponent >>= 1
-        if exponent:
-            acc = reduce(zp_mul(acc, acc, p))
-    return result
-
-
-def zp_frobenius_rows(modulus: list[int], p: int) -> list[int]:
-    """Berlekamp's Frobenius matrix of GF(p)[x]/(modulus): the rows
-    x^(i p) mod modulus for i < n = deg(modulus), each packed into one int
-    with the slot width of :func:`zp_frobenius`.
-
-    One modular power gives x^p, and each further row is the previous one
-    times x^p, reduced by :func:`_zp_reducer`.  Only the packed rows are
-    kept.
-    """
-    n = zp_deg(modulus)
-    bits = _frobenius_bits(n, p)
-    rows = [1]
-    if n >= 2:
-        xp = zp_pow_mod([0, 1], p, modulus, p)
-        reduce = _zp_reducer(modulus, p)
-        row = [1]
-        for _ in range(n - 1):
-            row = reduce(zp_mul(row, xp, p))
-            rows.append(_pack(row, bits))
-    return rows
+def zp_pack_rows(rows: list[list[int]], p: int) -> list[int]:
+    """Frobenius rows packed one int each, in the slots of :func:`zp_frobenius`."""
+    bits = _frobenius_bits(len(rows), p)
+    return [_pack(row, bits) for row in rows]
 
 
 def _frobenius_bits(n: int, p: int) -> int:
@@ -184,7 +156,7 @@ def _frobenius_bits(n: int, p: int) -> int:
 
 
 def zp_frobenius(h: list[int], rows: list[int], p: int) -> list[int]:
-    """h^p mod the modulus of ``rows`` (:func:`zp_frobenius_rows`), for h
+    """h^p mod the modulus of ``rows`` (:func:`zp_pack_rows`), for h
     reduced mod that modulus: (sum h_i x^i)^p = sum h_i x^(i p) over GF(p),
     so the image is the sum of h_i times row i, n multiply-adds on packed
     ints and one unpack."""

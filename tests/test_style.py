@@ -92,6 +92,22 @@ def test_only_zpoly_samples_resultants():
     assert not named, named
 
 
+def test_only_univar_reduces_by_a_fixed_modulus():
+    # univar.reducer is the one reduction by a fixed modulus, and univar.pow_mod
+    # and univar.frobenius_rows its only loops: a module that names the GF(p)
+    # reducer, or a zpoly power or row loop, forks them
+    named = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = {getattr(node, key, None) for key in ("id", "attr", "name")}
+            if path.name not in ("zpoly.py", "univar.py") and "zp_reducer" in names:
+                named.append(f"{path.name}:{node.lineno}: zp_reducer")
+            if path.name == "zpoly.py" and isinstance(node, ast.FunctionDef):
+                if "pow_mod" in node.name or "frobenius_rows" in node.name:
+                    named.append(f"{path.name}:{node.lineno}: {node.name}")
+    assert not named, named
+
+
 def _multiplier(node):
     """The name v of a product ... * v, else None."""
     is_product = isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)

@@ -190,9 +190,9 @@ def test_frobenius_matches_pow_mod(p):
             rows = univar.frobenius_rows(f, F)
             for _ in range(4):
                 h = zpoly.zp_trim([rng.randrange(p) for _ in range(degree)])
-                assert univar.frobenius(h, rows, F) == zpoly.zp_pow_mod(h, p, f, p)
+                assert univar.frobenius(h, rows, F) == univar.pow_mod(h, p, f, F)
             top = zpoly.zp_trim([p - 1] * degree)
-            assert univar.frobenius(top, rows, F) == zpoly.zp_pow_mod(top, p, f, p)
+            assert univar.frobenius(top, rows, F) == univar.pow_mod(top, p, f, F)
 
 
 def test_frobenius_over_gf_p2_matches_pow_mod():
@@ -218,14 +218,14 @@ def test_distinct_degree_splitting_takes_one_modular_power(monkeypatch):
     for part in parts:
         product = zpoly.zp_mul(product, part, p)
     powers = 0
-    kernel = zpoly.zp_pow_mod
+    kernel = univar.pow_mod
 
-    def counting(base, exponent, modulus, p):
+    def counting(base, exponent, modulus, field):
         nonlocal powers
         powers += 1
-        return kernel(base, exponent, modulus, p)
+        return kernel(base, exponent, modulus, field)
 
-    monkeypatch.setattr(zpoly, "zp_pow_mod", counting)
+    monkeypatch.setattr(univar, "pow_mod", counting)
     factors = univar.split_squarefree(product, F, rng)
     monkeypatch.undo()
     assert powers == 1
@@ -297,27 +297,34 @@ def test_factorization_over_gf_p2_refines_the_one_over_gf_p():
     assert parities == {0, 1}
 
 
-def test_extension_products_reach_zp_mul_trimmed(monkeypatch):
-    # ExtensionField._rmul trims its padded tuples before the kernel: padded
-    # inputs would cross the Kronecker threshold of zp_mul more often.  Only
-    # products are taken here, so every recorded call comes from _rmul.
+def _degree_29_elements():
+    """p = 10007, the modulus t^29 + t + 3 and seven elements of
+    GF(p)[t]/(modulus), with 1 to 29 nonzero low coefficients."""
     p = 10007
-    F = PrimeField(p)
-    modulus = [3, 1] + [0] * 27 + [1]  # t^29 + t + 3, irreducible over GF(10007)
-    K = ExtensionField(F, modulus)
+    modulus = [3, 1] + [0] * 27 + [1]  # irreducible over GF(10007)
+    K = ExtensionField(PrimeField(p), modulus)
     rng = random.Random(29)
     elements = [
         K.wrap(tuple(rng.randrange(1, p) for _ in range(k)) + (0,) * (29 - k))
         for k in (1, 3, 10, 15, 16, 28, 29)
     ]
+    return p, modulus, elements
+
+
+def test_extension_products_reach_zp_mul_trimmed(monkeypatch):
+    # ExtensionField._rmul trims its padded tuples before the kernel: padded
+    # inputs would cross the Kronecker threshold of zp_mul more often.  Only
+    # products are taken here, so every recorded call comes from _rmul (the
+    # reducer calls zp_mul itself, on slices that are not _rmul's inputs).
+    p, modulus, elements = _degree_29_elements()
     inputs = []
-    kernel = zpoly.zp_mul
+    kernel = univar.mul
 
-    def recording(a, b, p):
+    def recording(a, b, field):
         inputs.extend((a, b))
-        return kernel(a, b, p)
+        return kernel(a, b, field)
 
-    monkeypatch.setattr(zpoly, "zp_mul", recording)
+    monkeypatch.setattr(univar, "mul", recording)
     products = [a * b for a in elements for b in elements]
     monkeypatch.undo()
     assert len(inputs) == 2 * len(products)
@@ -325,6 +332,56 @@ def test_extension_products_reach_zp_mul_trimmed(monkeypatch):
     for (a, b), product in zip([(a, b) for a in elements for b in elements], products):
         expected = zpoly.zp_rem(zpoly.zp_mul(list(a.value), list(b.value), p), modulus, p)
         assert product.value == tuple(expected) + (0,) * (29 - len(expected))
+
+
+def test_extension_products_take_no_division(monkeypatch):
+    # _rmul reduces by the field's reducer, built once: over GF(p) that is
+    # two multiplications by a precomputed series inverse, never a division
+    _, _, elements = _degree_29_elements()
+    divisions = 0
+    kernel = zpoly.zp_divmod
+
+    def counting(a, b, p):
+        nonlocal divisions
+        divisions += 1
+        return kernel(a, b, p)
+
+    monkeypatch.setattr(zpoly, "zp_divmod", counting)
+    products = [a * b for a in elements for b in elements]
+    monkeypatch.undo()
+    assert len(products) == 49
+    assert divisions == 0
+
+
+@pytest.mark.parametrize("p", [1009, 10007, 2**31 - 1])
+def test_reducer_matches_rem_over_gf_p(p):
+    # both sides of the Kronecker threshold of 16, monic and non-monic moduli
+    F = PrimeField(p)
+    rng = random.Random(p)
+    for degree in (1, 2, 15, 16, 17, 29, 90):
+        for lead in (1, rng.randrange(2, p)):
+            m = [rng.randrange(p) for _ in range(degree)] + [lead]
+            reduce = univar.reducer(m, F)
+            for _ in range(3):
+                x, y = (zpoly.zp_trim([rng.randrange(p) for _ in range(degree)]) for _ in "xy")
+                a = univar.mul(x, y, F)
+                assert reduce(a) == univar.rem(a, m, F)
+            top = univar.mul([p - 1] * degree, [p - 1] * degree, F)
+            assert reduce(top) == univar.rem(top, m, F)
+
+
+def test_reducer_matches_rem_over_gf_p2():
+    # the generic path: an extension field as the coefficient field
+    K = ExtensionField(PrimeField(10007), [1, 0, 1], name="i")
+    rng = random.Random(10007)
+    for degree in (1, 2, 5, 17):
+        for lead in (K._rfrom_int(1), K._rrand(rng)):
+            m = [K._rrand(rng) for _ in range(degree)] + [lead]
+            reduce = univar.reducer(m, K)
+            for _ in range(3):
+                x, y = (univar.trim([K._rrand(rng) for _ in range(degree)], K) for _ in "xy")
+                a = univar.mul(x, y, K)
+                assert reduce(a) == univar.rem(a, m, K)
 
 
 def _sylvester_det(f, g):
@@ -432,7 +489,7 @@ def test_int_resultant_matches_the_sylvester_determinant():
 
 
 @pytest.mark.parametrize("p", [1009, 10007, 2**31 - 1])
-def test_zp_pow_mod_matches_square_and_multiply_with_zp_rem(p):
+def test_pow_mod_over_gf_p_matches_square_and_multiply_with_zp_rem(p):
     rng = random.Random(p)
     for degree in (1, 2, 16, 29, 90):
         modulus = [rng.randrange(p) for _ in range(degree)] + [rng.randrange(1, p)]
@@ -444,7 +501,7 @@ def test_zp_pow_mod_matches_square_and_multiply_with_zp_rem(p):
                 result = zpoly.zp_rem(zpoly.zp_mul(result, acc, p), modulus, p)
             e >>= 1
             acc = zpoly.zp_rem(zpoly.zp_mul(acc, acc, p), modulus, p)
-        assert zpoly.zp_pow_mod(base, exponent, modulus, p) == result
+        assert univar.pow_mod(base, exponent, modulus, PrimeField(p)) == result
 
 
 def test_zp_interpolate_round_trip():
