@@ -449,7 +449,7 @@ class ExtensionField(FiniteField):
 
     def _rmul(self, a, b):
         base = self.base
-        # trimmed factors keep short products below the Kronecker threshold
+        # trimmed factors pack into fewer slots of zp_mul's integers
         prod = univar.mul(univar.trim(list(a), base), univar.trim(list(b), base), base)
         return self._padded(self._reduce(prod))
 

@@ -166,13 +166,8 @@ class MultiPoly:
         if not isinstance(exponent, int) or exponent < 0:
             return NotImplemented
         result = MultiPoly.constant(self.variables, 1)
-        acc = self
-        while exponent:
-            if exponent & 1:
-                result = result * acc
-            exponent >>= 1
-            if exponent:
-                acc = acc * acc
+        for _ in range(exponent):
+            result = result * self
         return result
 
     def __eq__(self, other) -> bool:

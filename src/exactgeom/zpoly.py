@@ -6,15 +6,15 @@ zeros (``[]`` is zero).  This module holds only the GF(p) kernels that
 helpers; every univariate algorithm (gcd, inverse, squarefree part,
 splitting, the Rabin test) lives in ``univar``, and
 :func:`zp_squarefree_part` and :func:`zp_factor_squarefree` are its GF(p)
-entry points.  Multiplication packs coefficients into one big integer
-(Kronecker substitution) so CPython's integer multiply performs the
-convolution.  :func:`zp_reducer`, the GF(p) reduction by a fixed modulus that
-:func:`exactgeom.univar.reducer` selects, multiplies by a precomputed series
-inverse of the reversed modulus (von zur Gathen-Gerhard, Modern Computer
-Algebra, 9.1).  Distinct-degree factorization applies the Frobenius map
-h -> h^p mod f with the rows x^(i p) mod f of Berlekamp's matrix, packed one
-int per row by :func:`zp_pack_rows`: n small-int times big-int multiply-adds
-and one unpack per step, in place of a modular power.
+entry points.  Multiplication is Kronecker substitution at every size: the
+coefficients are packed into one big integer so CPython's integer multiply
+performs the convolution.  :func:`zp_reducer`, the GF(p) reduction by a fixed
+modulus that :func:`exactgeom.univar.reducer` selects, multiplies by a
+precomputed series inverse of the reversed modulus (von zur Gathen-Gerhard,
+Modern Computer Algebra, 9.1).  Distinct-degree factorization applies the
+Frobenius map h -> h^p mod f with the rows x^(i p) mod f of Berlekamp's
+matrix, packed one int per row by :func:`zp_pack_rows`: n small-int times
+big-int multiply-adds and one unpack per step, in place of a modular power.
 :func:`int_resultant` is the package's only resultant kernel: it takes the
 Sylvester determinant at the formal degrees by the subresultant remainder
 sequence over ZZ.  The Newton interpolator is the package's only one:
@@ -51,27 +51,23 @@ def zp_sub(a: list[int], b: list[int], p: int) -> list[int]:
     return zp_trim(out)
 
 
-_KRONECKER_THRESHOLD = 16
-
-
 def zp_mul(a: list[int], b: list[int], p: int) -> list[int]:
+    """a * b over GF(p) by Kronecker substitution: both factors packed into
+    ints, one integer multiply, and the product's slots unpacked mod p.
+
+    Packing needs nonnegative coefficients, so a and b must be residues in
+    [0, p); every caller passes them (:func:`exactgeom.univar.mul` over a
+    prime field, :func:`zp_reducer` and :func:`_zp_series_inverse`).
+    """
     if not a or not b:
         return []
-    if min(len(a), len(b)) >= _KRONECKER_THRESHOLD:
-        return _zp_mul_kronecker(a, b, p)
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return zp_trim([c % p for c in out])
-
-
-def _zp_mul_kronecker(a: list[int], b: list[int], p: int) -> list[int]:
-    # slot width must exceed log2(min(len) * p^2) so packed sums cannot overlap
-    bits = (min(len(a), len(b)) * p * p).bit_length() + 1
+    bits = _slot_bits(min(len(a), len(b)), p)
     return _unpack(_pack(a, bits) * _pack(b, bits), len(a) + len(b) - 1, bits, p)
+
+
+def _slot_bits(n: int, p: int) -> int:
+    # a slot sums at most n products of two residues, each below p^2
+    return (n * p * p).bit_length() + 1
 
 
 def _pack(cs: list[int], bits: int) -> int:
@@ -146,13 +142,8 @@ def zp_reducer(modulus: list[int], p: int):
 
 def zp_pack_rows(rows: list[list[int]], p: int) -> list[int]:
     """Frobenius rows packed one int each, in the slots of :func:`zp_frobenius`."""
-    bits = _frobenius_bits(len(rows), p)
+    bits = _slot_bits(len(rows), p)
     return [_pack(row, bits) for row in rows]
-
-
-def _frobenius_bits(n: int, p: int) -> int:
-    # a slot of h's image sums n products of two residues, each below p^2
-    return (n * p * p).bit_length() + 1
 
 
 def zp_frobenius(h: list[int], rows: list[int], p: int) -> list[int]:
@@ -165,7 +156,7 @@ def zp_frobenius(h: list[int], rows: list[int], p: int) -> list[int]:
     for c, row in zip(h, rows):
         if c:
             packed += c * row
-    return _unpack(packed, n, _frobenius_bits(n, p), p)
+    return _unpack(packed, n, _slot_bits(n, p), p)
 
 
 def _expand_first_column(f: list, g: list) -> tuple[int, list, list]:

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -106,6 +107,35 @@ def test_only_univar_reduces_by_a_fixed_modulus():
                 if "pow_mod" in node.name or "frobenius_rows" in node.name:
                     named.append(f"{path.name}:{node.lineno}: {node.name}")
     assert not named, named
+
+
+def test_zp_mul_has_one_path():
+    # zpoly.zp_mul is Kronecker substitution at every size: a loop in its
+    # body would be a second (schoolbook) path, and a size threshold the
+    # switch between the two
+    zpoly = importlib.import_module("exactgeom.zpoly")
+    tree = ast.parse(inspect.getsource(zpoly.zp_mul))
+    loops = [node.lineno for node in ast.walk(tree) if isinstance(node, (ast.For, ast.While))]
+    thresholds = [name for name in vars(zpoly) if "THRESHOLD" in name.upper()]
+    assert not loops and not thresholds, (loops, thresholds)
+
+
+def test_only_univar_pow_mod_halves_an_exponent():
+    # univar.pow_mod is the one square-and-multiply: an ``exponent >>= 1``
+    # anywhere else is a second one
+    halving = set()
+    for path in sorted(SRC.glob("*.py")):
+        for function in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            for node in ast.walk(function):
+                if (
+                    isinstance(node, ast.AugAssign)
+                    and isinstance(node.op, ast.RShift)
+                    and getattr(node.value, "value", None) == 1
+                ):
+                    halving.add(f"{path.stem}.{function.name}")
+    assert halving == {"univar.pow_mod"}, sorted(halving)
 
 
 def _multiplier(node):

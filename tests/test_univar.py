@@ -68,16 +68,25 @@ def test_pow_mod_matches_repeated_multiplication():
 
 
 def test_zp_mul_kronecker_matches_schoolbook():
-    p = 10007
-    rng = random.Random(1)
-    for n in (3, 15, 16, 40, 144):
-        a = [rng.randrange(p) for _ in range(n)] + [1]
-        b = [rng.randrange(p) for _ in range(n)] + [1]
-        direct = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            for j, bj in enumerate(b):
-                direct[i + j] = (direct[i + j] + ai * bj) % p
-        assert zpoly.zp_mul(a, b, p) == zpoly.zp_trim(direct)
+    # zp_mul packs at every size; the largest p gives the widest slots
+    for p in (10007, 2**31 - 1):
+        rng = random.Random(1)
+
+        def rand(n):
+            return [rng.randrange(p) for _ in range(n)] + [1]
+
+        pairs = [(rand(n), rand(n)) for n in (1, 2, 3, 5, 6, 15, 16, 40, 144)]
+        pairs += [(rand(m), rand(n)) for m, n in ((1, 40), (3, 144), (15, 16))]
+        # zeros at both ends: a factor of x^3, and an untrimmed factor
+        pairs += [([0, 0, 0] + rand(4), rand(9)), (rand(4) + [0, 0], rand(9))]
+        pairs += [([p - 1] * 20, [p - 1] * 20)]
+        for a, b in pairs:
+            direct = [0] * (len(a) + len(b) - 1)
+            for i, ai in enumerate(a):
+                for j, bj in enumerate(b):
+                    direct[i + j] = (direct[i + j] + ai * bj) % p
+            assert zpoly.zp_mul(a, b, p) == zpoly.zp_trim(direct)
+            assert zpoly.zp_mul(b, a, p) == zpoly.zp_trim(direct)
 
 
 def test_zp_divmod_and_gcd():
@@ -313,7 +322,7 @@ def _degree_29_elements():
 
 def test_extension_products_reach_zp_mul_trimmed(monkeypatch):
     # ExtensionField._rmul trims its padded tuples before the kernel: padded
-    # inputs would cross the Kronecker threshold of zp_mul more often.  Only
+    # inputs would pack more zero slots into zp_mul's integers.  Only
     # products are taken here, so every recorded call comes from _rmul (the
     # reducer calls zp_mul itself, on slices that are not _rmul's inputs).
     p, modulus, elements = _degree_29_elements()
@@ -355,7 +364,7 @@ def test_extension_products_take_no_division(monkeypatch):
 
 @pytest.mark.parametrize("p", [1009, 10007, 2**31 - 1])
 def test_reducer_matches_rem_over_gf_p(p):
-    # both sides of the Kronecker threshold of 16, monic and non-monic moduli
+    # small and large degrees, monic and non-monic moduli
     F = PrimeField(p)
     rng = random.Random(p)
     for degree in (1, 2, 15, 16, 17, 29, 90):
