@@ -2,8 +2,10 @@
 """Tabulate vertical-bitangent counts for many random pencils.
 
 For each (prime, seed) the validated count should be 24; the raw and
-squarefree eliminant degrees and the number of rejected factors vary with
-the pencil and are interesting to eyeball.  Usage:
+squarefree eliminant degrees, the number of rejected factors and how many
+of them were settled without validation (coprime to the condition resultant
+Rc) vary with the pencil and are interesting to eyeball.  The time column is
+the wall time of drawing and counting one pencil.  Usage:
 
     python scripts/pencil_experiment.py [prime] [n_seeds]
 """
@@ -22,7 +24,10 @@ def main() -> int:
     prime = int(sys.argv[1]) if len(sys.argv) > 1 else 10007
     n_seeds = int(sys.argv[2]) if len(sys.argv) > 2 else 5
     print(f"prime {prime}, seeds 1..{n_seeds}")
-    print(f"{'seed':>4} {'count':>5} {'raw':>4} {'sqfree':>6} {'factors':>7} {'rejected':>8} {'inf':>4} {'time':>7}")
+    print(
+        f"{'seed':>4} {'count':>5} {'raw':>4} {'sqfree':>6} {'factors':>7} "
+        f"{'rejected':>8} {'settled':>7} {'inf':>5} {'time':>8}"
+    )
     deviations = 0
     for seed in range(1, n_seeds + 1):
         start = time.monotonic()
@@ -32,7 +37,8 @@ def main() -> int:
         print(
             f"{seed:>4} {report.validated_count:>5} {report.raw_degree:>4} "
             f"{report.squarefree_degree:>6} {report.factor_count:>7} "
-            f"{report.extraneous_count:>8} {str(report.infinity_validated):>4} {elapsed:>6.1f}s"
+            f"{report.extraneous_count:>8} {report.settled_count:>7} "
+            f"{str(report.infinity_validated):>5} {elapsed:>7.3f}s"
         )
         if report.validated_count != 24:
             deviations += 1

@@ -13,22 +13,32 @@ A..E are read at y = 1 as ints, Delta(x, 1), d(x, 1) and the closure-square
 conditions of the fiber quartic are interpolated from their values at
 x = 0..18, and every x^i coefficient of these six forms is interpolated in t.
 R(t) is :func:`exactgeom.zpoly.sampled_resultant` of Delta(x, 1) and d(x, 1)
-mod p; validation reads A..E and the conditions modulo each factor of R and
-at t = infinity, as coefficient lists in x at y = 1, and Delta and d only to
+mod p, and Rc(t) with S1 (below) is one more call to it.  Validation reads
+A..E and the conditions modulo each factor of R that divides Rc and at
+t = infinity, as coefficient lists in x at y = 1, and Delta and d only to
 flag a degenerate member.
 
 The raw eliminant is heavily non-reduced and contains extraneous factors
 (leading-coefficient collapse, fibers where A and B both vanish, and the
 non-square branch of the joint discriminant/seminvariant locus), so the
-degree of its squarefree part overcounts.  Every irreducible factor m(t) is
-therefore validated in the exact field GF(p)[t]/(m), where a polynomial c(t)
-takes the value c mod m: some fiber of the member, found from the
-closure-square conditions alone (a square fiber has Delta = d = 0) and
-constructed in a further extension when necessary, must admit a
-perfect-square witness, which is re-verified by squaring.  The validated
-count is the sum of deg(m) over validated factors; for a generic pencil it
-equals the degree 24 of the vertical-bitangent hypersurface.  The member at
-t = infinity (F1 itself) is checked separately and never added to the count.
+degree of its squarefree part overcounts.  Each irreducible factor m(t) is
+therefore settled in the exact field GF(p)[t]/(m), where a polynomial c(t)
+takes the value c mod m.  A square fiber has Delta = d = 0 and also
+c1 = c2 = 0, where c1 and c2 are the closure-square conditions for A != 0
+(at A = 0 a square forces B = 0, and then c1 = c2 = 0 as well), so its
+member is a root of the condition resultant Rc(t) = Res_x(c1, c2).  The
+squarefree part is factored in two pieces, its gcd with Rc and the
+cofactor; a factor of the cofactor is reported extraneous without
+validation unless Delta and d vanish identically mod m.  Every other factor
+is validated: some fiber of the member, found from the closure-square
+conditions alone and constructed in a further extension when necessary,
+must admit a perfect-square witness, which is re-verified by squaring.  The
+fiber is read off the first subresultant S1 = s11 x + s10 of (c1, c2),
+sampled with Rc, when s11 does not vanish mod m, and from gcds of the
+conditions otherwise.  The validated count is the sum of deg(m) over
+validated factors; for a generic pencil it equals the degree 24 of the
+vertical-bitangent hypersurface.  The member at t = infinity (F1 itself) is
+validated separately and never added to the count.
 """
 
 from __future__ import annotations
@@ -36,7 +46,7 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from . import univar, zpoly
 from .binform import dehomogenize
@@ -190,6 +200,18 @@ def raw_resultant(f0: Curve34, f1: Curve34) -> tuple[int, ...]:
     return tuple(zpoly.sampled_resultant(delta, d, f0.p))
 
 
+def condition_resultant(f0: Curve34, f1: Curve34) -> tuple[tuple[int, ...], Optional[tuple]]:
+    """Rc(t) = Res_x(c1, c2) of the closure-square conditions for A != 0, at
+    the formal degrees 9 and 12, as a coefficient tuple over GF(p); and the
+    first subresultant S1 = s11 x + s10 of (c1, c2) as the pair (s10, s11)
+    of coefficient tuples, or None when the remainder sequence is not normal
+    at every sample point.  One sampling pass at 12 * 3 + 9 * 4 + 1 = 73
+    points gives both (:func:`exactgeom.zpoly.sampled_resultant`)."""
+    (c1, _), (c2, _) = _forms_in_t(f0, f1)[2:4]
+    rc, s1 = zpoly.sampled_resultant(c1, c2, f0.p, first_subresultant=True)
+    return tuple(rc), None if s1 is None else tuple(map(tuple, s1))
+
+
 # --- validation of a single member --------------------------------------------
 
 
@@ -256,23 +278,49 @@ def _fiber_witness(abcde: list, field: FiniteField, x0, y0, label: str) -> Optio
     }
 
 
+def _witness_at_root(abcde: list, field: FiniteField, root) -> dict:
+    """The witness at [root:1], a common root of the closure-square conditions."""
+    outcome = _fiber_witness(abcde, field, root, field.one(), f"[{root!r}:1]")
+    if outcome is None:
+        # roots found from the closure-square conditions of their branch are
+        # square fibers by construction, so a missing witness is an internal
+        # contradiction
+        raise VerificationError("no square witness at a root of the closure-square conditions")
+    return outcome
+
+
 def _witness_at_gcd_root(abcde: list, field: FiniteField, w: list, rng) -> dict:
     """The witness at a root of w (raw values), adjoined in an extension when w
     has no linear factor; ``abcde`` holds field elements."""
     h = w if univar.deg(w) == 1 else univar.ff_factor_squarefree(w, field, rng)[0]
     h = [field.wrap(c) for c in h]
     if univar.deg(h) == 1:
-        root = -h[0] / h[1]
-    else:
-        root_field = ExtensionField(field, h, name=f"w{absolute_degree(field)}", check=False)
-        abcde = [[root_field.from_base(c) for c in cs] for cs in abcde]
-        field, root = root_field, root_field.generator()
-    outcome = _fiber_witness(abcde, field, root, field.one(), f"[{root!r}:1]")
-    if outcome is None:
-        # roots of the validated gcd satisfy the closure-square conditions
-        # by construction, so a missing witness is an internal contradiction
-        raise VerificationError("no square witness at a root of the validated gcd")
-    return outcome
+        return _witness_at_root(abcde, field, -h[0] / h[1])
+    root_field = ExtensionField(field, h, name=f"w{absolute_degree(field)}", check=False)
+    abcde = [[root_field.from_base(c) for c in cs] for cs in abcde]
+    return _witness_at_root(abcde, root_field, root_field.generator())
+
+
+def _subresultant_root(s1: tuple, a: list, c1: list, c2: list, field: FiniteField):
+    """x0 = -s10/s11 from the raw values (s10, s11) of the first subresultant
+    of (c1, c2) on a member, if s11 != 0, a leading coefficient of c1 or c2
+    is nonzero, x0 != 0, A(x0) != 0 and c1(x0) = c2(x0) = 0; else None.  A,
+    c1 and c2 are coefficient lists of field elements.
+
+    Then gcd(c1, c2) has degree exactly 1: a nonzero minor s11 makes some
+    combination of multiples of c1 and c2 equal x + c, so the gcd has degree
+    at most 1, and x0 is a common root.  So x0 is the one root x0 != 0 off A
+    that the gcd search of :func:`validate_member` finds.
+    """
+    s10, s11 = (field.wrap(c) for c in s1)
+    if not s11 or not (c1[-1] or c2[-1]):
+        return None
+    x0 = -s10 / s11
+    if not x0 or not zpoly.int_eval(a, x0):
+        return None
+    if zpoly.int_eval(c1, x0) or zpoly.int_eval(c2, x0):
+        return None
+    return x0
 
 
 @dataclass(frozen=True)
@@ -288,6 +336,9 @@ class PencilCountReport:
     extraneous_count: int
     factors: tuple[FactorReport, ...]
     infinity_validated: bool
+    # factors coprime to Rc reported extraneous without validation; not part
+    # of the summary
+    settled_count: int
 
     def __post_init__(self) -> None:
         if self.validated_count > self.squarefree_degree:
@@ -318,8 +369,16 @@ def _common_roots(forms: list, field: FiniteField) -> list:
     return univar.squarefree_part(g, field)
 
 
+NO_SQUARE_FIBER = "conditions share roots but no fiber is a perfect square"
+
+
 def validate_member(
-    abcde: list, conditions: list, degenerate: bool, field: FiniteField, rng: random.Random
+    abcde: list,
+    conditions: Iterable[list],
+    degenerate: bool,
+    field: FiniteField,
+    rng: random.Random,
+    s1: Optional[tuple] = None,
 ) -> tuple[bool, dict]:
     """Does a single (3,4)-curve, given by its fiber cubics A..E and closure-square
     conditions over GF(p) or GF(p)[t]/(m), carry an honest vertical bitangent?
@@ -328,13 +387,19 @@ def validate_member(
     degree first and padded to its degree: A..E (4 entries each), boxed as
     field elements once for the witness, and the four conditions (10, 13, 4
     and 7) of :func:`quartic.closure_conditions_a_nonzero`, then of
-    :func:`quartic.closure_conditions_a_zero`.  A square fiber has
-    Delta = d = 0, so Delta and d are not read: the ends [1:0] and [0:1] are
-    always probed, and [1:1] too on a ``degenerate`` member (Delta and d
-    vanish identically); the roots x0 != 0 are searched root-free, by gcds of
-    the conditions of the branch (A != 0, else A = 0).  Only a validated
-    member has an explicit root and witness constructed, in a tower
-    extension when the root or the square root lives outside the field.
+    :func:`quartic.closure_conditions_a_zero`.  ``conditions`` is read in
+    that order, and the A = 0 pair only when the A != 0 pair leaves no root,
+    so an iterator of them is reduced no further than needed.  A square
+    fiber has Delta = d = 0, so Delta and d are not read: the ends [1:0] and
+    [0:1] are always probed, and [1:1] too on a ``degenerate`` member (Delta
+    and d vanish identically).  A root x0 != 0 is then read off ``s1``, the
+    raw values (s10, s11) of the first subresultant of the A != 0 pair c1
+    and c2 when the pencil has one (:func:`_subresultant_root`); where that
+    gives none, the roots are searched root-free, by gcds of the conditions
+    of the branch (A != 0, else A = 0).  Both searches give the same root
+    where the first succeeds.  Only a validated member has an explicit root
+    and witness constructed, in a tower extension when the root or the
+    square root lives outside the field.
 
     The failure detail holds for a root of R(t), where Delta and d share a
     projective root; at t = infinity only the verdict is read.
@@ -351,14 +416,21 @@ def validate_member(
     if degenerate:
         return False, {"detail": "both condition forms vanish identically"}
 
+    conditions = iter(conditions)
+    a_nonzero = [next(conditions), next(conditions)]
+    if s1 is not None:
+        c1, c2 = ([field.wrap(c) for c in cs] for cs in a_nonzero)
+        x0 = _subresultant_root(s1, boxed[0], c1, c2, field)
+        if x0 is not None:
+            return True, _witness_at_root(boxed, field, x0)
     a_core = dehomogenize(abcde[0][::-1], field)[2]
-    w = _common_roots(conditions[:2], field)
+    w = _common_roots(a_nonzero, field)
     w = univar.divmod_(w, univar.gcd(a_core, w, field), field)[0]
     if univar.deg(w) < 1:
-        w = _common_roots(conditions[2:] + abcde[:1], field)
+        w = _common_roots([*conditions, abcde[0]], field)
     if univar.deg(w) >= 1:
         return True, _witness_at_gcd_root(boxed, field, w, rng)
-    return False, {"detail": "conditions share roots but no fiber is a perfect square"}
+    return False, {"detail": NO_SQUARE_FIBER}
 
 
 def pencil_intersection_count(
@@ -382,23 +454,49 @@ def pencil_intersection_count(
         raise ValueError("degenerate pencil: the eliminant vanishes identically")
     rng = random.Random(f"validate:{p}:{seed}")
     squarefree = zpoly.zp_squarefree_part(r, p)
-    irreducibles = zpoly.zp_factor_squarefree(squarefree, p, rng)
+    # every factor with a square fiber divides Rc: factor the part shared with
+    # Rc apart from the cofactor (gcd(f, 0) = f, so Rc = 0 shares everything);
+    # the factors are unique and sorted, so the merged list is that of the
+    # squarefree part
+    rc, subresultant = condition_resultant(f0, f1)
+    shared = univar.gcd(squarefree, list(rc), fieldp)
+    cofactor = univar.divmod_(squarefree, shared, fieldp)[0]
+    irreducibles = sorted(
+        [(m, True) for m in zpoly.zp_factor_squarefree(shared, p, rng)]
+        + [(m, False) for m in zpoly.zp_factor_squarefree(cofactor, p, rng)],
+        key=lambda item: (zpoly.zp_deg(item[0]), item[0]),
+    )
 
     forms = _forms_in_t(f0, f1)
 
-    def validate(value, field: FiniteField) -> tuple[bool, dict]:
+    def is_degenerate(value, field: FiniteField) -> bool:
         # the member reads each c of t-degree <= n as value(c, n); Delta and d
         # only flag a degenerate member, read up to a first nonzero coefficient
-        conditions_abcde = [[value(c, n) for c in cs] for cs, n in forms[2:]]
-        degenerate = all(field._ris_zero(value(c, n)) for cs, n in forms[:2] for c in cs)
-        return validate_member(conditions_abcde[4:], conditions_abcde[:4], degenerate, field, rng)
+        return all(field._ris_zero(value(c, n)) for cs, n in forms[:2] for c in cs)
+
+    def validate(value, field: FiniteField, degenerate: bool, s1=None) -> tuple[bool, dict]:
+        # the conditions are reduced as validate_member reads them
+        abcde = [[value(c, n) for c in cs] for cs, n in forms[6:]]
+        conditions = ([value(c, n) for c in cs] for cs, n in forms[2:6])
+        return validate_member(abcde, conditions, degenerate, field, rng, s1)
 
     reports = []
-    validated_total = 0
-    for m in irreducibles:
+    validated_total = settled = 0
+    for m, divides_rc in irreducibles:
         deg_m = zpoly.zp_deg(m)
         target = fieldp if deg_m == 1 else ExtensionField(fieldp, m, name="t", check=False)
-        ok, info = validate(lambda c, _: _at_root(c, m, target), target)
+
+        def at_root(c, _):
+            return _at_root(c, m, target)
+
+        degenerate = is_degenerate(at_root, target)
+        if divides_rc or degenerate:
+            s1 = None if subresultant is None else tuple(at_root(c, 0) for c in subresultant)
+            ok, info = validate(at_root, target, degenerate, s1)
+        else:
+            # a member off Rc has no square fiber (module docstring)
+            ok, info = False, {"detail": NO_SQUARE_FIBER}
+            settled += 1
         reports.append(FactorReport(tuple(m), deg_m, ok, **info))
         if ok:
             validated_total += deg_m
@@ -406,7 +504,10 @@ def pencil_intersection_count(
     # the t = infinity member is F1 itself, reported separately and never
     # counted: every form is homogeneous in (F0, F1) of its t-degree, so the
     # forms of F1 are the top t-coefficients
-    inf_ok, _ = validate(lambda c, n: _padded(c, n)[n], fieldp)
+    def at_infinity(c, n):
+        return _padded(c, n)[n]
+
+    inf_ok, _ = validate(at_infinity, fieldp, is_degenerate(at_infinity, fieldp))
 
     return PencilCountReport(
         prime=p,
@@ -418,6 +519,7 @@ def pencil_intersection_count(
         extraneous_count=sum(1 for rep in reports if not rep.validated),
         factors=tuple(reports),
         infinity_validated=inf_ok,
+        settled_count=settled,
     )
 
 

@@ -17,13 +17,15 @@ matrix, packed one int per row by :func:`zp_pack_rows`: n small-int times
 big-int multiply-adds and one unpack per step, in place of a modular power.
 :func:`int_resultant` is the package's only resultant kernel: it takes the
 Sylvester determinant at the formal degrees by the subresultant remainder
-sequence over ZZ.  The Newton interpolator is the package's only one:
+sequence over ZZ, whose one loop also yields the first subresultant S1 when
+the sequence is normal.  The Newton interpolator is the package's only one:
 :func:`int_interpolate` takes forward differences on ints at the points
 0..N-1, and :func:`zp_interpolate` reduces it mod p.  :func:`int_eval`
 (Horner's rule) is the package's only evaluator of a polynomial at a point.
 :func:`sampled_resultant` is the package's only resultant in a parameter,
-from these three: the resultants of :mod:`exactgeom.binform` over QQ and
-the pencil eliminant over GF(p) are each one call to it.
+from these three: the resultants of :mod:`exactgeom.binform` over QQ, the
+pencil eliminant over GF(p), and the pencil's condition resultant Rc with
+its S1 in t are each one call to it.
 """
 
 from __future__ import annotations
@@ -185,7 +187,7 @@ def _expand_first_column(f: list, g: list) -> tuple[int, list, list]:
     return scale, f, g
 
 
-def int_resultant(f: list[int], g: list[int]) -> int:
+def int_resultant(f: list[int], g: list[int], first_subresultant: bool = False):
     """The determinant of the Sylvester matrix of f and g over ZZ: ints low
     degree first, at the formal degrees M = len(f) - 1 and N = len(g) - 1
     with f's rows first (coefficients highest degree first), for M, N >= 0.
@@ -202,31 +204,54 @@ def int_resultant(f: list[int], g: list[int]) -> int:
     ints: each pseudo-remainder is divided exactly by the previous leading
     coefficient times h^delta, which keeps the coefficients the size of the
     subresultants.
+
+    With ``first_subresultant`` the result is a pair (resultant, s1).  s1 is
+    [s10, s11], the coefficients of the first subresultant S1 = s11 x + s10
+    of f and g, for M, N >= 2: the minors of the M + N - 2 rows x^k f
+    (k < N - 1), then x^k g (k < M - 1), on the columns of x^(M+N-2) .. x^2
+    and one of x^1 and x^0.  The same remainder sequence yields it, as the
+    remainder over the divisor of degree 2, but only when the sequence is
+    normal: both formal leading coefficients are nonzero and every
+    remainder lies one degree below its divisor, down to a nonzero
+    constant.  Otherwise s1 is None.  In a normal sequence that remainder is
+    S1 with g's rows first when M >= N, and with f's rows first when M < N;
+    the two orders differ by the sign (-1)^((M-1)(N-1)), which s1 undoes.
     """
+    normal = bool(f[-1] and g[-1])
     scale, f, g = _expand_first_column(f, g)
     if len(f) == 1 or len(g) == 1 or not scale:
-        return scale * f[0] ** (len(g) - 1) * g[0] ** (len(f) - 1)
+        resultant = scale * f[0] ** (len(g) - 1) * g[0] ** (len(f) - 1)
+        return (resultant, None) if first_subresultant else resultant
+    s1_sign = -1 if len(f) >= len(g) and len(f) % 2 and len(g) % 2 else 1
     if len(f) < len(g):
         f, g = g, f
         if len(f) % 2 == 0 and len(g) % 2 == 0:
             scale = -scale
+    # every step lowers the degree, so the sequence ends with a constant g
+    # within n0 steps, and takes all n0 when it is normal
+    n0 = len(g) - 1
     lead = h = 1
-    while True:
+    for step in range(1, n0 + 1):
         m, n = len(f) - 1, len(g) - 1
         delta = m - n
         if m % 2 and n % 2:
             scale = -scale
         r = _int_pseudo_remainder(f, g)
         if not r:
-            return 0
+            return (0, None) if first_subresultant else 0
         divisor = lead * h**delta
         f, g = g, [c // divisor for c in r]
         lead = f[-1]
         if delta:
             h = lead**delta // h ** (delta - 1)
         if len(g) == 1:
-            m = len(f) - 1
-            return scale * (g[0] ** m // h ** (m - 1))
+            break
+    m = len(f) - 1
+    resultant = scale * (g[0] ** m // h ** (m - 1))
+    if not first_subresultant:
+        return resultant
+    # a normal sequence ends with f, the remainder over the divisor of degree 2
+    return resultant, [s1_sign * c for c in f] if normal and step == n0 >= 2 else None
 
 
 def _int_pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
@@ -289,7 +314,9 @@ def zp_interpolate(values: list[int], p: int) -> list[int]:
     return zp_trim([c * scale % p for c in int_interpolate([v % p for v in values])])
 
 
-def sampled_resultant(fs: list[list[int]], gs: list[list[int]], p: int | None = None) -> list[int]:
+def sampled_resultant(
+    fs: list[list[int]], gs: list[list[int]], p: int | None = None, first_subresultant: bool = False
+):
     """The resultant in x of f = sum fs[i] x^i and g = sum gs[i] x^i, whose
     coefficients are int polynomials in t, at the formal degrees
     M = len(fs) - 1 and N = len(gs) - 1: an int polynomial in t, trimmed,
@@ -302,19 +329,37 @@ def sampled_resultant(fs: list[list[int]], gs: list[list[int]], p: int | None = 
     are interpolated by :func:`zp_interpolate` mod p, or else by
     :func:`int_interpolate`, whose factor bound! divides the integer
     resultant exactly.
+
+    With ``first_subresultant`` the result is a pair (resultant, s1): s1 is
+    [s10, s11], the coefficients in t of the first subresultant of f and g,
+    interpolated from the same points (their t-degrees are at most the
+    bound), or None unless :func:`int_resultant` reads S1 at every point.
+    Mod p that is the sequence of the residues over ZZ; S1, a minor, reduces
+    mod p whatever the degrees of the sequence mod p.
     """
     deg_f, deg_g = (max(1, *map(len, cs)) - 1 for cs in (fs, gs))
     bound = (len(gs) - 1) * deg_f + (len(fs) - 1) * deg_g
-    values = []
+
+    def interpolate(values: list[int]) -> list[int]:
+        if p is not None:
+            return zp_interpolate(values, p)
+        scale = math.factorial(bound)
+        return zp_trim([c // scale for c in int_interpolate(values)])
+
+    points = []
     for t in range(bound + 1):
         f, g = ([int_eval(c, t) for c in cs] for cs in (fs, gs))
         if p is not None:
             f, g = [c % p for c in f], [c % p for c in g]
-        values.append(int_resultant(f, g))
-    if p is not None:
-        return zp_interpolate(values, p)
-    scale = math.factorial(bound)
-    return zp_trim([c // scale for c in int_interpolate(values)])
+        if first_subresultant:
+            points.append(int_resultant(f, g, True))
+        else:
+            points.append((int_resultant(f, g), None))
+    values, s1s = zip(*points)
+    resultant = interpolate(list(values))
+    if not first_subresultant:
+        return resultant
+    return resultant, None if None in s1s else [interpolate(list(cs)) for cs in zip(*s1s)]
 
 
 def zp_squarefree_part(cs: list[int], p: int) -> list[int]:

@@ -200,34 +200,210 @@ def test_validation_takes_no_gcd_of_delta_and_d(monkeypatch):
 def test_validation_reads_delta_and_d_only_to_flag_a_degenerate_member(
     monkeypatch, pencil, degenerate_at_infinity
 ):
-    # a factor of R costs one reduction of each of the 54 coefficients of A..E
-    # and the closure-square conditions, and Delta and d are read only up to
-    # a first nonzero coefficient: one more reduction on a member that is not
-    # degenerate, not all 32 coefficients of Delta and d
+    # a factor of Rc costs at most one reduction of each of the 54
+    # coefficients of A..E and the closure-square conditions and of the two
+    # of S1, and Delta and d are read only up to a first nonzero coefficient:
+    # one more reduction on a member that is not degenerate, not all 32
+    # coefficients of Delta and d.  A validated member stops at 54 + 1, as
+    # without S1.  A factor settled off Rc reads Delta and d only, up to
+    # their first coefficient that is nonzero mod m
     f0, f1 = pencil()
-    coefficients = sum(len(cs) for cs, _ in pc._forms_in_t(f0, f1)[2:])
-    calls, members = 0, []
+    forms = pc._forms_in_t(f0, f1)
+    coefficients = sum(len(cs) for cs, _ in forms[2:])
+    reductions, members = {}, []
     at_root, validate = pc._at_root, pc.validate_member
 
-    def counting_at_root(*args):
-        nonlocal calls
-        calls += 1
-        return at_root(*args)
+    def counting_at_root(c, m, field):
+        reductions[tuple(m)] = reductions.get(tuple(m), 0) + 1
+        return at_root(c, m, field)
 
-    def recording_validate(abcde, conditions, degenerate, field, rng):
-        nonlocal calls
-        members.append((calls, degenerate))
-        calls = 0
-        return validate(abcde, conditions, degenerate, field, rng)
+    def recording_validate(abcde, conditions, degenerate, field, rng, s1=None):
+        before = sum(reductions.values())
+        outcome = validate(abcde, conditions, degenerate, field, rng, s1)
+        members.append((degenerate, sum(reductions.values()) - before))
+        return outcome
 
     monkeypatch.setattr(pc, "_at_root", counting_at_root)
     monkeypatch.setattr(pc, "validate_member", recording_validate)
     report = pc.pencil_intersection_count(f0, f1, seed=1)
     monkeypatch.undo()
-    assert coefficients == 54 and len(members) == report.factor_count + 1
-    assert all(n <= coefficients + 1 and not degenerate for n, degenerate in members[:-1])
-    # t = infinity reads the top t-coefficients, with no reduction
-    assert members[-1] == (0, degenerate_at_infinity)
+    assert coefficients == 54 and report.settled_count > 0
+    assert set(reductions) == {rep.modulus for rep in report.factors}
+    delta_and_d = [c for cs, _ in forms[:2] for c in cs]
+    rc, s1 = pc.condition_resultant(f0, f1)
+    for rep in report.factors:
+        m = list(rep.modulus)
+        if zpoly.zp_rem(list(rc), m, P):
+            first = next(i for i, c in enumerate(delta_and_d) if zpoly.zp_rem(c, m, P))
+            assert reductions[rep.modulus] == first + 1
+        else:
+            assert reductions[rep.modulus] <= coefficients + len(s1 or ()) + 1
+            if rep.validated:
+                assert reductions[rep.modulus] <= coefficients + 1
+    # every member but the last is not degenerate; t = infinity reads the top
+    # t-coefficients, with no reduction
+    assert members[-1] == (degenerate_at_infinity, 0)
+    assert not any(degenerate for degenerate, _ in members[:-1])
+
+
+# --- factors settled by Rc, and roots read off S1 -------------------------------
+
+# the eight pencils of the stripped reports and the family at three primes
+ORACLE_PENCILS = [
+    pytest.param(lambda p=p, s=s: pc.random_pencil(p, s), id=f"random-{p}-{s}")
+    for p, s in [(p, s) for p in (10007, 31991) for s in (1, 2, 3)] + [(65537, 1), (2**31 - 1, 1)]
+] + [pytest.param(lambda p=p: pc.family_pencil(p), id=f"family-{p}") for p in (10007, 31991, 1009)]
+
+
+def _member_at(f0, f1, m):
+    """The member at a root of the factor m of R: the arguments A..E, the
+    four closure-square conditions, the degenerate flag and the field of
+    validate_member, read from the forms in t, and the raw values of S1 there
+    (None when the pencil has no S1)."""
+    p = f0.p
+    field = PrimeField(p) if len(m) == 2 else ExtensionField(PrimeField(p), m, check=False)
+    values = [[pc._at_root(c, m, field) for c in cs] for cs, _ in pc._forms_in_t(f0, f1)]
+    degenerate = all(field._ris_zero(v) for vs in values[:2] for v in vs)
+    _, s1 = pc.condition_resultant(f0, f1)
+    s1_values = None if s1 is None else tuple(pc._at_root(c, m, field) for c in s1)
+    return (values[6:], values[2:6], degenerate, field), s1_values
+
+
+def _outcome(rep):
+    """The (ok, info) pair of validate_member that a factor report holds."""
+    info = {k: v for k, v in rep.summary().items() if k not in ("factor", "degree", "validated")}
+    return rep.validated, info
+
+
+@pytest.mark.parametrize("pencil", ORACLE_PENCILS)
+def test_settled_and_subresultant_factors_match_the_full_validation(pencil):
+    # a factor off Rc is settled without validation, and a factor of Rc whose
+    # root comes from S1 skips the gcds: validate_member on the first, and
+    # its gcd path (no S1) on the second, give the reported outcome
+    f0, f1 = pencil()
+    report = pc.pencil_intersection_count(f0, f1, seed=1)
+    rc, s1 = pc.condition_resultant(f0, f1)
+    ends = {f"perfect-square fiber at {label}" for label in ("[1:0]", "[0:1]")}
+    settled = rooted = 0
+    for rep in report.factors:
+        m = list(rep.modulus)
+        args, s1_values = _member_at(f0, f1, m)
+        if zpoly.zp_rem(list(rc), m, f0.p):
+            settled += 1
+            assert rep.detail == pc.NO_SQUARE_FIBER
+            assert pc.validate_member(*args, random.Random(0)) == _outcome(rep)
+        elif s1_values is not None and rep.detail not in ends:
+            abcde, conditions, _, field = args
+            a, c1, c2 = ([field.wrap(c) for c in cs] for cs in (abcde[0], *conditions[:2]))
+            x0 = pc._subresultant_root(s1_values, a, c1, c2, field)
+            if x0 is not None:
+                rooted += 1
+                assert rep.detail == f"perfect-square fiber at [{x0!r}:1]"
+                assert pc.validate_member(*args, random.Random(0)) == _outcome(rep)
+    assert report.settled_count == settled > 0
+    # the validated factors of a random pencil away from the ends read their
+    # root off S1; the family pencil has no S1
+    assert (rooted > 0) == (s1 is not None)
+
+
+@pytest.mark.parametrize(
+    "pencil", [lambda: pc.random_pencil(P, 1), lambda: pc.family_pencil(P)], ids=["random", "family"]
+)
+def test_validation_runs_only_on_the_factors_of_rc_and_at_infinity(monkeypatch, pencil):
+    f0, f1 = pencil()
+    calls, gcd_roots = [], []
+    validate, witness_at_gcd_root = pc.validate_member, pc._witness_at_gcd_root
+
+    def recording_validate(abcde, conditions, degenerate, field, rng, s1=None):
+        calls.append(abcde)
+        return validate(abcde, conditions, degenerate, field, rng, s1)
+
+    def recording_witness(*args):
+        gcd_roots.append(args)
+        return witness_at_gcd_root(*args)
+
+    monkeypatch.setattr(pc, "validate_member", recording_validate)
+    monkeypatch.setattr(pc, "_witness_at_gcd_root", recording_witness)
+    report = pc.pencil_intersection_count(f0, f1, seed=1)
+    monkeypatch.undo()
+    rc, s1 = pc.condition_resultant(f0, f1)
+    of_rc = [rep for rep in report.factors if not zpoly.zp_rem(list(rc), list(rep.modulus), P)]
+    assert report.settled_count == report.factor_count - len(of_rc) > 0
+    # A..E of each factor of Rc in turn, then of F1 = the member at infinity
+    assert calls[:-1] == [_member_at(f0, f1, list(rep.modulus))[0][0] for rep in of_rc]
+    assert calls[-1] == [[cs[1] for cs in cubic] for cubic, _ in pc._forms_in_t(f0, f1)[6:]]
+    # the random pencil validates every finite root from S1, with no gcd
+    # root; the family pencil has no S1 and finds them by gcds
+    assert (len(gcd_roots) == 0) == (s1 is not None)
+
+
+def test_a_degenerate_member_is_validated_even_off_rc(monkeypatch):
+    # every fiber of the family's F1 is a square, so with the spanning members
+    # swapped the member t = 0 is degenerate.  With Rc doctored to a nonzero
+    # constant every factor lies off Rc, and only that member is validated
+    f1, f0 = pc.family_pencil(P)
+    monkeypatch.setattr(pc, "condition_resultant", lambda f0, f1: ((1,), None))
+    report = pc.pencil_intersection_count(f0, f1)
+    monkeypatch.undo()
+    assert [rep.modulus for rep in report.factors if rep.validated] == [(0, 1)]
+    assert report.settled_count == report.factor_count - 1
+
+
+def test_condition_resultant_takes_one_integer_resultant_per_point(monkeypatch):
+    # Rc = Res_x(c1, c2) at the formal degrees 9 and 12 of t-degrees 3 and 4:
+    # 12 * 3 + 9 * 4 + 1 = 73 points, each giving Rc and S1 at once
+    f0, f1 = pc.random_pencil(P, 1)
+    calls = []
+    original = zpoly.int_resultant
+
+    def counting_resultant(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(zpoly, "int_resultant", counting_resultant)
+    rc, s1 = pc.condition_resultant(f0, f1)
+    monkeypatch.undo()
+    assert len(calls) == 73
+    assert all(len(f) == 10 and len(g) == 13 and rest == [True] for f, g, *rest in calls)
+    assert len(rc) == 73 and [len(c) for c in s1] == [66, 66]
+
+
+@pytest.mark.parametrize("t", [0, 1, 40, 72, 73, 500])
+def test_pencil_first_subresultant_is_that_of_each_member(t):
+    # s10 and s11 of t-degree 65, read from the 73 points, at sample points and
+    # past them, against S1 of the member's c1 and c2 mod p, which
+    # int_resultant reads and test_univar checks against the Sylvester minors
+    f0, f1 = pc.random_pencil(P, 1)
+    (c1, _), (c2, _) = pc._forms_in_t(f0, f1)[2:4]
+    _, s1 = pc.condition_resultant(f0, f1)
+    member = [[zpoly.int_eval(c, t) % P for c in cs] for cs in (c1, c2)]
+    _, expected = zpoly.int_resultant(*member, True)
+    assert [zpoly.int_eval(c, t) % P for c in s1] == [c % P for c in expected]
+
+
+def _with_a_square_end_at_0(f0, f1):
+    """The pencil with row 0 of F0 = (1, -2, 1, 0, 0): the [1:0] fiber of the
+    member t = 0 is u^2 (u - v)^2, where c1 and c2 vanish, leading
+    coefficients included."""
+    return pc.Curve34(P, ((1, P - 2, 1, 0, 0),) + f0.coeffs[1:]), f1
+
+
+@pytest.mark.parametrize(
+    "pencil",
+    [lambda: pc.family_pencil(P), lambda: _with_a_square_end_at_0(*pc.random_pencil(P, 1))],
+    ids=["family", "square_end_at_0"],
+)
+def test_a_pencil_with_an_abnormal_sample_point_gets_no_s1(pencil):
+    # the member t = 0 of both pencils has a square fiber at [1:0], where c1
+    # and c2 vanish, leading coefficients included; the count still
+    # validates each factor of Rc, by gcds
+    f0, f1 = pencil()
+    rc, s1 = pc.condition_resultant(f0, f1)
+    assert s1 is None and rc
+    (c1, _), (c2, _) = pc._forms_in_t(f0, f1)[2:4]
+    at_0 = [[c[0] if c else 0 for c in cs] for cs in (c1, c2)]
+    assert zpoly.int_resultant(*at_0, True)[1] is None
+    assert pc.pencil_intersection_count(f0, f1).validated_count >= 9
 
 
 def test_a_pencil_is_sampled_once(monkeypatch):

@@ -93,6 +93,21 @@ def test_only_zpoly_samples_resultants():
     assert not named, named
 
 
+def test_one_remainder_sequence_in_zpoly():
+    # the resultant and the first subresultant come from one subresultant
+    # remainder sequence: a second function that takes pseudo-remainders is
+    # a copied loop
+    tree = ast.parse((SRC / "zpoly.py").read_text(encoding="utf-8"))
+    callers = [
+        function.name
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_int_pseudo_remainder"
+    ]
+    assert len(callers) == 1, callers
+
+
 def test_only_univar_reduces_by_a_fixed_modulus():
     # univar.reducer is the one reduction by a fixed modulus, and univar.pow_mod
     # and univar.frobenius_rows its only loops: a module that names the GF(p)

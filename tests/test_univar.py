@@ -263,6 +263,33 @@ def test_factorization_at_a_31_bit_prime():
     assert sorted(factors) == sorted(parts)
 
 
+def test_zp_factorization_does_not_depend_on_the_rng():
+    # the factors are unique and sorted, so the equal-degree draws do not
+    # show in the output: the pencil count may factor in pieces
+    p = 10007
+    r = list(pencil24.raw_resultant(*pencil24.random_pencil(p, 1)))
+    squarefree = zpoly.zp_squarefree_part(r, p)
+    assert zpoly.zp_deg(squarefree) == 90
+    lists = [zpoly.zp_factor_squarefree(squarefree, p, random.Random(seed)) for seed in (1, 2, 3)]
+    assert lists[0] == lists[1] == lists[2]
+    assert any(zpoly.zp_deg(a) == zpoly.zp_deg(b) for a, b in zip(lists[0], lists[0][1:]))
+
+
+def test_extension_factorization_does_not_depend_on_the_rng():
+    # four linear and two quadratic factors over GF(p^2): the equal-degree
+    # step splits products of several factors, drawing from the rng
+    F = PrimeField(10007)
+    K = ExtensionField(F, [1, 0, 1], name="i")
+    rng = random.Random(9)
+    f = [K._rfrom_int(1)]
+    for degree in (1,) * 4 + (2,) * 2:
+        f = univar.mul(f, [K._rrand(rng) for _ in range(degree)] + [K._rfrom_int(1)], K)
+    assert univar.squarefree_part(f, K) == f
+    lists = [univar.ff_factor_squarefree(f, K, random.Random(seed)) for seed in (1, 2, 3)]
+    assert lists[0] == lists[1] == lists[2]
+    assert [univar.deg(h) for h in lists[0]].count(1) >= 4
+
+
 def _random_squarefree(F, degree, rng):
     while True:
         f = [rng.randrange(F.p) for _ in range(degree)] + [rng.randrange(1, F.p)]
@@ -497,6 +524,73 @@ def test_int_resultant_matches_the_sylvester_determinant():
         assert zpoly.int_resultant(f, g) == _sylvester_det(f, g), (f, g)
 
 
+def first_subresultant_minors(f, g):
+    """[s10, s11] of the first subresultant of f and g (ints, low degree
+    first) at the formal degrees M, N >= 2, f's rows first, by Bareiss over
+    QQ: the M + N - 2 rows x^k f (k < N - 1), then x^k g (k < M - 1), on the
+    columns of x^(M+N-2) .. x^2 and one of x^0, x^1."""
+    m, n = len(f) - 1, len(g) - 1
+    width = m + n - 1
+    fv, gv = [Fraction(c) for c in reversed(f)], [Fraction(c) for c in reversed(g)]
+    zero = Fraction(0)
+    rows = [[zero] * i + fv + [zero] * (n - 2 - i) for i in range(n - 1)]
+    rows += [[zero] * i + gv + [zero] * (m - 2 - i) for i in range(m - 1)]
+    minors = []
+    for column in (width - 1, width - 2):
+        det = binform.det_constant([row[: width - 2] + [row[column]] for row in rows])
+        assert det.denominator == 1
+        minors.append(det.numerator)
+    return minors
+
+
+def test_first_subresultant_matches_the_sylvester_minors():
+    rng = random.Random(17)
+
+    def rand(degree, low=-30, high=31):
+        return [rng.randrange(low, high) for _ in range(degree)] + [rng.randrange(1, high)]
+
+    read = 0
+    for _ in range(150):
+        f, g = rand(rng.randrange(2, 13)), rand(rng.randrange(2, 13))
+        resultant, s1 = zpoly.int_resultant(f, g, True)
+        assert resultant == zpoly.int_resultant(f, g)
+        if s1 is not None:
+            read += 1
+            assert s1 == first_subresultant_minors(f, g), (f, g)
+    # dense random sequences are normal: S1 is read, in both orders of the
+    # degrees and at equal degrees, where the sign (-1)^((M-1)(N-1)) counts
+    assert read >= 140
+    for m, n in [(9, 12), (12, 9), (4, 4), (5, 5), (2, 2), (2, 3)]:
+        f, g = rand(m), rand(n)
+        assert zpoly.int_resultant(f, g, True)[1] == first_subresultant_minors(f, g)
+    # mod p: S1 of the residues in [0, p) reduces to S1 of f and g mod p
+    p = 10007
+    for _ in range(10):
+        f, g = rand(9, -(10**6), 10**6), rand(12, -(10**6), 10**6)
+        _, s1 = zpoly.int_resultant([c % p for c in f], [c % p for c in g], True)
+        assert [c % p for c in s1] == [c % p for c in first_subresultant_minors(f, g)]
+
+
+def test_first_subresultant_only_from_a_normal_sequence():
+    f, g = [3, -1, 4, 1, 5], [2, 7, 1, 8]
+    assert zpoly.int_resultant(f, g, True)[1] == first_subresultant_minors(f, g)
+    cases = [
+        # a vanishing formal leading coefficient, on either side
+        (f + [0], g),
+        (f, g + [0]),
+        # the remainder of x^8 + 1 by x^5 + 3 is -3x^3 + 1: degree 4 is skipped
+        ([1, 0, 0, 0, 0, 0, 0, 0, 1], [3, 0, 0, 0, 0, 1]),
+        # x^3 + 1 and x^2 - 1 share x + 1: the sequence ends in 0
+        ([1, 0, 0, 1], [-1, 0, 1]),
+        # a constant or linear side: no divisor of degree 2
+        (f, [5, 1]),
+        ([5], g),
+    ]
+    for a, b in cases:
+        resultant, s1 = zpoly.int_resultant(a, b, True)
+        assert s1 is None and resultant == zpoly.int_resultant(a, b) == _sylvester_det(a, b)
+
+
 @pytest.mark.parametrize("p", [1009, 10007, 2**31 - 1])
 def test_pow_mod_over_gf_p_matches_square_and_multiply_with_zp_rem(p):
     rng = random.Random(p)
@@ -601,6 +695,58 @@ def test_sampled_resultant_matches_the_per_point_reference(monkeypatch):
             assert len(calls) == bound + 1
             # three more points than the bound: a bound too small would show
             assert result == _per_point_resultant(fs, gs, bound + 4, modulus), (fs, gs)
+
+
+def test_sampled_first_subresultant_matches_the_sylvester_minors(monkeypatch):
+    p = 10007
+    rng = random.Random(43)
+    read = 0
+    for _ in range(20):
+        m, n = rng.randrange(2, 6), rng.randrange(2, 6)
+        dt_f, dt_g = rng.randrange(1, 4), rng.randrange(1, 4)
+        for modulus, low, high in ((p, 0, p), (None, -9, 10)):
+            fs = [[rng.randrange(low, high) for _ in range(dt_f + 1)] for _ in range(m + 1)]
+            gs = [[rng.randrange(low, high) for _ in range(dt_g + 1)] for _ in range(n + 1)]
+            bound = n * dt_f + m * dt_g
+            calls = []
+            original = zpoly.int_resultant
+
+            def counting(*args):
+                calls.append(args)
+                return original(*args)
+
+            monkeypatch.setattr(zpoly, "int_resultant", counting)
+            resultant, s1 = zpoly.sampled_resultant(fs, gs, modulus, first_subresultant=True)
+            monkeypatch.undo()
+            assert len(calls) == bound + 1
+            assert resultant == zpoly.sampled_resultant(fs, gs, modulus)
+            if s1 is None:
+                # some sample point has no S1
+                assert None in [original(*args)[1] for args in calls]
+                continue
+            read += 1
+            # three points past the samples: a bound too small would show
+            for t in range(bound + 4):
+                f, g = ([zpoly.int_eval(c, t) for c in cs] for cs in (fs, gs))
+                expected = first_subresultant_minors(f, g)
+                value = [zpoly.int_eval(c, t) for c in s1]
+                if modulus is None:
+                    assert value == expected
+                else:
+                    assert [v % p for v in value] == [e % p for e in expected]
+    assert read >= 30
+    # one abnormal sample point takes S1 away: the x^2 coefficient t (t - 1)
+    # of f vanishes at t = 0 and 1; x^3 + t x + 1 and x^2 - 1 share the root
+    # -1 at t = 0; at t = 0 the remainder of x^8 + t x^7 + 1 by x^5 + 3 skips
+    # degree 4, with both leading coefficients nonzero
+    cases = [
+        ([[3, 1], [2, 0, 5], [0, -1, 1]], [[1, 4], [0, 1], [2, 1]]),
+        ([[1], [0, 1], [0], [1]], [[-1], [0], [1]]),
+        ([[1]] + [[0]] * 6 + [[0, 1], [1]], [[3], [0], [0], [0], [0], [1]]),
+    ]
+    for fs, gs in cases:
+        resultant, s1 = zpoly.sampled_resultant(fs, gs, first_subresultant=True)
+        assert s1 is None and resultant == zpoly.sampled_resultant(fs, gs)
 
 
 def test_sampled_resultant_edge_cases(monkeypatch):
