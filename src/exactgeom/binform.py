@@ -6,8 +6,11 @@ parameters, of which at most one may occur.  Resultants eliminate the
 designated pair: the coefficients of the two forms are read once into int
 lists in the parameter (each form scaled by the lcm of its denominators)
 for :func:`exactgeom.zpoly.sampled_resultant`; no Sylvester matrix is
-built.  Bareiss elimination on ints, the package's only determinant
-routine, remains behind :func:`det_constant` for matrices of rationals.
+built.  They serve the smoothness certificate; the family's eliminant
+R(alpha) is the pencil eliminant of :mod:`exactgeom.pencil24` over ZZ and
+does not pass through here.  Bareiss elimination on ints, the package's
+only determinant routine, remains behind :func:`det_constant` for matrices
+of rationals.
 The point at infinity is handled explicitly throughout: the gcd strips and
 restores pure powers of either pair variable, so a common root at [1:0] or
 [0:1] is never lost.

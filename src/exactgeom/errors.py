@@ -10,9 +10,9 @@ class DomainMismatchError(TypeError):
 class InterpolationError(RuntimeError):
     """Raised when an interpolation over GF(p) needs more points than the field has.
 
-    Only ``zpoly.zp_interpolate`` raises it, when it is given more than p
-    values: their sample points would not be distinct mod p.  It is raised
-    instead of returning a silently wrong polynomial.
+    Only ``zpoly.interpolate`` raises it, when it is given a prime p and
+    more than p values: their sample points would not be distinct mod p.
+    It is raised instead of returning a silently wrong polynomial.
     """
 
 

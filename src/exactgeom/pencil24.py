@@ -1,19 +1,20 @@
 """Counting members of a (3,4)-curve pencil with a vertical bitangent.
 
 A curve of bidegree (3,4) on P^1 x P^1 over GF(p) is stored through its 20
-coefficients c[i][j] of x^(3-i) y^i u^(4-j) v^j, as ints in [0, p).  For the
-pencil F0 + t F1 the fiber-quartic coefficients A..E become polynomials in
-(x, y, t); the discriminant and seminvariant conditions give forms Delta
-(degree 18) and d (degree 12) in (x, y), and eliminating (x, y) yields R(t),
-whose roots are the pencil members for which the two conditions share a
-fiber.
+coefficients c[i][j] of x^(3-i) y^i u^(4-j) v^j, as ints in [0, p); a curve
+over ZZ (p = None) holds any ints.  For the pencil F0 + t F1 the
+fiber-quartic coefficients A..E become polynomials in (x, y, t); the
+discriminant and seminvariant conditions give forms Delta (degree 18) and d
+(degree 12) in (x, y), and eliminating (x, y) yields R(t), whose roots are
+the pencil members for which the two conditions share a fiber.
 
 The pencil is sampled once, into a cached table: at the members t = 0..6,
 A..E are read at y = 1 as ints, Delta(x, 1), d(x, 1) and the closure-square
 conditions of the fiber quartic are interpolated from their values at
 x = 0..18, and every x^i coefficient of these six forms is interpolated in t.
 R(t) is :func:`exactgeom.zpoly.sampled_resultant` of Delta(x, 1) and d(x, 1)
-mod p, and Rc(t) with S1 (below) is one more call to it.  Validation reads
+mod p, and Rc(t) with S1 (below) is one more call to it.  A pencil over ZZ
+gets the same table, interpolated exactly, and R(t) over ZZ.  Validation reads
 A..E and the conditions modulo each factor of R that divides Rc and at
 t = infinity, as coefficient lists in x at y = 1, and Delta and d only to
 flag a degenerate member.
@@ -61,8 +62,6 @@ from .quartic import (
     disc_delta,
     sem_d,
 )
-from .transversality import FAMILY_P0, FAMILY_Q
-
 MIN_PRIME = 1000
 # degrees k in A..E of the forms of _member_forms (Delta, d and the
 # closure-square conditions for A != 0 and A = 0): A..E are linear in t and
@@ -72,19 +71,26 @@ FORM_T_DEGREES = (6, 4, 3, 4, 1, 2)
 # of t-degree 6 or 4; a generic pencil samples it at this many points
 ELIMINANT_POINTS = 2 * 3 * FORM_T_DEGREES[0] * FORM_T_DEGREES[1] + 1
 
+# The transversality family P_0 + alpha Q, Q = -x^3 v^2 (u - v)^2, in the
+# layout of Curve34; every other form of the family is derived from these two.
+FAMILY_P0 = {(0, 0): 1, (3, 0): 1, (0, 1): -2, (0, 2): 1, (1, 4): 1, (3, 4): 1}
+FAMILY_Q = {(0, 2): -1, (0, 3): 2, (0, 4): -1}
+
 
 @dataclass(frozen=True)
 class Curve34:
-    """A (3,4)-curve over GF(p): coefficient c[i][j], an int in [0, p),
-    multiplies x^(3-i) y^i u^(4-j) v^j."""
+    """A (3,4)-curve over GF(p), or over ZZ when p is None: coefficient
+    c[i][j] multiplies x^(3-i) y^i u^(4-j) v^j, an int in [0, p) over GF(p)."""
 
-    p: int
+    p: Optional[int]
     coeffs: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        PrimeField(self.p)  # raises ValueError for a p that GF(p) rejects
         if len(self.coeffs) != 4 or any(len(row) != 5 for row in self.coeffs):
             raise ValueError("a (3,4)-curve needs a 4 x 5 coefficient array")
+        if self.p is None:
+            return
+        PrimeField(self.p)  # raises ValueError for a p that GF(p) rejects
         if any(not 0 <= c < self.p for row in self.coeffs for c in row):
             raise ValueError(f"curve coefficients must be ints in [0, {self.p})")
 
@@ -105,10 +111,10 @@ class Curve34:
         return True
 
 
-def curve_from_ints(p: int, entries: dict[tuple[int, int], int]) -> Curve34:
+def curve_from_ints(p: Optional[int], entries: dict[tuple[int, int], int]) -> Curve34:
     rows = [[0] * 5 for _ in range(4)]
     for (i, j), value in entries.items():
-        rows[i][j] = value % p
+        rows[i][j] = value if p is None else value % p
     return Curve34(p, tuple(tuple(row) for row in rows))
 
 
@@ -147,15 +153,15 @@ def _member_forms(f0: Curve34, f1: Curve34, t: int) -> Iterator[tuple[int, ...]]
     Delta(x, 1), d(x, 1) and the two pairs of closure-square conditions, each
     branch read at every x whatever the value of A there.  A form of degree k
     in A..E (:data:`FORM_T_DEGREES`) is interpolated from x = 0..3k: ints mod
-    p, low degree first, padded to degree 3k (the leading one may be 0)."""
-    p = f0.p
-    cubics = [[(a + t * b) % p for a, b in cs] for cs in _cubics_in_t(f0, f1)]
+    p, or over ZZ for a pencil over ZZ, low degree first, padded to degree 3k
+    (the leading one may be 0)."""
+    cubics = [[a + t * b for a, b in cs] for cs in _cubics_in_t(f0, f1)]
     delta_k, d_k, *ks = FORM_T_DEGREES
     xs = range(3 * delta_k + 1)
     fibers = [QuarticCoeffs(*(zpoly.int_eval(cs, x) for cs in cubics)) for x in xs]
 
     def interpolated(values, k: int) -> tuple[int, ...]:
-        return _padded(zpoly.zp_interpolate(values, p), 3 * k)
+        return _padded(zpoly.interpolate(values, f0.p), 3 * k)
 
     yield interpolated([disc_delta(q) for q in fibers], delta_k)
     yield interpolated([sem_d(q) for q in fibers[: 3 * d_k + 1]], d_k)
@@ -176,17 +182,17 @@ def _padded(cs: list[int], degree: int) -> tuple[int, ...]:
 
 @functools.lru_cache(maxsize=64)
 def _forms_in_t(f0: Curve34, f1: Curve34) -> tuple[tuple[tuple, int], ...]:
-    """The forms of F0 + t F1 as x^i coefficients in GF(p)[t], with their
-    t-degrees: the six of :func:`_member_forms` interpolated from t = 0..6,
-    then the cubics A..E of :func:`_cubics_in_t`.  Every member, t = infinity
-    included, is read from these polynomials; the table is cached, so a pencil
-    is sampled once."""
+    """The forms of F0 + t F1 as x^i coefficients in GF(p)[t], or in ZZ[t]
+    for a pencil over ZZ, with their t-degrees: the six of
+    :func:`_member_forms` interpolated from t = 0..6, then the cubics A..E of
+    :func:`_cubics_in_t`.  Every member, t = infinity included, is read from
+    these polynomials; the table is cached, so a pencil is sampled once."""
     if f0.p != f1.p:
         raise ValueError("pencil members live over different fields")
     p = f0.p
     rows = [tuple(_member_forms(f0, f1, t)) for t in range(max(FORM_T_DEGREES) + 1)]
     forms = [
-        ([zpoly.zp_interpolate(col, p) for col in zip(*(row[k] for row in rows[: n + 1]))], n)
+        ([zpoly.interpolate(col, p) for col in zip(*(row[k] for row in rows[: n + 1]))], n)
         for k, n in enumerate(FORM_T_DEGREES)
     ] + [(cs, 1) for cs in _cubics_in_t(f0, f1)]
     return tuple((tuple(map(tuple, cs)), n) for cs, n in forms)
@@ -194,8 +200,9 @@ def _forms_in_t(f0: Curve34, f1: Curve34) -> tuple[tuple[tuple, int], ...]:
 
 @functools.lru_cache(maxsize=64)
 def raw_resultant(f0: Curve34, f1: Curve34) -> tuple[int, ...]:
-    """R(t) = Res_(x,y)(Delta, d) as a coefficient tuple over GF(p): the
-    resultant of Delta(x, 1) and d(x, 1) at the formal degrees 18 and 12."""
+    """R(t) = Res_(x,y)(Delta, d) as a coefficient tuple over GF(p), or over
+    ZZ for a pencil over ZZ: the resultant of Delta(x, 1) and d(x, 1) at the
+    formal degrees 18 and 12."""
     (delta, _), (d, _) = _forms_in_t(f0, f1)[:2]
     return tuple(zpoly.sampled_resultant(delta, d, f0.p))
 
@@ -523,7 +530,8 @@ def pencil_intersection_count(
     )
 
 
-def family_pencil(p: int) -> tuple[Curve34, Curve34]:
-    """The transversality family as a pencil mod p: P_alpha = P_0 + alpha * Q
-    with Q = -x^3 v^2 (u - v)^2.  The t = 0 member has its bitangent at [1:0]."""
+def family_pencil(p: Optional[int]) -> tuple[Curve34, Curve34]:
+    """The transversality family as a pencil mod p, or over ZZ for p = None:
+    P_alpha = P_0 + alpha * Q with Q = -x^3 v^2 (u - v)^2.  The t = 0 member
+    has its bitangent at [1:0]."""
     return curve_from_ints(p, FAMILY_P0), curve_from_ints(p, FAMILY_Q)

@@ -12,7 +12,9 @@ computations are carried out:
 
 * the eliminant R(alpha) of the discriminant and seminvariant conditions:
   R is not identically zero and vanishes at alpha = 0 to finite order, so no
-  member with alpha outside a finite set has a vertical bitangent;
+  member with alpha outside a finite set has a vertical bitangent.  The
+  family is the pencil P_0 + alpha Q over ZZ, so R is the pencil eliminant
+  of :mod:`exactgeom.pencil24`, sampled without a modulus;
 * the seminvariant along the marked section, which equals
   -16 alpha^2 - 32 alpha with nonzero linear term (reducedness);
 * a resultant-based certificate that the alpha = 0 member is a smooth
@@ -22,24 +24,20 @@ computations are carried out:
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .binform import BinaryForm, sylvester_resultant
-from . import binform
+from . import binform, zpoly
 from .errors import VerificationError
 from .multipoly import MultiPoly
-from .quartic import QuarticCoeffs, disc_delta, sem_d
+from .pencil24 import FAMILY_P0, FAMILY_Q, _member_forms, family_pencil, raw_resultant
+from .quartic import QuarticCoeffs, sem_d
 
 FAMILY_VARS = ("x", "y", "alpha")
 SURFACE_VARS = ("x", "y", "u", "v")
-
-# The family is P_0 + alpha Q, with Q = -x^3 v^2 (u - v)^2.  Each table maps
-# (i, j) to the coefficient of x^(3-i) y^i u^(4-j) v^j (the layout of
-# pencil24.Curve34); every other form of the family is derived from these two.
-FAMILY_P0 = {(0, 0): 1, (3, 0): 1, (0, 1): -2, (0, 2): 1, (1, 4): 1, (3, 4): 1}
-FAMILY_Q = {(0, 2): -1, (0, 3): 2, (0, 4): -1}
 
 
 @functools.cache
@@ -60,18 +58,6 @@ def p0_polynomial() -> MultiPoly:
     return MultiPoly(SURFACE_VARS, terms)
 
 
-@functools.cache
-def delta_alpha() -> BinaryForm:
-    """Discriminant condition of the family: degree 18 in (x, y), parameter alpha."""
-    return BinaryForm(disc_delta(family_coeffs()), ("x", "y"))
-
-
-@functools.cache
-def d_alpha() -> BinaryForm:
-    """Seminvariant condition of the family: degree 12 in (x, y), parameter alpha."""
-    return BinaryForm(sem_d(family_coeffs()), ("x", "y"))
-
-
 @dataclass(frozen=True)
 class ResultantDiagnostics:
     """The eliminant R(alpha) of the two bitangent conditions, with findings.
@@ -80,10 +66,10 @@ class ResultantDiagnostics:
     computed values, not asserted against externally chosen numbers.
     """
 
-    polynomial: MultiPoly
+    polynomial: tuple[int, ...]
     degree: int
     order_at_zero: int
-    value_at_zero: Fraction
+    value_at_zero: int
     identically_zero: bool
 
     def summary(self) -> dict:
@@ -97,43 +83,33 @@ class ResultantDiagnostics:
 
 @functools.cache
 def resultant_R() -> ResultantDiagnostics:
-    """R(alpha) = Res_(x,y)(Delta_alpha, d_alpha) by exact interpolation."""
-    r = sylvester_resultant(delta_alpha(), d_alpha())
-    coeffs = {ex[0]: c for ex, c in r.terms.items()}
+    """R(alpha) = Res_(x,y)(Delta_alpha, d_alpha) over ZZ: the eliminant of
+    the family pencil (:func:`exactgeom.pencil24.raw_resultant`), by exact
+    interpolation."""
+    r = raw_resultant(*family_pencil(None))
     return ResultantDiagnostics(
         polynomial=r,
-        degree=max(coeffs, default=-1),
-        order_at_zero=min(coeffs, default=-1),
-        value_at_zero=coeffs.get(0, Fraction(0)),
-        identically_zero=not coeffs,
+        degree=len(r) - 1,
+        order_at_zero=next((e for e, c in enumerate(r) if c), -1),
+        value_at_zero=r[0] if r else 0,
+        identically_zero=not r,
     )
 
 
-def specialized_pair(alpha0) -> tuple[BinaryForm, BinaryForm]:
-    """(Delta, d) at a specific parameter value, as forms in (x, y) over QQ."""
-    a = Fraction(alpha0)
-    delta = delta_alpha().poly.specialize({"alpha": a})
-    dd = d_alpha().poly.specialize({"alpha": a})
-    return BinaryForm(delta, ("x", "y")), BinaryForm(dd, ("x", "y"))
+def resultant_spot_check(alpha0: int) -> bool:
+    """R(alpha0) equals the resultant of Delta and d of the member alpha0.
 
-
-def resultant_spot_check(alpha0) -> bool:
-    """R(alpha0) equals the resultant of the specialized forms.
-
-    Both sides are Sylvester determinants at the formal degrees (18, 12):
-    R(alpha) by construction, and the specialized pair because
-    ``BinaryForm.degree`` is the homogeneous degree, which stays 18 and 12
-    when leading coefficients vanish (at alpha = -2 both do).  So
-    specialize-then-eliminate equals eliminate-then-specialize at every
-    alpha0.  The guard refuses only a form that vanishes identically, which
-    would lose its formal degree.
+    The member's Delta(x, 1) and d(x, 1) are interpolated in x from its own
+    fiber quartics (:func:`exactgeom.pencil24._member_forms`) and eliminated
+    at that one point, so specialize-then-eliminate is a path apart from the
+    interpolation in alpha that gives R.  Both sides are Sylvester
+    determinants at the formal degrees (18, 12): the member's lists are
+    padded to them, also where leading coefficients vanish (at alpha = -2
+    both do), so the two agree at every alpha0.
     """
-    delta, dd = specialized_pair(alpha0)
-    if delta.degree != delta_alpha().degree or dd.degree != d_alpha().degree:
-        raise ValueError(f"a condition vanishes identically at alpha = {alpha0}")
-    direct = sylvester_resultant(delta, dd).constant_value()
-    via_r = resultant_R().polynomial.evaluate({"alpha": Fraction(alpha0)})
-    return direct == via_r
+    delta, d = itertools.islice(_member_forms(*family_pencil(None), alpha0), 2)
+    (direct,) = zpoly.sampled_resultant([[c] for c in delta], [[c] for c in d]) or [0]
+    return direct == zpoly.int_eval(resultant_R().polynomial, alpha0)
 
 
 @dataclass(frozen=True)

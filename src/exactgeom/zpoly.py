@@ -20,12 +20,14 @@ Sylvester determinant at the formal degrees by the subresultant remainder
 sequence over ZZ, whose one loop also yields the first subresultant S1 when
 the sequence is normal.  The Newton interpolator is the package's only one:
 :func:`int_interpolate` takes forward differences on ints at the points
-0..N-1, and :func:`zp_interpolate` reduces it mod p.  :func:`int_eval`
-(Horner's rule) is the package's only evaluator of a polynomial at a point.
+0..N-1, and :func:`interpolate` divides out its factorial scale, mod p or
+exactly over ZZ.  :func:`int_eval` (Horner's rule) is the package's only
+evaluator of a polynomial at a point.
 :func:`sampled_resultant` is the package's only resultant in a parameter,
 from these three: the resultants of :mod:`exactgeom.binform` over QQ, the
-pencil eliminant over GF(p), and the pencil's condition resultant Rc with
-its S1 in t are each one call to it.
+pencil eliminant over GF(p) or ZZ (the family's R(alpha)), R(alpha) at one
+member for its spot check, and the pencil's condition resultant Rc with its
+S1 in t are each one call to it.
 """
 
 from __future__ import annotations
@@ -303,11 +305,15 @@ def int_interpolate(ys: list[int]) -> list[int]:
     return result
 
 
-def zp_interpolate(values: list[int], p: int) -> list[int]:
-    """The polynomial of degree < N through (i, values[i]) over GF(p), for N
-    values at the points 0..N-1: :func:`int_interpolate` times
-    ((N-1)!)^(-1) mod p, which needs N <= p."""
+def interpolate(values: list[int], p: int | None = None) -> list[int]:
+    """The polynomial of degree < N through (i, values[i]) at the points
+    0..N-1, trimmed: :func:`int_interpolate` divided by (N-1)!, over GF(p)
+    by one inverse mod p when p is given, which needs N <= p, else exactly
+    over ZZ, for the values of a polynomial with integer coefficients."""
     n = len(values)
+    if p is None:
+        scale = math.factorial(n - 1)
+        return zp_trim([c // scale for c in int_interpolate(values)])
     if n > p:
         raise InterpolationError(f"need {n} sample points but the field has only {p} elements")
     scale = pow(math.factorial(n - 1), -1, p)
@@ -326,9 +332,8 @@ def sampled_resultant(
     from integer evaluations (Collins 1971): at each point t = 0..bound the
     coefficients are evaluated by :func:`int_eval` (and reduced mod p), the
     Sylvester determinant is taken by :func:`int_resultant`, and the values
-    are interpolated by :func:`zp_interpolate` mod p, or else by
-    :func:`int_interpolate`, whose factor bound! divides the integer
-    resultant exactly.
+    are interpolated by :func:`interpolate`, mod p or over ZZ, where the
+    factor bound! divides the integer resultant exactly.
 
     With ``first_subresultant`` the result is a pair (resultant, s1): s1 is
     [s10, s11], the coefficients in t of the first subresultant of f and g,
@@ -339,13 +344,6 @@ def sampled_resultant(
     """
     deg_f, deg_g = (max(1, *map(len, cs)) - 1 for cs in (fs, gs))
     bound = (len(gs) - 1) * deg_f + (len(fs) - 1) * deg_g
-
-    def interpolate(values: list[int]) -> list[int]:
-        if p is not None:
-            return zp_interpolate(values, p)
-        scale = math.factorial(bound)
-        return zp_trim([c // scale for c in int_interpolate(values)])
-
     points = []
     for t in range(bound + 1):
         f, g = ([int_eval(c, t) for c in cs] for cs in (fs, gs))
@@ -356,10 +354,10 @@ def sampled_resultant(
         else:
             points.append((int_resultant(f, g), None))
     values, s1s = zip(*points)
-    resultant = interpolate(list(values))
+    resultant = interpolate(list(values), p)
     if not first_subresultant:
         return resultant
-    return resultant, None if None in s1s else [interpolate(list(cs)) for cs in zip(*s1s)]
+    return resultant, None if None in s1s else [interpolate(list(cs), p) for cs in zip(*s1s)]
 
 
 def zp_squarefree_part(cs: list[int], p: int) -> list[int]:

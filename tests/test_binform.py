@@ -230,9 +230,11 @@ def test_resultant_when_a_sequence_vanishes_at_a_sample_point():
 
 
 def test_resultant_substitutes_each_coefficient_once_per_point(monkeypatch):
-    from exactgeom.transversality import d_alpha, delta_alpha
+    from exactgeom.quartic import disc_delta, sem_d
+    from exactgeom.transversality import family_coeffs
 
-    f, g = delta_alpha(), d_alpha()
+    # the transversality family's conditions, expanded as MultiPolys in (x, y, alpha)
+    f, g = (BinaryForm(form(family_coeffs()), ("x", "y")) for form in (disc_delta, sem_d))
     substitutions = resultants = determinants = 0
     original_substitute = MultiPoly.substitute
     original_resultant = zpoly.int_resultant

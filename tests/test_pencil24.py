@@ -488,15 +488,36 @@ def test_eliminant_is_reduction_of_the_rational_one():
     # coefficientwise reduction of the exact rational eliminant
     from exactgeom import transversality as tv
 
-    f0, f1 = pc.family_pencil(P)
-    r = list(pc.raw_resultant(f0, f1))
     rational = tv.resultant_R().polynomial
-    expected = [0] * (_degree_in(rational, "alpha") + 1)
-    for ex, c in rational.terms.items():
-        assert c.denominator == 1
-        expected[ex[0]] = c.numerator % P
-    assert r == zpoly.zp_trim(expected)
-    assert zpoly.zp_deg(r) == 45
+    assert all(isinstance(c, int) for c in rational)
+    for p in (10007, 31991, 1009):
+        r = list(pc.raw_resultant(*pc.family_pencil(p)))
+        assert r == zpoly.zp_trim([c % p for c in rational])
+        assert zpoly.zp_deg(r) == 45
+
+
+def _small_int_pencil(seed):
+    """A pencil over ZZ with coefficients in [-9, 9]."""
+    rng = random.Random(f"integer-pencil:{seed}")
+    return tuple(
+        pc.Curve34(None, tuple(tuple(rng.randint(-9, 9) for _ in range(5)) for _ in range(4)))
+        for _ in range(2)
+    )
+
+
+@pytest.mark.parametrize("p, seed", [(10007, 1), (31991, 2), (1009, 3)])
+def test_integer_table_reduces_to_the_table_of_the_reduced_pencil(p, seed):
+    # every entry of the table over ZZ is an integer polynomial in t, and the
+    # table mod p samples the same forms, so it is the reduction of the former
+    pencil = _small_int_pencil(seed)
+    reduced = [pc.Curve34(p, tuple(tuple(c % p for c in row) for row in f.coeffs)) for f in pencil]
+
+    def trimmed(table):
+        return [([zpoly.zp_trim([c % p for c in cs]) for cs in form], n) for form, n in table]
+
+    assert trimmed(pc._forms_in_t(*pencil)) == trimmed(pc._forms_in_t(*reduced))
+    r = pc.raw_resultant(*pencil)
+    assert r and zpoly.zp_trim([c % p for c in r]) == list(pc.raw_resultant(*reduced))
 
 
 def test_factor_report_summary_shape():
@@ -734,7 +755,7 @@ def _table_conditions(f0, f1):
     interpolated through the 145 members of :func:`_eliminant_members`."""
     table = _eliminant_members(f0, f1)
     return tuple(
-        [zpoly.zp_interpolate(column, f0.p) for column in zip(*(row[k] for row in table))]
+        [zpoly.interpolate(column, f0.p) for column in zip(*(row[k] for row in table))]
         for k in range(2)
     )
 
@@ -830,10 +851,7 @@ def test_symbolic_family_resultant_is_reduction_of_the_rational_one():
     from exactgeom import transversality as tv
 
     delta, d = _symbolic_conditions(*pc.family_pencil(P))[:2]
-    rational = tv.resultant_R().polynomial
-    expected = [0] * (_degree_in(rational, "alpha") + 1)
-    for ex, c in rational.terms.items():
-        expected[ex[0]] = c.numerator * pow(c.denominator, -1, P) % P
+    expected = [c % P for c in tv.resultant_R().polynomial]
     assert _values_at_sample_points(expected, P) == _specialized_resultants(delta, d, P)
 
 
@@ -894,7 +912,7 @@ def test_family_eliminant_takes_the_points_its_t_degrees_need(monkeypatch):
         zpoly.int_resultant(*([zpoly.int_eval(c, t) % P for c in cs] for cs in (delta, d)))
         for t in range(pc.ELIMINANT_POINTS)
     ]
-    assert list(r) == zpoly.zp_interpolate(values, P)
+    assert list(r) == zpoly.interpolate(values, P)
     assert len(r) == 46
 
 

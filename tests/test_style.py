@@ -93,6 +93,20 @@ def test_only_zpoly_samples_resultants():
     assert not named, named
 
 
+def test_only_quartic_and_pencil24_name_disc_delta():
+    # the bitangent conditions of a pencil are built by pencil24._member_forms,
+    # over GF(p) or ZZ: another module that names the discriminant builds
+    # them a second time
+    named = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name not in ("quartic.py", "pencil24.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if "disc_delta" in {getattr(node, key, None) for key in ("id", "attr", "name")}
+    ]
+    assert not named, named
+
+
 def test_one_remainder_sequence_in_zpoly():
     # the resultant and the first subresultant come from one subresultant
     # remainder sequence: a second function that takes pseudo-remainders is

@@ -1,16 +1,37 @@
 """The bitangent family: conditions, eliminant, section, smoothness."""
 
+import dataclasses
+import functools
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from exactgeom import binform
+from exactgeom import binform, zpoly
+from exactgeom import pencil24 as pc
 from exactgeom import transversality as tv
 from exactgeom.binform import BinaryForm, binary_gcd
 from exactgeom.domains import QQ
 from exactgeom.multipoly import MultiPoly
-from exactgeom.quartic import QuarticCoeffs, perfect_square_witness
+from exactgeom.quartic import QuarticCoeffs, disc_delta, perfect_square_witness, sem_d
+
+XY = ("x", "y")
+
+
+@functools.cache
+def _family_conditions():
+    """Delta_alpha and d_alpha as MultiPoly forms in (x, y), degrees 18 and
+    12, with the parameter alpha: expanded from :func:`tv.family_coeffs`,
+    apart from the pencil table that gives R(alpha), as its reference."""
+    fam = tv.family_coeffs()
+    return BinaryForm(disc_delta(fam), XY), BinaryForm(sem_d(fam), XY)
+
+
+def _specialized_pair(alpha0):
+    """(Delta, d) of the reference at alpha = alpha0, as forms in (x, y) over QQ."""
+    at = {"alpha": Fraction(alpha0)}
+    return tuple(BinaryForm(form.poly.specialize(at), XY) for form in _family_conditions())
 
 
 def test_family_coefficients():
@@ -55,7 +76,7 @@ def test_fiber_rejects_origin():
 
 
 def test_condition_degrees():
-    delta, d = tv.delta_alpha(), tv.d_alpha()
+    delta, d = _family_conditions()
     assert delta.degree == 18
     assert d.degree == 12
     assert not delta.poly.is_zero() and not d.poly.is_zero()
@@ -68,20 +89,20 @@ def test_condition_degrees():
 
 
 def test_condition_homogeneity_numeric():
-    delta = tv.delta_alpha().poly
+    delta = _family_conditions()[0].poly
     point = {"x": Fraction(3), "y": Fraction(-2), "alpha": Fraction(5, 7)}
     doubled = {"x": Fraction(6), "y": Fraction(-4), "alpha": Fraction(5, 7)}
     assert delta.evaluate(doubled) == 2**18 * delta.evaluate(point)
 
 
 def test_seminvariant_along_section():
-    d = tv.d_alpha().poly.specialize({"x": Fraction(1), "y": Fraction(0)})
+    d = _family_conditions()[1].poly.specialize({"x": Fraction(1), "y": Fraction(0)})
     (alpha,) = MultiPoly.gens(("alpha",))
     assert d == -16 * alpha**2 - 32 * alpha
 
 
 def test_discriminant_vanishes_at_marked_point_for_alpha_zero():
-    delta = tv.delta_alpha().poly
+    delta = _family_conditions()[0].poly
     assert delta.evaluate({"x": 1, "y": 0, "alpha": 0}) == 0
 
 
@@ -105,7 +126,19 @@ def test_eliminant_diagnostics():
     assert diag.order_at_zero == 2
     # both conditions vanish at [1:0] exactly when -16a^2 - 32a = 0, so the
     # eliminant must also vanish at alpha = -2
-    assert diag.polynomial.evaluate({"alpha": Fraction(-2)}) == 0
+    assert zpoly.int_eval(diag.polynomial, -2) == 0
+
+
+def test_eliminant_equals_the_sylvester_resultant_of_the_expanded_conditions():
+    # R from the pencil table over ZZ against binform's resultant of the
+    # MultiPoly expansions of Delta and d in (x, y, alpha): two derivations
+    r = binform.sylvester_resultant(*_family_conditions())
+    assert r.variables == ("alpha",)
+    expected = [0] * 46
+    for (e,), c in r.terms.items():
+        assert c.denominator == 1
+        expected[e] = c.numerator
+    assert list(tv.resultant_R().polynomial) == expected
 
 
 def test_eliminant_matches_the_specialized_resultants_off_its_sample_grid():
@@ -120,14 +153,26 @@ def test_eliminant_spot_check():
     assert tv.resultant_spot_check(-7)
 
 
+def test_spot_check_fails_on_a_perturbed_eliminant(monkeypatch):
+    diag = tv.resultant_R()
+    r = list(diag.polynomial)
+    r[7] += 1
+    perturbed = dataclasses.replace(diag, polynomial=tuple(r))
+    monkeypatch.setattr(tv, "resultant_R", lambda: perturbed)
+    assert not tv.resultant_spot_check(-7)
+
+
 def test_spot_check_holds_where_both_leading_coefficients_vanish():
     # at alpha = -2 the x^18 coefficient of Delta and the x^12 coefficient of
     # d are both 0; both sides stay Sylvester determinants at the formal
     # degrees (18, 12), so they agree, and both are 0
-    delta, dd = tv.specialized_pair(-2)
+    delta, dd = _specialized_pair(-2)
     assert (delta.degree, dd.degree) == (18, 12)
     assert delta.coefficient_polys()[0].is_zero() and dd.coefficient_polys()[0].is_zero()
-    assert tv.resultant_R().polynomial.evaluate({"alpha": Fraction(-2)}) == 0
+    # the member's lists keep the formal degrees, with leading entries 0
+    member = itertools.islice(pc._member_forms(*pc.family_pencil(None), -2), 2)
+    assert [(len(cs), cs[-1]) for cs in member] == [(19, 0), (13, 0)]
+    assert zpoly.int_eval(tv.resultant_R().polynomial, -2) == 0
     assert tv.resultant_spot_check(-2)
 
 
@@ -137,15 +182,15 @@ def test_specialized_conditions_coprime_off_the_eliminant():
     a0 = 0
     while count < 20:
         a0 += 1
-        if diag.polynomial.evaluate({"alpha": Fraction(a0)}) == 0:
+        if zpoly.int_eval(diag.polynomial, a0) == 0:
             continue
-        delta0, d0 = tv.specialized_pair(a0)
+        delta0, d0 = _specialized_pair(a0)
         assert binary_gcd(delta0, d0).degree == 0
         count += 1
 
 
 def test_conditions_share_marked_root_at_alpha_zero():
-    delta0, d0 = tv.specialized_pair(0)
+    delta0, d0 = _specialized_pair(0)
     g = binary_gcd(delta0, d0)
     assert g.degree >= 1
     assert g.poly.evaluate({"x": Fraction(1), "y": Fraction(0)}) == 0  # the shared root is [1:0]

@@ -613,10 +613,12 @@ def test_zp_interpolate_round_trip():
         rng = random.Random(p + n)
         poly = [rng.randrange(p) for _ in range(n - 1)] + [1]
         values = [sum(c * i**k for k, c in enumerate(poly)) for i in range(n)]
-        assert zpoly.zp_interpolate(values, p) == poly
-        assert zpoly.zp_interpolate([v % p for v in values], p) == poly
-        assert zpoly.zp_interpolate([3] * 5, p) == [3]
-        assert zpoly.zp_interpolate([0] * 5, p) == []
+        assert zpoly.interpolate(values, p) == poly
+        assert zpoly.interpolate([v % p for v in values], p) == poly
+        assert zpoly.interpolate([3] * 5, p) == [3]
+        assert zpoly.interpolate([0] * 5, p) == []
+        # exactly over ZZ, from the unreduced values of the integer polynomial
+        assert zpoly.interpolate(values) == poly
 
 
 def test_int_eval_is_horner_in_any_ring():
@@ -646,13 +648,15 @@ def test_int_interpolate_is_scaled_by_the_factorial():
 def test_zp_interpolate_needs_distinct_points():
     # more than p consecutive points repeat mod p
     with pytest.raises(InterpolationError, match="only 101 elements"):
-        zpoly.zp_interpolate([0] * 102, 101)
-    assert zpoly.zp_interpolate(list(range(101)), 101) == [0, 1]
+        zpoly.interpolate([0] * 102, 101)
+    assert zpoly.interpolate(list(range(101)), 101) == [0, 1]
+    # over ZZ the points never repeat
+    assert zpoly.interpolate(list(range(102))) == [0, 1]
 
 
 def _per_point_resultant(fs, gs, points, p=None):
     """The reference for sampled_resultant: int_resultant at t = 0..points-1
-    on coefficients evaluated term by term, then zp_interpolate mod p, or
+    on coefficients evaluated term by term, then interpolate mod p, or
     int_interpolate divided by (points - 1)! over ZZ."""
     values = []
     for t in range(points):
@@ -661,7 +665,7 @@ def _per_point_resultant(fs, gs, points, p=None):
             f, g = [c % p for c in f], [c % p for c in g]
         values.append(zpoly.int_resultant(f, g))
     if p is not None:
-        return zpoly.zp_interpolate(values, p)
+        return zpoly.interpolate(values, p)
     scale = math.factorial(points - 1)
     assert all(c % scale == 0 for c in zpoly.int_interpolate(values))
     return zpoly.zp_trim([c // scale for c in zpoly.int_interpolate(values)])
