@@ -128,11 +128,15 @@ def check_transversality(config: RunConfig) -> list[CheckResult]:
         diag = transversality.resultant_R()
         witness = diag.summary()
         witness["spot_check_alpha_5"] = transversality.resultant_spot_check(5)
+        # alpha = 5 is a sample node of R's grid, so R(5) agrees there even
+        # with too few samples; -7 is a node of no grid
+        witness["spot_check_alpha_minus_7"] = transversality.resultant_spot_check(-7)
         ok = (
             not diag.identically_zero
             and diag.value_at_zero == 0
             and diag.order_at_zero >= 1
             and witness["spot_check_alpha_5"]
+            and witness["spot_check_alpha_minus_7"]
         )
         return witness, ok
 

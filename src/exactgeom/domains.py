@@ -20,6 +20,9 @@ point anywhere.  ``a ** e`` works on raw values through the field's
 ``_rpow`` hook: a prime field calls the built-in three-argument ``pow``, an
 extension calls :func:`exactgeom.univar.pow_mod` on its modulus, and a
 negative exponent inverts first, so ``0 ** -1`` raises ``ZeroDivisionError``.
+An extension passes the Frobenius rows of its modulus, built once per field
+on the first exponent of at least the base order q, so a power takes about
+one product per base-q digit of the exponent.
 Domains and elements are immutable and safe to share.
 """
 
@@ -377,10 +380,12 @@ class ExtensionField(FiniteField):
     Raw values are tuples of ``degree`` base raw values, low degree first.
     ``base`` may itself be an ExtensionField, giving towers; ``order`` and
     ``char`` are computed through the tower.  Products are reduced by the
-    field's :func:`exactgeom.univar.reducer` of the modulus, built once here.
+    field's :func:`exactgeom.univar.reducer` of the modulus, built once here;
+    powers read the :func:`exactgeom.univar.frobenius_rows` of the modulus,
+    built on the first power that needs them.
     """
 
-    __slots__ = ("base", "modulus", "degree", "name", "_order", "_reduce")
+    __slots__ = ("base", "modulus", "degree", "name", "_order", "_reduce", "_frobenius_rows")
 
     def __init__(self, base: FiniteField, modulus, name: str = "t", *, check: bool = True) -> None:
         if any(isinstance(c, FieldElement) and c.field != base for c in modulus):
@@ -398,6 +403,7 @@ class ExtensionField(FiniteField):
         self.name = name
         self._order = base.order**self.degree
         self._reduce = univar.reducer(list(mod), base)
+        self._frobenius_rows = None
         if check and not univar.ff_is_irreducible(list(mod), base):
             raise ValueError("extension modulus is reducible over the base field")
 
@@ -461,7 +467,14 @@ class ExtensionField(FiniteField):
 
     def _rpow(self, a, exponent: int):
         base = self.base
-        power = univar.pow_mod(univar.trim(list(a), base), exponent, list(self.modulus), base)
+        modulus = list(self.modulus)
+        rows = None
+        if exponent >= base.order:
+            # built on the first power that reads them, once per field
+            if self._frobenius_rows is None:
+                self._frobenius_rows = univar.frobenius_rows(modulus, base)
+            rows = self._frobenius_rows
+        power = univar.pow_mod(univar.trim(list(a), base), exponent, modulus, base, rows)
         return self._padded(power)
 
     def _padded(self, poly: list) -> tuple:

@@ -241,7 +241,9 @@ def _verdicts(c: QuarticCoeffs, reduce) -> tuple:
     verdicts over GF(p); ``c.A`` must already be reduced, because it picks
     the branch of ``closure_square_conditions``.
     """
-    both_vanish = not reduce(disc_delta(c)) and not reduce(sem_d(c))
+    # both forms are pure, so the cheaper sem_d goes first: a random quartic
+    # has sem_d != 0 and skips the discriminant
+    both_vanish = not reduce(sem_d(c)) and not reduce(disc_delta(c))
     square = not any(map(reduce, closure_square_conditions(c)))
     return both_vanish, square
 

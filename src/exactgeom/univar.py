@@ -16,7 +16,9 @@ towers of any height run the same code.  Over a prime field the heavy steps
 rows and ``frobenius``) call the int kernels of :mod:`exactgeom.zpoly`,
 which is the selection on the field type that makes the hot GF(p) path fast.
 ``reducer`` is the one reduction by a fixed modulus: ``pow_mod``,
-``frobenius_rows`` and extension products all go through it.
+``frobenius_rows`` and extension products all go through it.  Given the
+Frobenius rows of its modulus, ``pow_mod`` takes an exponent of at least
+the field order through the Frobenius, digit by digit.
 :mod:`exactgeom.domains` multiplies, reduces and inverts extension elements
 through the functions here.
 """
@@ -150,17 +152,40 @@ def reducer(modulus: list, field):
     return lambda a: rem(a, modulus, field)
 
 
-def pow_mod(base: list, exponent: int, modulus: list, field) -> list:
-    """base^exponent mod modulus: the package's one square-and-multiply."""
+def pow_mod(base: list, exponent: int, modulus: list, field, frobenius_rows=None) -> list:
+    """base^exponent mod modulus: the package's one square-and-multiply.
+
+    With the :func:`frobenius_rows` of the modulus over a finite field, an
+    exponent of at least q = field.order is read in base q (von zur
+    Gathen-Shoup 1992): b^(d_0 + d_1 q + ...) is taken by Horner's rule,
+    one :func:`frobenius` product and one multiplication per digit, from
+    the powers b^d of the distinct digits d, which share one chain of
+    squarings.  A q-power exponent such as (q^k - 1)/2 has few distinct
+    digits, so the power takes about k products instead of k log2(q).
+    """
     reduce = reducer(modulus, field)
-    result = [field._rfrom_int(1)]
+    digits = [exponent]
+    if frobenius_rows is not None and exponent >= field.order:
+        digits = []
+        while exponent:
+            exponent, digit = divmod(exponent, field.order)
+            digits.append(digit)
+    powers = dict.fromkeys(digits, [field._rfrom_int(1)])
     acc = rem(base, modulus, field)
+    exponent, bit = max(digits), 1
     while exponent:
-        if exponent & 1:
-            result = reduce(mul(result, acc, field))
+        for digit in powers:
+            if digit & bit:
+                powers[digit] = reduce(mul(powers[digit], acc, field))
         exponent >>= 1
+        bit <<= 1
         if exponent:
             acc = reduce(mul(acc, acc, field))
+    result = powers[digits[-1]]
+    for digit in reversed(digits[:-1]):
+        result = frobenius(result, frobenius_rows, field)
+        if digit:
+            result = reduce(mul(result, powers[digit], field))
     return result
 
 

@@ -8,17 +8,21 @@ splitting, the Rabin test) lives in ``univar``, and
 :func:`zp_squarefree_part` and :func:`zp_factor_squarefree` are its GF(p)
 entry points.  Multiplication is Kronecker substitution at every size: the
 coefficients are packed into one big integer so CPython's integer multiply
-performs the convolution.  :func:`zp_reducer`, the GF(p) reduction by a fixed
-modulus that :func:`exactgeom.univar.reducer` selects, multiplies by a
-precomputed series inverse of the reversed modulus (von zur Gathen-Gerhard,
-Modern Computer Algebra, 9.1).  Distinct-degree factorization applies the
-Frobenius map h -> h^p mod f with the rows x^(i p) mod f of Berlekamp's
-matrix, packed one int per row by :func:`zp_pack_rows`: n small-int times
-big-int multiply-adds and one unpack per step, in place of a modular power.
+performs the convolution.  A packed slot is one or two 64-bit words, so
+packing and unpacking are one ``int.from_bytes`` or ``int.to_bytes`` on an
+``array`` of words; division keeps its remainder packed.
+:func:`zp_reducer`, the GF(p) reduction by a fixed modulus that
+:func:`exactgeom.univar.reducer` selects, multiplies by a precomputed series
+inverse of the reversed modulus (von zur Gathen-Gerhard, Modern Computer
+Algebra, 9.1).  Distinct-degree factorization applies the Frobenius map
+h -> h^p mod f with the rows x^(i p) mod f of Berlekamp's matrix, packed
+one int per row by :func:`zp_pack_rows`: n small-int times big-int
+multiply-adds and one unpack per step, in place of a modular power.
 :func:`int_resultant` is the package's only resultant kernel: it takes the
 Sylvester determinant at the formal degrees by the subresultant remainder
-sequence over ZZ, whose one loop also yields the first subresultant S1 when
-the sequence is normal.  The Newton interpolator is the package's only one:
+sequence over ZZ, or over GF(p) when given p, whose one loop also yields
+the first subresultant S1 when the sequence is normal.  The Newton
+interpolator is the package's only one:
 :func:`int_interpolate` takes forward differences on ints at the points
 0..N-1, and :func:`interpolate` divides out its factorial scale, mod p or
 exactly over ZZ.  :func:`int_eval` (Horner's rule) is the package's only
@@ -33,6 +37,7 @@ S1 in t are each one call to it.
 from __future__ import annotations
 
 import math
+from array import array
 
 from . import domains, univar
 from .errors import InterpolationError
@@ -65,45 +70,72 @@ def zp_mul(a: list[int], b: list[int], p: int) -> list[int]:
     """
     if not a or not b:
         return []
-    bits = _slot_bits(min(len(a), len(b)), p)
-    return _unpack(_pack(a, bits) * _pack(b, bits), len(a) + len(b) - 1, bits, p)
+    words = _slot_words(min(len(a), len(b)), p)
+    return _unpack(_pack(a, words) * _pack(b, words), len(a) + len(b) - 1, words, p)
 
 
-def _slot_bits(n: int, p: int) -> int:
-    # a slot sums at most n products of two residues, each below p^2
-    return (n * p * p).bit_length() + 1
+def _slot_words(n: int, p: int) -> int:
+    """The 64-bit words of a slot that sums at most n products of two
+    residues, each below p^2: one, or two since n p^2 < 2^128."""
+    return 1 if n * p * p < 1 << 64 else 2
 
 
-def _pack(cs: list[int], bits: int) -> int:
-    """The coefficients as one int, with cs[i] shifted left by i * bits."""
-    return sum(c << (bits * i) for i, c in enumerate(cs))
+# a packed int is read from and written to its 64-bit words in little-endian
+# order, so the native words are swapped on a big-endian machine
+_BIG_ENDIAN = array("Q", [1]).tobytes()[0] == 0
 
 
-def _unpack(packed: int, count: int, bits: int, p: int) -> list[int]:
-    """The first ``count`` slots of a packed int, each reduced mod p, trimmed."""
-    mask = (1 << bits) - 1
-    out = []
-    for _ in range(count):
-        out.append((packed & mask) % p)
-        packed >>= bits
-    return zp_trim(out)
+def _pack(cs: list[int], words: int) -> int:
+    """The residues as one int, cs[i] in slot i of ``words`` 64-bit words."""
+    if words == 1:
+        slots = array("Q", cs)
+    else:
+        slots = array("Q", bytes(16 * len(cs)))
+        slots[::2] = array("Q", cs)
+    if _BIG_ENDIAN:
+        slots.byteswap()
+    return int.from_bytes(slots, "little")
+
+
+def _unpack(packed: int, count: int, words: int, p: int) -> list[int]:
+    """The first ``count`` slots of a packed int, each reduced mod p, trimmed;
+    ``packed`` must fit in them."""
+    slots = array("Q", packed.to_bytes(8 * words * count, "little"))
+    if _BIG_ENDIAN:
+        slots.byteswap()
+    if words == 2:
+        return zp_trim([(high << 64 | low) % p for low, high in zip(slots[::2], slots[1::2])])
+    return zp_trim([c % p for c in slots])
 
 
 def zp_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder over GF(p), for residues a and b, b nonzero.
+
+    The remainder stays packed (:func:`_pack`): a step reads its top slot
+    and adds (p - factor) times the packed b, shifted, which cancels that
+    slot mod p, so no slot goes negative; the low deg b slots are unpacked
+    once at the end.
+    """
     if not b or not b[-1]:
         raise ZeroDivisionError("polynomial division by zero or by an untrimmed divisor")
-    r = zp_trim(list(a))
+    a = zp_trim(list(a))
     db = zp_deg(b)
+    steps = len(a) - db
+    if steps <= 0:
+        return [], a
+    # a slot holds a residue of a plus at most ``steps`` products below p^2
+    words = _slot_words(steps + 1, p)
+    bits = 64 * words
+    mask = (1 << bits) - 1
+    r, divisor = _pack(a, words), _pack(b, words)
     inv_lead = pow(b[-1], -1, p)
-    q = [0] * max(0, len(r) - db)
-    while zp_deg(r) >= db and r:
-        factor = r[-1] * inv_lead % p
-        shift = zp_deg(r) - db
-        q[shift] = factor
-        for j in range(db + 1):
-            r[shift + j] = (r[shift + j] - factor * b[j]) % p
-        zp_trim(r)
-    return zp_trim(q), r
+    q = [0] * steps
+    for shift in range(steps - 1, -1, -1):
+        factor = ((r >> (bits * (shift + db))) & mask) * inv_lead % p
+        if factor:
+            q[shift] = factor
+            r += ((p - factor) * divisor) << (bits * shift)
+    return zp_trim(q), _unpack(r & ((1 << (bits * db)) - 1), db, words, p)
 
 
 def zp_rem(a: list[int], b: list[int], p: int) -> list[int]:
@@ -146,8 +178,8 @@ def zp_reducer(modulus: list[int], p: int):
 
 def zp_pack_rows(rows: list[list[int]], p: int) -> list[int]:
     """Frobenius rows packed one int each, in the slots of :func:`zp_frobenius`."""
-    bits = _slot_bits(len(rows), p)
-    return [_pack(row, bits) for row in rows]
+    words = _slot_words(len(rows), p)
+    return [_pack(row, words) for row in rows]
 
 
 def zp_frobenius(h: list[int], rows: list[int], p: int) -> list[int]:
@@ -160,7 +192,7 @@ def zp_frobenius(h: list[int], rows: list[int], p: int) -> list[int]:
     for c, row in zip(h, rows):
         if c:
             packed += c * row
-    return _unpack(packed, n, _slot_bits(n, p), p)
+    return _unpack(packed, n, _slot_words(n, p), p)
 
 
 def _expand_first_column(f: list, g: list) -> tuple[int, list, list]:
@@ -189,23 +221,28 @@ def _expand_first_column(f: list, g: list) -> tuple[int, list, list]:
     return scale, f, g
 
 
-def int_resultant(f: list[int], g: list[int], first_subresultant: bool = False):
+def int_resultant(
+    f: list[int], g: list[int], first_subresultant: bool = False, p: int | None = None
+):
     """The determinant of the Sylvester matrix of f and g over ZZ: ints low
     degree first, at the formal degrees M = len(f) - 1 and N = len(g) - 1
     with f's rows first (coefficients highest degree first), for M, N >= 0.
     A constant f = [c] gives c^N and a constant g = [c] gives c^M, also for
-    a zero polynomial on the other side.  Subresultants are minors of the
-    Sylvester matrix, so reducing mod p commutes with them:
-    ``int_resultant(f, g) % p`` is the resultant over GF(p) of residues f
-    and g.
+    a zero polynomial on the other side.  With a prime p, f and g are
+    residues and the determinant over GF(p) is returned in [0, p).
+    Subresultants are minors of the Sylvester matrix, so reducing mod p
+    commutes with them: ``int_resultant(f, g) % p`` is
+    ``int_resultant(f, g, p=p)``.
 
     After :func:`_expand_first_column` both leading coefficients are
     nonzero, and the subresultant polynomial remainder sequence of Collins
     and Brown-Traub (Cohen, A Course in Computational Algebraic Number
-    Theory, Algorithm 3.3.7) takes the resultant in O(M N) operations on
-    ints: each pseudo-remainder is divided exactly by the previous leading
-    coefficient times h^delta, which keeps the coefficients the size of the
-    subresultants.
+    Theory, Algorithm 3.3.7) takes the resultant in O(M N) operations:
+    each pseudo-remainder is divided exactly by the previous leading
+    coefficient times h^delta, which keeps the coefficients over ZZ the size
+    of the subresultants.  The sequence is valid over any integral domain,
+    so mod p the same loop reduces every pseudo-remainder and divides
+    through an inverse.
 
     With ``first_subresultant`` the result is a pair (resultant, s1).  s1 is
     [s10, s11], the coefficients of the first subresultant S1 = s11 x + s10
@@ -215,14 +252,15 @@ def int_resultant(f: list[int], g: list[int], first_subresultant: bool = False):
     remainder over the divisor of degree 2, but only when the sequence is
     normal: both formal leading coefficients are nonzero and every
     remainder lies one degree below its divisor, down to a nonzero
-    constant.  Otherwise s1 is None.  In a normal sequence that remainder is
-    S1 with g's rows first when M >= N, and with f's rows first when M < N;
-    the two orders differ by the sign (-1)^((M-1)(N-1)), which s1 undoes.
+    constant.  Otherwise s1 is None; a sequence normal over ZZ may be
+    abnormal mod p.  In a normal sequence that remainder is S1 with g's
+    rows first when M >= N, and with f's rows first when M < N; the two
+    orders differ by the sign (-1)^((M-1)(N-1)), which s1 undoes.
     """
     normal = bool(f[-1] and g[-1])
     scale, f, g = _expand_first_column(f, g)
     if len(f) == 1 or len(g) == 1 or not scale:
-        resultant = scale * f[0] ** (len(g) - 1) * g[0] ** (len(f) - 1)
+        (resultant,) = _divide([scale * f[0] ** (len(g) - 1) * g[0] ** (len(f) - 1)], 1, p)
         return (resultant, None) if first_subresultant else resultant
     s1_sign = -1 if len(f) >= len(g) and len(f) % 2 and len(g) % 2 else 1
     if len(f) < len(g):
@@ -238,26 +276,40 @@ def int_resultant(f: list[int], g: list[int], first_subresultant: bool = False):
         delta = m - n
         if m % 2 and n % 2:
             scale = -scale
-        r = _int_pseudo_remainder(f, g)
+        r = _int_pseudo_remainder(f, g, p)
         if not r:
             return (0, None) if first_subresultant else 0
-        divisor = lead * h**delta
-        f, g = g, [c // divisor for c in r]
+        f, g = g, _divide(r, lead * h**delta, p)
         lead = f[-1]
-        if delta:
-            h = lead**delta // h ** (delta - 1)
+        # h <- lead^delta / h^(delta - 1)
+        if delta == 1:
+            h = lead
+        elif delta:
+            (h,) = _divide([lead**delta], h ** (delta - 1), p)
         if len(g) == 1:
             break
     m = len(f) - 1
-    resultant = scale * (g[0] ** m // h ** (m - 1))
+    (resultant,) = _divide([scale * g[0] ** m], h ** (m - 1), p)
     if not first_subresultant:
         return resultant
     # a normal sequence ends with f, the remainder over the divisor of degree 2
-    return resultant, [s1_sign * c for c in f] if normal and step == n0 >= 2 else None
+    if normal and step == n0 >= 2:
+        return resultant, _divide([s1_sign * c for c in f], 1, p)
+    return resultant, None
 
 
-def _int_pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
-    """lc(b)^(deg a - deg b + 1) a mod b over ZZ, trimmed; deg a >= deg b."""
+def _divide(values: list[int], divisor: int, p: int | None) -> list[int]:
+    """The values divided exactly by a nonzero divisor over ZZ, or mod p in
+    [0, p) through its inverse."""
+    if p is None:
+        return [c // divisor for c in values]
+    inverse = pow(divisor, -1, p)
+    return [c * inverse % p for c in values]
+
+
+def _int_pseudo_remainder(a: list[int], b: list[int], p: int | None = None) -> list[int]:
+    """lc(b)^(deg a - deg b + 1) a mod b over ZZ, trimmed, reduced mod p when
+    p is given; deg a >= deg b."""
     r = list(a)
     n = len(b) - 1
     lead = b[-1]
@@ -267,7 +319,7 @@ def _int_pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
         if top:
             for j in range(n):
                 r[k + j] -= top * b[j]
-    return zp_trim(r)
+    return zp_trim(r if p is None else [c % p for c in r])
 
 
 def int_eval(cs: list, x):
@@ -331,16 +383,18 @@ def sampled_resultant(
     Its t-degree is at most bound = N deg_t fs + M deg_t gs, so it is read
     from integer evaluations (Collins 1971): at each point t = 0..bound the
     coefficients are evaluated by :func:`int_eval` (and reduced mod p), the
-    Sylvester determinant is taken by :func:`int_resultant`, and the values
-    are interpolated by :func:`interpolate`, mod p or over ZZ, where the
-    factor bound! divides the integer resultant exactly.
+    Sylvester determinant is taken by :func:`int_resultant`, over GF(p)
+    when p is given, and the values are interpolated by :func:`interpolate`,
+    mod p or over ZZ, where the factor bound! divides the integer resultant
+    exactly.
 
     With ``first_subresultant`` the result is a pair (resultant, s1): s1 is
     [s10, s11], the coefficients in t of the first subresultant of f and g,
     interpolated from the same points (their t-degrees are at most the
     bound), or None unless :func:`int_resultant` reads S1 at every point.
-    Mod p that is the sequence of the residues over ZZ; S1, a minor, reduces
-    mod p whatever the degrees of the sequence mod p.
+    Mod p, a point whose sequence over GF(p) is not normal reads S1 from
+    the sequence of the residues over ZZ, which is normal at least as
+    often; S1, a minor, reduces mod p whatever the degrees of either.
     """
     deg_f, deg_g = (max(1, *map(len, cs)) - 1 for cs in (fs, gs))
     bound = (len(gs) - 1) * deg_f + (len(fs) - 1) * deg_g
@@ -349,10 +403,14 @@ def sampled_resultant(
         f, g = ([int_eval(c, t) for c in cs] for cs in (fs, gs))
         if p is not None:
             f, g = [c % p for c in f], [c % p for c in g]
-        if first_subresultant:
-            points.append(int_resultant(f, g, True))
-        else:
-            points.append((int_resultant(f, g), None))
+        if not first_subresultant:
+            points.append((int_resultant(f, g, False, p), None))
+            continue
+        resultant, s1 = int_resultant(f, g, True, p)
+        if s1 is None and p is not None:
+            # the sequence of the residues may be normal over ZZ only
+            s1 = int_resultant(f, g, True)[1]
+        points.append((resultant, s1))
     values, s1s = zip(*points)
     resultant = interpolate(list(values), p)
     if not first_subresultant:

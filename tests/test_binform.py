@@ -245,10 +245,10 @@ def test_resultant_substitutes_each_coefficient_once_per_point(monkeypatch):
         substitutions += 1
         return original_substitute(self, name, value)
 
-    def counting_resultant(a, b):
+    def counting_resultant(a, b, *rest):
         nonlocal resultants
         resultants += 1
-        return original_resultant(a, b)
+        return original_resultant(a, b, *rest)
 
     def counting_det(m):
         nonlocal determinants

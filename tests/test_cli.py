@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from exactgeom import cli, lines, pencil24
+from exactgeom import cli, lines, pencil24, transversality, zpoly
 from exactgeom.errors import VerificationError
 from exactgeom.report import PASS, CheckResult, strip_timings
 
@@ -253,3 +253,42 @@ def test_repeated_prime_and_seed_run_one_pencil(tmp_path):
     )
     config = cli.config_from_args(args)
     assert (config.primes, config.seeds, config.trials) == ((31991, 10007), (2, 1), 3)
+
+
+def _interpolated_from_43_points(original):
+    """A mutant sampled_resultant that interpolates from t = 0..42 only,
+    whatever the degree bound; each value is the original resultant at one
+    point, as constant sequences."""
+
+    def sampled(fs, gs, p=None, first_subresultant=False):
+        values = []
+        for t in range(43):
+            point = ([[zpoly.int_eval(c, t)] for c in cs] for cs in (fs, gs))
+            values.append((original(*point, p) or [0])[0])
+        return zpoly.interpolate(values, p)
+
+    return sampled
+
+
+def _clear_eliminant_caches():
+    transversality.resultant_R.cache_clear()
+    pencil24.raw_resultant.cache_clear()
+
+
+def test_family_eliminant_fails_when_r_is_interpolated_from_too_few_points(monkeypatch):
+    # R(alpha) has degree 45; from 43 points it comes out wrong, but it
+    # still vanishes at 0 and agrees at alpha = 5, a node of its grid; the
+    # spot check at -7, a node of no grid, catches it
+    _clear_eliminant_caches()
+    mutant = _interpolated_from_43_points(zpoly.sampled_resultant)
+    monkeypatch.setattr(zpoly, "sampled_resultant", mutant)
+    try:
+        results = cli.check_transversality(cli.RunConfig(command="verify-transversality"))
+    finally:
+        monkeypatch.undo()
+        _clear_eliminant_caches()
+    entry = next(result for result in results if result.check == "family-eliminant")
+    witness = entry.witness
+    assert witness["degree"] < 45 and witness["order_at_zero"] >= 1
+    assert witness["spot_check_alpha_5"] and not witness["spot_check_alpha_minus_7"]
+    assert entry.status != PASS

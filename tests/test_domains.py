@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from exactgeom import univar
 from exactgeom.domains import (
     QQ,
     ExtensionField,
@@ -381,3 +382,39 @@ def test_sqrt_takes_one_power_of_its_argument(monkeypatch, p, a, square, lookups
     assert root is None or root * root == F.elem(a)
     assert bases.count(a) == 1
     assert nonresidues == lookups
+
+
+def test_extension_sqrt_takes_its_power_through_the_frobenius(monkeypatch):
+    # GF(10007^13), q = 3 mod 4: a square root is one power with exponent
+    # (q - 3)/4, which has about 171 bits; read in base p it has 13 digits
+    # of two values, so Horner's rule with the Frobenius rows takes a few
+    # dozen extension products where square-and-multiply takes 256
+    F = PrimeField(10007)
+    modulus = [7126, 2244, 2430, 861, 1833, 6038, 2560, 3576, 5045, 4970, 9883, 6362, 4766, 1]
+    K = ExtensionField(F, modulus)
+    rng = random.Random(13)
+    b = K.rand(rng)
+    a = b * b
+    products = 0
+    mul = univar.mul
+
+    def counting_mul(x, y, field):
+        nonlocal products
+        products += 1
+        return mul(x, y, field)
+
+    monkeypatch.setattr(univar, "mul", counting_mul)
+    counts = []
+    for value in (a, a + 1, a):
+        products = 0
+        root = K.sqrt(value)
+        counts.append(products)
+        assert root is None or root * root == value
+    products = 0
+    univar.pow_mod(list(a.value), (K.order - 3) // 4, modulus, F)
+    square_and_multiply = products
+    monkeypatch.undo()
+    assert K.sqrt(a) in (b, -b) and K.sqrt(a + 1) is None
+    # the first root also builds the rows, once per field
+    assert square_and_multiply == 256
+    assert counts[0] <= 80 and max(counts[1:]) <= 45

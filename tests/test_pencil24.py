@@ -364,8 +364,34 @@ def test_condition_resultant_takes_one_integer_resultant_per_point(monkeypatch):
     rc, s1 = pc.condition_resultant(f0, f1)
     monkeypatch.undo()
     assert len(calls) == 73
-    assert all(len(f) == 10 and len(g) == 13 and rest == [True] for f, g, *rest in calls)
+    assert all(len(f) == 10 and len(g) == 13 and rest == [True, P] for f, g, *rest in calls)
     assert len(rc) == 73 and [len(c) for c in s1] == [66, 66]
+
+
+def test_condition_resultant_reads_s1_over_zz_where_the_sequence_mod_p_is_abnormal(monkeypatch):
+    # at one of the 73 points of this pencil the remainder sequence of c1
+    # and c2 over GF(p) is not normal, though that of the residues over ZZ
+    # is: that point reads S1 over ZZ, so the pencil keeps its S1
+    f0, f1 = pc.random_pencil(P, 31)
+    calls = []
+    original = zpoly.int_resultant
+
+    def counting_resultant(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(zpoly, "int_resultant", counting_resultant)
+    rc, s1 = pc.condition_resultant(f0, f1)
+    monkeypatch.undo()
+    over_zz = [args for args in calls if len(args) == 3]
+    assert len(calls) == 74 and len(over_zz) == 1
+    assert original(*over_zz[0], P)[1] is None and original(*over_zz[0])[1] is not None
+    assert s1 is not None and [len(c) for c in s1] == [66, 66]
+    (c1, _), (c2, _) = pc._forms_in_t(f0, f1)[2:4]
+    for t in range(73):
+        member = [[zpoly.int_eval(c, t) % P for c in cs] for cs in (c1, c2)]
+        _, expected = original(*member, True)
+        assert [zpoly.int_eval(c, t) % P for c in s1] == [c % P for c in expected], t
 
 
 @pytest.mark.parametrize("t", [0, 1, 40, 72, 73, 500])
@@ -876,9 +902,9 @@ def test_raw_resultant_takes_one_integer_resultant_per_point(monkeypatch):
     calls = []
     original_resultant = zpoly.int_resultant
 
-    def counting_resultant(a, b):
+    def counting_resultant(a, b, *rest):
         calls.append((a, b))
-        return original_resultant(a, b)
+        return original_resultant(a, b, *rest)
 
     monkeypatch.setattr(zpoly, "int_resultant", counting_resultant)
     r = pc.raw_resultant.__wrapped__(f0, f1)  # past the cache
@@ -900,9 +926,9 @@ def test_family_eliminant_takes_the_points_its_t_degrees_need(monkeypatch):
     calls = []
     original_resultant = zpoly.int_resultant
 
-    def counting_resultant(a, b):
+    def counting_resultant(a, b, *rest):
         calls.append((a, b))
-        return original_resultant(a, b)
+        return original_resultant(a, b, *rest)
 
     monkeypatch.setattr(zpoly, "int_resultant", counting_resultant)
     r = pc.raw_resultant.__wrapped__(f0, f1)  # past the cache

@@ -67,6 +67,37 @@ def test_pow_mod_matches_repeated_multiplication():
         assert univar.pow_mod(base, 5, f, field) == direct
 
 
+def _tower_over_gf9():
+    # GF(9) = GF(3)[i]/(i^2 + 1), then s^2 = 1 + i, a non-square in GF(9)
+    G = ExtensionField(PrimeField(3), [1, 0, 1], name="i")
+    return ExtensionField(G, [-(G.generator() + 1), 0, 1], name="s")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: PrimeField(10007),
+        lambda: ExtensionField(PrimeField(10007), [1, 0, 1], name="i"),
+        _tower_over_gf9,
+    ],
+    ids=["GF(p)", "GF(p^2)", "tower"],
+)
+def test_pow_mod_with_frobenius_rows_matches_square_and_multiply(build):
+    # the base-q digits with Horner's rule and the plain square-and-multiply
+    # give the same reduced polynomial, for exponents below and above q
+    field = build()
+    q = field.order
+    rng = random.Random(q)
+    for degree in (2, 5):
+        modulus = [field._rrand(rng) for _ in range(degree)] + [field._rfrom_int(1)]
+        rows = univar.frobenius_rows(modulus, field)
+        base = univar.trim([field._rrand(rng) for _ in range(degree + 2)], field)
+        exponents = [0, 1, q - 1, q, q + 1, q**2, (q**degree - 1) // 2, rng.randrange(q**4)]
+        for exponent in exponents:
+            expected = univar.pow_mod(base, exponent, modulus, field)
+            assert univar.pow_mod(base, exponent, modulus, field, rows) == expected, exponent
+
+
 def test_zp_mul_kronecker_matches_schoolbook():
     # zp_mul packs at every size; the largest p gives the widest slots
     for p in (10007, 2**31 - 1):
@@ -99,6 +130,57 @@ def test_zp_divmod_and_gcd():
     F = PrimeField(p)
     g = univar.gcd(zpoly.zp_mul(a, b, p), b, F)
     assert g == univar.monic(b, F)
+
+
+@pytest.mark.parametrize("p, n, words", [(10007, 66, 1), (2**31 - 1, 4, 1), (2**31 - 1, 5, 2)])
+def test_packed_slots_round_trip_in_one_or_two_words(p, n, words):
+    # a slot holds n products of two residues: one 64-bit word while
+    # n p^2 < 2^64, else two
+    assert zpoly._slot_words(n, p) == words
+    rng = random.Random(n)
+    cs = [rng.randrange(p) for _ in range(n - 1)] + [p - 1]
+    assert zpoly._unpack(zpoly._pack(cs, words), n, words, p) == cs
+    assert zpoly._unpack(zpoly._pack([0] * n, words), n, words, p) == []
+    # the fullest slots: every coefficient p - 1, n products summed in the
+    # middle slot of the square
+    top = [p - 1] * n
+    square = zpoly._unpack(zpoly._pack(top, words) ** 2, 2 * n - 1, words, p)
+    direct = [sum((p - 1) ** 2 for i in range(n) if 0 <= k - i < n) % p for k in range(2 * n - 1)]
+    assert square == direct == zpoly.zp_mul(top, top, p)
+
+
+def _schoolbook_divmod(a, b, p):
+    """Quotient and remainder over GF(p) by one subtraction per coefficient."""
+    r = zpoly.zp_trim(list(a))
+    q = [0] * max(0, len(r) - len(b) + 1)
+    inverse = pow(b[-1], -1, p)
+    while len(r) >= len(b):
+        factor = r[-1] * inverse % p
+        shift = len(r) - len(b)
+        q[shift] = factor
+        for j, c in enumerate(b):
+            r[shift + j] = (r[shift + j] - factor * c) % p
+        zpoly.zp_trim(r)
+    return zpoly.zp_trim(q), r
+
+
+@pytest.mark.parametrize("p", [7, 10007, 2**31 - 1])
+def test_zp_divmod_matches_schoolbook_division(p):
+    # the packed remainder takes one or two words a slot at 2^31 - 1,
+    # depending on the number of steps
+    rng = random.Random(p)
+    for _ in range(80):
+        a = [rng.randrange(p) for _ in range(rng.randrange(40))]
+        b = [rng.randrange(p) for _ in range(rng.randrange(12))] + [rng.randrange(1, p)]
+        assert zpoly.zp_divmod(a, b, p) == _schoolbook_divmod(a, b, p), (a, b)
+    # the fullest slots, an untrimmed dividend, and constant divisors
+    cases = [([p - 1] * 30, [p - 1] * 5), ([1, 2, 3, 0, 0], [1, 1]), ([], [3]), ([5, 6], [3])]
+    cases += [([rng.randrange(p) for _ in range(25)], [rng.randrange(1, p)]) for _ in range(5)]
+    for a, b in cases:
+        assert zpoly.zp_divmod(a, b, p) == _schoolbook_divmod(a, b, p), (a, b)
+        if len(b) == 1:
+            q, r = zpoly.zp_divmod(a, b, p)
+            assert r == [] and zpoly.zp_mul(q, b, p) == zpoly.zp_trim(list(a))
 
 
 def test_zp_inv_mod():
@@ -591,6 +673,54 @@ def test_first_subresultant_only_from_a_normal_sequence():
         assert s1 is None and resultant == zpoly.int_resultant(a, b) == _sylvester_det(a, b)
 
 
+@pytest.mark.parametrize("p", [7, 10007, 2**31 - 1])
+def test_int_resultant_mod_p_is_the_integer_sequence_reduced(p):
+    # the remainder sequence over GF(p) gives the resultant of the residues
+    # over ZZ, reduced, and S1 wherever it is normal mod p; over ZZ it may
+    # be normal where it is not mod p (at p = 7 often), never the reverse
+    rng = random.Random(p)
+    abnormal_mod_p = 0
+    for _ in range(400):
+        f = [rng.randrange(p) for _ in range(rng.randrange(1, 10))]
+        g = [rng.randrange(p) for _ in range(rng.randrange(1, 10))]
+        # vanishing formal leading coefficients, on either side or both
+        if rng.randrange(4) == 0:
+            f[-1] = 0
+        if rng.randrange(4) == 0:
+            g[-1] = 0
+        resultant, s1 = zpoly.int_resultant(f, g, True, p)
+        expected, expected_s1 = zpoly.int_resultant(f, g, True)
+        assert resultant == expected % p == zpoly.int_resultant(f, g, False, p), (f, g)
+        if s1 is not None:
+            assert s1 == [c % p for c in expected_s1], (f, g)
+        elif expected_s1 is not None:
+            abnormal_mod_p += 1
+    assert abnormal_mod_p >= (20 if p == 7 else 0)
+
+
+def test_s1_of_a_sequence_abnormal_mod_p_only_is_read_over_zz(monkeypatch):
+    # x^3 and x^2 + 3x + 2 = (x + 1)(x + 2): S1 = 7x + 6 over ZZ, so mod 7
+    # the remainder of x^3 is the constant 6 and the sequence skips degree 1
+    f, g = [0, 0, 0, 1], [2, 3, 1]
+    assert zpoly.int_resultant(f, g, True) == (8, [6, 7])
+    assert first_subresultant_minors(f, g) == [6, 7]
+    assert zpoly.int_resultant(f, g, True, 7) == (1, None)
+    # sampled at its one point, S1 comes from the residues over ZZ, reduced
+    calls = []
+    original = zpoly.int_resultant
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(zpoly, "int_resultant", counting)
+    fs, gs = [[c] for c in f], [[c] for c in g]
+    sampled = zpoly.sampled_resultant(fs, gs, 7, first_subresultant=True)
+    monkeypatch.undo()
+    assert sampled == ([1], [[6], []])
+    assert calls == [(f, g, True, 7), (f, g, True)]
+
+
 @pytest.mark.parametrize("p", [1009, 10007, 2**31 - 1])
 def test_pow_mod_over_gf_p_matches_square_and_multiply_with_zp_rem(p):
     rng = random.Random(p)
@@ -675,9 +805,9 @@ def _counting_points(monkeypatch):
     calls = []
     original = zpoly.int_resultant
 
-    def counting(f, g):
+    def counting(f, g, *rest):
         calls.append((f, g))
-        return original(f, g)
+        return original(f, g, *rest)
 
     monkeypatch.setattr(zpoly, "int_resultant", counting)
     return calls
