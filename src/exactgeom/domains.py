@@ -11,8 +11,8 @@ Three kinds of domain are supported:
   Elements wrap a tuple of base raw values, low degree first.
 
 No polynomial arithmetic is implemented here.  At every tower height an
-extension element is multiplied, reduced (by the field's one reducer) and
-inverted by :mod:`exactgeom.univar` on the raw values of its base field;
+extension element is multiplied, reduced (by :func:`exactgeom.univar.rem`)
+and inverted by :mod:`exactgeom.univar` on the raw values of its base field;
 over a prime base that module calls the int kernels of :mod:`exactgeom.zpoly`.
 
 All elements support ``+ - * / **`` and compare exactly; there is no floating
@@ -379,13 +379,13 @@ class ExtensionField(FiniteField):
 
     Raw values are tuples of ``degree`` base raw values, low degree first.
     ``base`` may itself be an ExtensionField, giving towers; ``order`` and
-    ``char`` are computed through the tower.  Products are reduced by the
-    field's :func:`exactgeom.univar.reducer` of the modulus, built once here;
-    powers read the :func:`exactgeom.univar.frobenius_rows` of the modulus,
-    built on the first power that needs them.
+    ``char`` are computed through the tower.  Products are reduced modulo
+    the modulus by :func:`exactgeom.univar.rem`; powers read the
+    :func:`exactgeom.univar.frobenius_rows` of the modulus, built on the
+    first power that needs them.
     """
 
-    __slots__ = ("base", "modulus", "degree", "name", "_order", "_reduce", "_frobenius_rows")
+    __slots__ = ("base", "modulus", "degree", "name", "_order", "_frobenius_rows")
 
     def __init__(self, base: FiniteField, modulus, name: str = "t", *, check: bool = True) -> None:
         if any(isinstance(c, FieldElement) and c.field != base for c in modulus):
@@ -402,7 +402,6 @@ class ExtensionField(FiniteField):
         self.degree = len(mod) - 1
         self.name = name
         self._order = base.order**self.degree
-        self._reduce = univar.reducer(list(mod), base)
         self._frobenius_rows = None
         if check and not univar.ff_is_irreducible(list(mod), base):
             raise ValueError("extension modulus is reducible over the base field")
@@ -457,7 +456,7 @@ class ExtensionField(FiniteField):
         base = self.base
         # trimmed factors pack into fewer slots of zp_mul's integers
         prod = univar.mul(univar.trim(list(a), base), univar.trim(list(b), base), base)
-        return self._padded(self._reduce(prod))
+        return self._padded(univar.rem(prod, self.modulus, base))
 
     def _rinv(self, a):
         if self._ris_zero(a):

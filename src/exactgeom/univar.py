@@ -12,11 +12,11 @@ that a field element wraps), low degree first, with no trailing zeros;
 arithmetic through the field's raw hooks (``_ris_zero``, ``_radd``,
 ``_rsub``, ``_rmul``, ``_rinv``, ``_rfrom_int``, ``_rrand``), so extension
 towers of any height run the same code.  Over a prime field the heavy steps
-(``trim``, ``mul``, ``divmod_``, ``reducer``, the packing of the Frobenius
-rows and ``frobenius``) call the int kernels of :mod:`exactgeom.zpoly`,
-which is the selection on the field type that makes the hot GF(p) path fast.
-``reducer`` is the one reduction by a fixed modulus: ``pow_mod``,
-``frobenius_rows`` and extension products all go through it.  Given the
+(``trim``, ``mul``, ``divmod_``, the packing of the Frobenius rows and
+``frobenius``) call the int kernels of :mod:`exactgeom.zpoly`, which is the
+selection on the field type that makes the hot GF(p) path fast.  ``rem``
+is the one reduction, by a fixed modulus or any other: ``pow_mod``,
+``frobenius_rows`` and extension products all call it.  Given the
 Frobenius rows of its modulus, ``pow_mod`` takes an exponent of at least
 the field order through the Frobenius, digit by digit.
 :mod:`exactgeom.domains` multiplies, reduces and inverts extension elements
@@ -142,16 +142,6 @@ def squarefree_part(cs: list, field) -> list:
     return monic(divmod_(cs, g, field)[0], field)
 
 
-def reducer(modulus: list, field):
-    """A function a -> a mod modulus for deg a <= 2 deg(modulus) - 2, the
-    degree of a product of two reduced polynomials: the package's one
-    reduction by a fixed modulus, :func:`exactgeom.zpoly.zp_reducer` over
-    GF(p) and :func:`rem` over any other field."""
-    if isinstance(field, domains.PrimeField):
-        return zpoly.zp_reducer(modulus, field.p)
-    return lambda a: rem(a, modulus, field)
-
-
 def pow_mod(base: list, exponent: int, modulus: list, field, frobenius_rows=None) -> list:
     """base^exponent mod modulus: the package's one square-and-multiply.
 
@@ -163,7 +153,6 @@ def pow_mod(base: list, exponent: int, modulus: list, field, frobenius_rows=None
     squarings.  A q-power exponent such as (q^k - 1)/2 has few distinct
     digits, so the power takes about k products instead of k log2(q).
     """
-    reduce = reducer(modulus, field)
     digits = [exponent]
     if frobenius_rows is not None and exponent >= field.order:
         digits = []
@@ -176,16 +165,16 @@ def pow_mod(base: list, exponent: int, modulus: list, field, frobenius_rows=None
     while exponent:
         for digit in powers:
             if digit & bit:
-                powers[digit] = reduce(mul(powers[digit], acc, field))
+                powers[digit] = rem(mul(powers[digit], acc, field), modulus, field)
         exponent >>= 1
         bit <<= 1
         if exponent:
-            acc = reduce(mul(acc, acc, field))
+            acc = rem(mul(acc, acc, field), modulus, field)
     result = powers[digits[-1]]
     for digit in reversed(digits[:-1]):
         result = frobenius(result, frobenius_rows, field)
         if digit:
-            result = reduce(mul(result, powers[digit], field))
+            result = rem(mul(result, powers[digit], field), modulus, field)
     return result
 
 
@@ -205,10 +194,9 @@ def frobenius_rows(f: list, field) -> list:
     """
     rows = [[field._rfrom_int(1)]]
     if deg(f) >= 2:
-        reduce = reducer(f, field)
         xq = pow_mod(_x(field), field.order, f, field)
         for _ in range(deg(f) - 1):
-            rows.append(reduce(mul(rows[-1], xq, field)))
+            rows.append(rem(mul(rows[-1], xq, field), f, field))
     if isinstance(field, domains.PrimeField):
         return zpoly.zp_pack_rows(rows, field.p)
     return rows

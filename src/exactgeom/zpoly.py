@@ -10,14 +10,13 @@ entry points.  Multiplication is Kronecker substitution at every size: the
 coefficients are packed into one big integer so CPython's integer multiply
 performs the convolution.  A packed slot is one or two 64-bit words, so
 packing and unpacking are one ``int.from_bytes`` or ``int.to_bytes`` on an
-``array`` of words; division keeps its remainder packed.
-:func:`zp_reducer`, the GF(p) reduction by a fixed modulus that
-:func:`exactgeom.univar.reducer` selects, multiplies by a precomputed series
-inverse of the reversed modulus (von zur Gathen-Gerhard, Modern Computer
-Algebra, 9.1).  Distinct-degree factorization applies the Frobenius map
-h -> h^p mod f with the rows x^(i p) mod f of Berlekamp's matrix, packed
-one int per row by :func:`zp_pack_rows`: n small-int times big-int
-multiply-adds and one unpack per step, in place of a modular power.
+``array`` of words.  :func:`zp_divmod` is the package's only reduction
+of a polynomial over GF(p), by a fixed modulus or any other: it keeps its
+remainder packed and unpacks it once.  Distinct-degree factorization
+applies the Frobenius map h -> h^p mod f with the rows x^(i p) mod f of
+Berlekamp's matrix, packed one int per row by :func:`zp_pack_rows`: n
+small-int times big-int multiply-adds and one unpack per step, in place of
+a modular power.
 :func:`int_resultant` is the package's only resultant kernel: it takes the
 Sylvester determinant at the formal degrees by the subresultant remainder
 sequence over ZZ, or over GF(p) when given p, whose one loop also yields
@@ -53,20 +52,13 @@ def zp_deg(cs: list[int]) -> int:
     return len(cs) - 1
 
 
-def zp_sub(a: list[int], b: list[int], p: int) -> list[int]:
-    out = list(a) + [0] * max(0, len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % p
-    return zp_trim(out)
-
-
 def zp_mul(a: list[int], b: list[int], p: int) -> list[int]:
     """a * b over GF(p) by Kronecker substitution: both factors packed into
     ints, one integer multiply, and the product's slots unpacked mod p.
 
     Packing needs nonnegative coefficients, so a and b must be residues in
-    [0, p); every caller passes them (:func:`exactgeom.univar.mul` over a
-    prime field, :func:`zp_reducer` and :func:`_zp_series_inverse`).
+    [0, p); the one caller, :func:`exactgeom.univar.mul` over a prime
+    field, passes them.
     """
     if not a or not b:
         return []
@@ -140,40 +132,6 @@ def zp_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]
 
 def zp_rem(a: list[int], b: list[int], p: int) -> list[int]:
     return zp_divmod(a, b, p)[1]
-
-
-def _zp_series_inverse(a: list[int], n: int, p: int) -> list[int]:
-    """a^(-1) mod x^n for a[0] != 0, by Newton iteration g <- g (2 - a g)."""
-    g = [pow(a[0], -1, p)]
-    k = 1
-    while k < n:
-        k = min(2 * k, n)
-        error = zp_sub([2], zp_trim(zp_mul(a[:k], g, p)[:k]), p)
-        g = zp_trim(zp_mul(g, error, p)[:k])
-    return g[:n]
-
-
-def zp_reducer(modulus: list[int], p: int):
-    """A function a -> a mod modulus for deg a <= 2 deg(modulus) - 2, the
-    degree of a product of two reduced polynomials; the GF(p) reduction that
-    :func:`exactgeom.univar.reducer` selects.
-
-    Its quotient has at most n - 1 = deg(modulus) - 1 coefficients, and their
-    reversal is the top of the reversed a times rev(modulus)^(-1), truncated;
-    with that inverse precomputed, a reduction costs two multiplications.
-    """
-    n = zp_deg(modulus)
-    inverse = _zp_series_inverse(modulus[::-1], n - 1, p)
-
-    def reduce(a: list[int]) -> list[int]:
-        k = len(a) - n
-        if k <= 0:
-            return a
-        q_rev = zp_trim(zp_mul(a[n:][::-1], inverse[:k], p)[:k])
-        q = [0] * (k - len(q_rev)) + q_rev[::-1]
-        return zp_sub(a, zp_mul(q, modulus, p), p)
-
-    return reduce
 
 
 def zp_pack_rows(rows: list[list[int]], p: int) -> list[int]:

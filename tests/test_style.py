@@ -123,15 +123,15 @@ def test_one_remainder_sequence_in_zpoly():
 
 
 def test_only_univar_reduces_by_a_fixed_modulus():
-    # univar.reducer is the one reduction by a fixed modulus, and univar.pow_mod
-    # and univar.frobenius_rows its only loops: a module that names the GF(p)
-    # reducer, or a zpoly power or row loop, forks them
+    # univar.rem is the one reduction, by a fixed modulus or any other, and
+    # univar.pow_mod and univar.frobenius_rows its only loops: a reducer
+    # built per modulus, or a zpoly power or row loop, forks them
+    forks = {"reducer", "zp_reducer", "_zp_series_inverse"}
     named = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            names = {getattr(node, key, None) for key in ("id", "attr", "name")}
-            if path.name not in ("zpoly.py", "univar.py") and "zp_reducer" in names:
-                named.append(f"{path.name}:{node.lineno}: zp_reducer")
+            names = {getattr(node, key, None) for key in ("id", "attr", "name", "arg")}
+            named.extend(f"{path.name}:{node.lineno}: {name}" for name in names & forks)
             if path.name == "zpoly.py" and isinstance(node, ast.FunctionDef):
                 if "pow_mod" in node.name or "frobenius_rows" in node.name:
                     named.append(f"{path.name}:{node.lineno}: {node.name}")

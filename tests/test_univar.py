@@ -125,9 +125,9 @@ def test_zp_divmod_and_gcd():
     rng = random.Random(2)
     a = [rng.randrange(p) for _ in range(30)] + [1]
     b = [rng.randrange(p) for _ in range(11)] + [1]
-    q, r = zpoly.zp_divmod(a, b, p)
-    assert zpoly.zp_sub(a, zpoly.zp_mul(q, b, p), p) == r
     F = PrimeField(p)
+    q, r = zpoly.zp_divmod(a, b, p)
+    assert univar.sub(a, zpoly.zp_mul(q, b, p), F) == r
     g = univar.gcd(zpoly.zp_mul(a, b, p), b, F)
     assert g == univar.monic(b, F)
 
@@ -432,8 +432,8 @@ def _degree_29_elements():
 def test_extension_products_reach_zp_mul_trimmed(monkeypatch):
     # ExtensionField._rmul trims its padded tuples before the kernel: padded
     # inputs would pack more zero slots into zp_mul's integers.  Only
-    # products are taken here, so every recorded call comes from _rmul (the
-    # reducer calls zp_mul itself, on slices that are not _rmul's inputs).
+    # products are taken here, so every recorded call comes from _rmul (its
+    # reduction, a zp_divmod, multiplies no polynomials).
     p, modulus, elements = _degree_29_elements()
     inputs = []
     kernel = univar.mul
@@ -452,40 +452,66 @@ def test_extension_products_reach_zp_mul_trimmed(monkeypatch):
         assert product.value == tuple(expected) + (0,) * (29 - len(expected))
 
 
-def test_extension_products_take_no_division(monkeypatch):
-    # _rmul reduces by the field's reducer, built once: over GF(p) that is
-    # two multiplications by a precomputed series inverse, never a division
-    _, _, elements = _degree_29_elements()
-    divisions = 0
-    kernel = zpoly.zp_divmod
+def test_extension_products_take_one_division(monkeypatch):
+    # _rmul reduces the trimmed product by one zp_divmod modulo the field's
+    # modulus, and a field built unchecked computes nothing ahead of them
+    p, modulus, elements = _degree_29_elements()
+    calls = []
+    kernels = {name: getattr(zpoly, name) for name in ("zp_mul", "zp_divmod")}
 
-    def counting(a, b, p):
-        nonlocal divisions
-        divisions += 1
-        return kernel(a, b, p)
+    def recording(name):
+        def kernel(a, b, p):
+            calls.append((name, list(a), list(b)))
+            return kernels[name](a, b, p)
 
-    monkeypatch.setattr(zpoly, "zp_divmod", counting)
-    products = [a * b for a in elements for b in elements]
+        return kernel
+
+    for name in kernels:
+        monkeypatch.setattr(zpoly, name, recording(name))
+    ExtensionField(PrimeField(p), modulus, check=False)
+    assert calls == []
+    pairs = [(a, b) for a in elements for b in elements]
+    products = [a * b for a, b in pairs]
     monkeypatch.undo()
     assert len(products) == 49
-    assert divisions == 0
+    divisions = [(a, b) for name, a, b in calls if name == "zp_divmod"]
+    assert len(divisions) == 49
+    for (a, b), (dividend, divisor) in zip(pairs, divisions):
+        trimmed = (zpoly.zp_trim(list(x.value)) for x in (a, b))
+        assert dividend == zpoly.zp_mul(*trimmed, p)
+        assert divisor == modulus
+
+
+def _schoolbook_rem(a, m, field, inv_lead):
+    """a mod m by long division on the elements of ``field``, given the
+    inverse of m's leading coefficient: the remainder's raw values, trimmed."""
+    r = [field.wrap(c) for c in a]
+    m = [field.wrap(c) for c in m]
+    n = len(m) - 1
+    for shift in range(len(r) - 1 - n, -1, -1):
+        factor = r[shift + n] * inv_lead
+        for j, c in enumerate(m):
+            r[shift + j] = r[shift + j] - factor * c
+    return univar.trim([c.value for c in r[:n]], field)
 
 
 @pytest.mark.parametrize("p", [1009, 10007, 2**31 - 1])
 def test_reducer_matches_rem_over_gf_p(p):
-    # small and large degrees, monic and non-monic moduli
+    # univar.rem, the packed zp_divmod over GF(p), against long division on
+    # single residues: small and large degrees, monic and non-monic moduli,
+    # and at 2^31 - 1 the two-word slots of the packed remainder
     F = PrimeField(p)
     rng = random.Random(p)
     for degree in (1, 2, 15, 16, 17, 29, 90):
         for lead in (1, rng.randrange(2, p)):
             m = [rng.randrange(p) for _ in range(degree)] + [lead]
-            reduce = univar.reducer(m, F)
+            inv_lead = F.wrap(pow(lead, -1, p))
             for _ in range(3):
                 x, y = (zpoly.zp_trim([rng.randrange(p) for _ in range(degree)]) for _ in "xy")
                 a = univar.mul(x, y, F)
-                assert reduce(a) == univar.rem(a, m, F)
+                assert univar.rem(a, m, F) == _schoolbook_rem(a, m, F, inv_lead)
             top = univar.mul([p - 1] * degree, [p - 1] * degree, F)
-            assert reduce(top) == univar.rem(top, m, F)
+            assert univar.rem(top, m, F) == _schoolbook_rem(top, m, F, inv_lead)
 
 
 def test_reducer_matches_rem_over_gf_p2():
@@ -495,11 +521,11 @@ def test_reducer_matches_rem_over_gf_p2():
     for degree in (1, 2, 5, 17):
         for lead in (K._rfrom_int(1), K._rrand(rng)):
             m = [K._rrand(rng) for _ in range(degree)] + [lead]
-            reduce = univar.reducer(m, K)
+            inv_lead = K.wrap(lead) ** -1
             for _ in range(3):
                 x, y = (univar.trim([K._rrand(rng) for _ in range(degree)], K) for _ in "xy")
                 a = univar.mul(x, y, K)
-                assert reduce(a) == univar.rem(a, m, K)
+                assert univar.rem(a, m, K) == _schoolbook_rem(a, m, K, inv_lead)
 
 
 def _sylvester_det(f, g):
@@ -539,7 +565,7 @@ def test_int_resultant_mod_p_matches_the_sylvester_determinant():
         (rand(4), rand(0)),  # constant second argument: lc^m
         (rand(0), rand(4)),
         # f mod g = x + 5 drops three degrees below deg g = 4
-        (zpoly.zp_sub(zpoly.zp_mul([0, 0, 1], quartic, p), [p - 5, p - 1], p), quartic),
+        (univar.sub(zpoly.zp_mul([0, 0, 1], quartic, p), [p - 5, p - 1], PrimeField(p)), quartic),
     ]
     for f, g in cases:
         _assert_matches_mod_p(f, g, p)
