@@ -25,6 +25,8 @@ COMMANDS = [
     ("verify-intersection", ["verify-intersection"]),
     ("verify-quartic-fuzz", ["verify-quartic-fuzz"]),
     ("verify-quartic-fuzz-2000", ["verify-quartic-fuzz", "--fuzz-count", "2000"]),
+    # the smallest samples: the QQ part runs max(1 // 10, 1) = 1 case
+    ("verify-quartic-fuzz-1", ["verify-quartic-fuzz", "--fuzz-count", "1"]),
     # the one subcommand that takes every option; --trials caps two pencils to one
     (
         "all",

@@ -86,6 +86,8 @@ class Rationals:
         return None
 
     # the raw-value hooks of FiniteField; a rational is its own raw value
+    _rsqrt = sqrt
+
     def wrap(self, raw) -> Fraction:
         return raw
 
@@ -267,6 +269,16 @@ class FiniteField:
     def sqrt(self, a: FieldElement) -> Optional[FieldElement]:
         """A square root of ``a`` in this field, or None if ``a`` is a non-square.
 
+        The root of :meth:`_rsqrt`, boxed.
+        """
+        if a.field != self:
+            raise DomainMismatchError("sqrt of an element from a different field")
+        r = self._rsqrt(a.value)
+        return None if r is None else FieldElement(self, r)
+
+    def _rsqrt(self, a):
+        """The raw square root of the raw value ``a``, or None for a non-square.
+
         One Tonelli-Shanks on raw values, deterministic.  With q - 1 = 2^m e,
         e odd, one power b = a^((e - 1)/2) gives r = a b and t = r b = a^e,
         so r^2 = a t.  Each step finds the least i with t^(2^i) = 1 and
@@ -275,11 +287,8 @@ class FiniteField:
         first step only.  For q = 3 mod 4, m = 1 and a square takes no step,
         so r = a^((q + 1)/4).
         """
-        if a.field != self:
-            raise DomainMismatchError("sqrt of an element from a different field")
-        a = a.value
         if self._ris_zero(a):
-            return self.zero()
+            return self._rfrom_int(0)
         q = self.order
         if q % 2 == 0:
             raise ValueError("square roots unsupported in characteristic 2")
@@ -306,7 +315,7 @@ class FiniteField:
             c = mul(b, b)
             t = mul(t, c)
             r = mul(r, b)
-        return FieldElement(self, r)
+        return r
 
     def coeff_str(self, a: FieldElement) -> str:
         raise NotImplementedError

@@ -16,18 +16,23 @@ quartic.  The matching (``_match_square``) runs in the base field alone, on
 raw values through the field's raw hooks (``_rmul``, ``_rinv`` and so on; a
 rational is its own raw value): it writes the quartic as s k^2 with k in the
 field, and the witness is r k for a square root r of s.  The callers take
-that one root: ``perfect_square_witness`` in the field itself, and the
-closure variant through ``adjoin_sqrt``, which builds the quadratic extension
-when the base field lacks it.
+that one root: ``perfect_square_witness`` in the field itself, on the raw
+value (the field's ``_rsqrt``, the Tonelli-Shanks that ``FiniteField.sqrt``
+boxes), and the closure variant through ``adjoin_sqrt``, which builds the
+quadratic extension when the base field lacks it.
 
 Both condition polynomials are evaluated with plain ring arithmetic, so the
 coefficients may be rationals, finite-field elements, or multivariate
-polynomials.  They may also be plain ints whose values are then reduced
-mod p: the formulas have integer coefficients, so that gives the value over
-GF(p).  ``fuzz_square_criterion`` runs on ints end to end: over GF(p) it
-works this way, over QQ it clears the denominators of each draw (the
-conditions are homogeneous), and it calls ``perfect_square_witness`` on the
-same ints.
+polynomials; each formula shares its products of two coefficients instead
+of raising powers term by term.  They may also be plain ints whose values
+are then reduced mod p: the formulas have integer coefficients, so that
+gives the value over GF(p).  ``fuzz_square_criterion`` runs in one pass per
+quartic on raw values: over GF(p) on ints tested ``% p``; over QQ on
+(numerator, denominator) int pairs, reduced by ``math.gcd`` and cleared by
+the lcm of the denominators (the conditions are homogeneous), with a
+``Fraction`` built only to print a failure.  It calls
+``perfect_square_witness`` on the same ints, and checks a rational witness
+in ints too.
 """
 
 from __future__ import annotations
@@ -51,32 +56,29 @@ class QuarticCoeffs(NamedTuple):
 
 
 def disc_delta(c: QuarticCoeffs):
-    """The discriminant of the quartic, zero iff a repeated projective root exists."""
+    """The discriminant of the quartic, zero iff a repeated projective root exists.
+
+    The sixteen terms of the classical expansion, gathered with P = AE,
+    Q = BD, K = C^2 and S = AD^2 + B^2E: the terms in A^2D^4 and B^4E^2 are
+    -27 S^2 + 54 P Q^2, and the six terms in AD^2 or B^2E are S C (144 P +
+    18 Q - 4 K); the rest is a polynomial in P, Q and K.
+    """
     A, B, C, D, E = c
+    P, Q, K = A * E, B * D, C * C
+    S = A * D * D + B * B * E
     return (
-        256 * A**3 * E**3
-        - 192 * A**2 * B * D * E**2
-        - 128 * A**2 * C**2 * E**2
-        + 144 * A**2 * C * D**2 * E
-        - 27 * A**2 * D**4
-        + 144 * A * B**2 * C * E**2
-        - 6 * A * B**2 * D**2 * E
-        - 80 * A * B * C**2 * D * E
-        + 18 * A * B * C * D**3
-        + 16 * A * C**4 * E
-        - 4 * A * C**3 * D**2
-        - 27 * B**4 * E**2
-        + 18 * B**3 * C * D * E
-        - 4 * B**3 * D**3
-        - 4 * B**2 * C**3 * E
-        + B**2 * C**2 * D**2
+        16 * P * (P * (16 * P - 12 * Q - 8 * K) + Q * (3 * Q - 5 * K) + K * K)
+        - Q * Q * (4 * Q - K)
+        + S * (C * (144 * P + 18 * Q - 4 * K) - 27 * S)
     )
 
 
 def sem_d(c: QuarticCoeffs):
-    """The degree-4 seminvariant companion of the discriminant."""
+    """The degree-4 seminvariant companion of the discriminant,
+    64A^3E - 16A^2C^2 + 16AB^2C - 16A^2BD - 3B^4, with A and B^2 factored out."""
     A, B, C, D, E = c
-    return 64 * A**3 * E - 16 * A**2 * C**2 + 16 * A * B**2 * C - 16 * A**2 * B * D - 3 * B**4
+    BB = B * B
+    return 16 * A * (A * (4 * A * E - C * C - B * D) + BB * C) - 3 * BB * BB
 
 
 def square_coefficients(q0, q1, q2) -> QuarticCoeffs:
@@ -95,10 +97,6 @@ def _check_char(field) -> None:
         raise ValueError("square detection is not supported in characteristic 2")
 
 
-def _identity(x):
-    return x
-
-
 def _raw(x):
     """The raw value of a field element; a rational is its own raw value."""
     return x.value if isinstance(x, FieldElement) else x
@@ -109,15 +107,18 @@ def perfect_square_witness(c: tuple, field) -> Optional[tuple]:
     with coordinates in the given field, on raw values of the field.
 
     Coefficient matching in the field gives quartic = s k^2, and the witness
-    is q = r k with r = ``field.sqrt(s)``; returns None when the quartic is
-    not a square or s has no square root in the field.
+    is q = r k with r the raw square root ``field._rsqrt(s)``; returns None
+    when the quartic is not a square or s has no square root in the field.
     """
     found = _match_square(c, field)
     if found is None:
         return None
-    s, *k = found
-    r = field.sqrt(field.wrap(s))
-    return None if r is None else tuple(field._rmul(_raw(r), x) for x in k)
+    s, k0, k1, k2 = found
+    r = field._rsqrt(s)
+    if r is None:
+        return None
+    mul = field._rmul
+    return mul(r, k0), mul(r, k1), mul(r, k2)
 
 
 @dataclass(frozen=True)
@@ -190,9 +191,10 @@ def closure_conditions_a_nonzero(c: QuarticCoeffs) -> Iterator:
     """The closure-square conditions for A != 0: with h = 4AC - B^2, they
     are B h - 8 A^2 D and h^2 - 64 A^3 E."""
     A, B, C, D, E = c
+    AA = A * A
     h = 4 * A * C - B * B
-    yield B * h - 8 * A * A * D
-    yield h * h - 64 * A**3 * E
+    yield B * h - 8 * AA * D
+    yield h * h - 64 * AA * A * E
 
 
 def closure_conditions_a_zero(c: QuarticCoeffs) -> Iterator:
@@ -232,26 +234,58 @@ BOUNDARY_NON_SQUARE = QuarticCoeffs(0, 0, 1, 0, 1)
 SPURIOUS_NON_SQUARE = QuarticCoeffs(1, 0, 6, 16, 9)
 
 
-def _verdicts(c: QuarticCoeffs, reduce) -> tuple:
+def _verdicts(c: QuarticCoeffs, p: Optional[int]) -> tuple:
     """Both sides of the fuzz's equivalence for one quartic.
 
-    Returns (disc_delta and sem_d both vanish, square over the closure), each
-    value tested after ``reduce``.  The formulas have integer coefficients,
-    so integer coefficients with ``reduce = lambda v: v % p`` give the
-    verdicts over GF(p); ``c.A`` must already be reduced, because it picks
-    the branch of ``closure_square_conditions``.
+    Returns (disc_delta and sem_d both vanish, square over the closure).
+    The formulas have integer coefficients, so integer coefficients and a
+    prime ``p`` give the verdicts over GF(p), each value tested ``% p``;
+    ``c.A`` must already be reduced, because it picks the branch of
+    ``closure_square_conditions``.  With ``p = None`` each value is tested
+    as it is.
     """
     # both forms are pure, so the cheaper sem_d goes first: a random quartic
     # has sem_d != 0 and skips the discriminant
-    both_vanish = not reduce(sem_d(c)) and not reduce(disc_delta(c))
-    square = not any(map(reduce, closure_square_conditions(c)))
-    return both_vanish, square
+    if p is None:
+        return not sem_d(c) and not disc_delta(c), not any(closure_square_conditions(c))
+    both_vanish = not sem_d(c) % p and not disc_delta(c) % p
+    for value in closure_square_conditions(c):
+        if value % p:
+            return both_vanish, False
+    return both_vanish, True
 
 
-def _cleared(values) -> tuple:
-    """Rationals times the lcm of their denominators, as ints."""
-    scale = math.lcm(*(v.denominator for v in values))
-    return tuple(v.numerator * (scale // v.denominator) for v in values)
+def _reduced(c: QuarticCoeffs, p: int) -> QuarticCoeffs:
+    """The coefficients mod p."""
+    A, B, C, D, E = c
+    return QuarticCoeffs(A % p, B % p, C % p, D % p, E % p)
+
+
+def _rational_draw(randrange) -> tuple:
+    """A rational drawn as numerator in [-60, 60], then denominator in [1, 7],
+    returned as a reduced (numerator, denominator) pair."""
+    n, d = randrange(-60, 61), randrange(1, 8)
+    g = math.gcd(n, d)
+    return n // g, d // g
+
+
+def _cleared(pairs) -> tuple:
+    """Reduced (numerator, denominator) pairs times the lcm of the denominators, as ints."""
+    scale = math.lcm(*(d for _, d in pairs))
+    return tuple(n * (scale // d) for n, d in pairs)
+
+
+def _squares_to_in_ints(q: tuple, c: QuarticCoeffs) -> bool:
+    """Whether the rational quadratic q squares to the int quartic c, tested
+    in ints as square(scale q) = scale^2 c for the lcm of q's denominators."""
+    scale = math.lcm(*(x.denominator for x in q))
+    scaled = (x.numerator * (scale // x.denominator) for x in q)
+    return square_coefficients(*scaled) == tuple(scale * scale * x for x in c)
+
+
+def _fractions(pairs) -> tuple:
+    """The rationals of (numerator, denominator) pairs, built to print a failure."""
+    return tuple(Fraction(n, d) for n, d in pairs)
 
 
 def fuzz_square_criterion(field, count: int, rng, square_count: Optional[int] = None) -> dict:
@@ -263,62 +297,69 @@ def fuzz_square_criterion(field, count: int, rng, square_count: Optional[int] = 
     with an explicit witness that reproduces the quartic.  Any discrepancy
     is collected, never averaged away.
 
-    ``field`` is QQ or a prime field GF(p), and both run on plain ints.
-    Over GF(p) the coefficients are drawn as ints in [0, p) and the
-    conditions are tested mod p.  Over QQ they are drawn as ``Fraction``
-    values and each quartic (or each quadratic, before squaring) is
-    multiplied by the lcm of its denominators: every condition is
-    homogeneous and the scaling keeps A != 0, so the verdicts are those of
-    the drawn quartic, and a squared quadratic stays a square.  The witness
-    search runs on the same ints, as raw values of the field.  Reported
-    coefficients are the drawn ones.
+    ``field`` is QQ or a prime field GF(p), and both run in one pass per
+    quartic on plain ints.  Over GF(p) the coefficients are drawn as ints
+    in [0, p) and every value is tested ``% p``.  Over QQ each coefficient
+    is drawn as a numerator, then a denominator, and kept as a reduced int
+    pair; each quartic (or each quadratic, before squaring) is multiplied
+    by the lcm of its denominators: every condition is homogeneous and the
+    scaling keeps A != 0, so the verdicts are those of the drawn quartic,
+    and a squared quadratic stays a square.  The witness search runs on the
+    same ints, as raw values of the field, and a rational witness is
+    checked in ints too (``_squares_to_in_ints``).  Reported coefficients
+    are the drawn ones; a ``Fraction`` is built only to print a failure.
     """
     if square_count is None:
         square_count = count
+    randrange = rng.randrange
+    discrepancies = []
+    square_failures = []
     if isinstance(field, Rationals):
+        p = None
+        for _ in range(count):
+            a = _rational_draw(randrange)
+            while not a[0]:
+                a = _rational_draw(randrange)
+            drawn = (a, *(_rational_draw(randrange) for _ in range(4)))
+            both_vanish, square = _verdicts(QuarticCoeffs(*_cleared(drawn)), None)
+            if both_vanish != square:
+                discrepancies.append(tuple(map(str, _fractions(drawn))))
 
-        def draw():
-            return Fraction(rng.randrange(-60, 61), rng.randrange(1, 8))
-
-        cleared, reduce = _cleared, _identity
-
+        for _ in range(square_count):
+            q = (_rational_draw(randrange), _rational_draw(randrange), _rational_draw(randrange))
+            if not any(n for n, _ in q):
+                q = ((1, 1), *q[1:])
+            coeffs = QuarticCoeffs(*square_coefficients(*_cleared(q)))
+            ok = all(_verdicts(coeffs, None))
+            if ok:
+                found = perfect_square_witness(coeffs, field)
+                ok = found is not None and _squares_to_in_ints(found, coeffs)
+            if not ok:
+                square_failures.append(tuple(map(str, square_coefficients(*_fractions(q)))))
     else:
         p = field.p
+        for _ in range(count):
+            a = randrange(p)
+            while not a:
+                a = randrange(p)
+            c = QuarticCoeffs(a, randrange(p), randrange(p), randrange(p), randrange(p))
+            both_vanish, square = _verdicts(c, p)
+            if both_vanish != square:
+                discrepancies.append(tuple(map(str, c)))
 
-        def draw():
-            return rng.randrange(p)
+        for _ in range(square_count):
+            q = (randrange(p), randrange(p), randrange(p))
+            if not any(q):
+                q = (1, 0, 0)
+            coeffs = _reduced(square_coefficients(*q), p)
+            ok = all(_verdicts(coeffs, p))
+            if ok:
+                found = perfect_square_witness(coeffs, field)
+                ok = found is not None and _reduced(square_coefficients(*found), p) == coeffs
+            if not ok:
+                square_failures.append(tuple(map(str, coeffs)))
 
-        def reduce(value):
-            return value % p
-
-        cleared = _identity
-
-    def witnessed(c):
-        found = perfect_square_witness(c, field)
-        return found is not None and tuple(map(reduce, square_coefficients(*found))) == c
-
-    discrepancies = []
-    for _ in range(count):
-        while True:
-            a = draw()
-            if a:
-                break
-        drawn = (a, draw(), draw(), draw(), draw())
-        both_vanish, square = _verdicts(QuarticCoeffs(*cleared(drawn)), reduce)
-        if both_vanish != square:
-            discrepancies.append(tuple(map(str, drawn)))
-
-    square_failures = []
-    for _ in range(square_count):
-        q = (draw(), draw(), draw())
-        if not any(q):
-            q = (1, *q[1:])
-        coeffs = QuarticCoeffs(*map(reduce, square_coefficients(*cleared(q))))
-        ok = all(_verdicts(coeffs, reduce)) and witnessed(coeffs)
-        if not ok:
-            square_failures.append(tuple(map(str, map(reduce, square_coefficients(*q)))))
-
-    both_vanish, square = _verdicts(BOUNDARY_NON_SQUARE, reduce)
+    both_vanish, square = _verdicts(BOUNDARY_NON_SQUARE, p)
     return {
         "random_cases": count,
         "square_cases": square_count,

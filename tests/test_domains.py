@@ -418,3 +418,34 @@ def test_extension_sqrt_takes_its_power_through_the_frobenius(monkeypatch):
     # the first root also builds the rows, once per field
     assert square_and_multiply == 256
     assert counts[0] <= 80 and max(counts[1:]) <= 45
+
+
+RAW_SQRT_FIELDS = {
+    "GF(10007)": lambda: PrimeField(10007),
+    "GF(10009)": lambda: PrimeField(10009),
+    "GF(65537)": lambda: PrimeField(65537),
+    "GF(9)[s], order 81": _gf81_tower,
+    "GF(10007^2)": _gf10007_squared,
+}
+
+
+@pytest.mark.parametrize("build", RAW_SQRT_FIELDS.values(), ids=RAW_SQRT_FIELDS.keys())
+def test_raw_sqrt_matches_sqrt(build):
+    # 10007 is 3 mod 4 (no Tonelli-Shanks step), 10009 and 65537 are 1 mod 4
+    # (2^3 and 2^16 divide p - 1); Euler's criterion decides each case
+    K = build()
+    rng = random.Random(f"raw sqrt:{K!r}")
+    non_square, half = K._nonresidue(), (K.order - 1) // 2
+    cases = [K.zero(), K.one(), non_square]
+    for _ in range(40):
+        x = K.rand(rng)
+        cases += [x, x * x, non_square * x * x]
+    seen = set()
+    for a in cases:
+        raw = K._rsqrt(a.value)
+        boxed = K.sqrt(a)
+        assert (None if boxed is None else boxed.value) == raw, a
+        assert (raw is not None) == (not a or a**half == K.one()), a
+        assert raw is None or K.wrap(raw) * K.wrap(raw) == a
+        seen.add((bool(a), raw is not None))
+    assert seen == {(False, True), (True, True), (True, False)}

@@ -1,11 +1,13 @@
 """The discriminant/seminvariant pair and the perfect-square witnesses."""
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from exactgeom import quartic
 from exactgeom.binform import BinaryForm, sylvester_resultant
 from exactgeom.domains import QQ, ExtensionField, PrimeField
 from exactgeom.multipoly import MultiPoly
@@ -18,6 +20,7 @@ from exactgeom.quartic import (
     _match_square,
     _raw,
     _verdicts,
+    closure_conditions_a_nonzero,
     closure_square_witness,
     disc_delta,
     fuzz_square_criterion,
@@ -397,6 +400,24 @@ def test_planted_discrepancy_reports_the_drawn_fractions():
     assert report["equivalence_discrepancies"] == [("1/2", "0", "3", "8", "9/2")]
 
 
+def test_planted_square_failure_reports_the_drawn_values(monkeypatch):
+    # a witness search that always fails: each constructed square is reported
+    # as the square of the drawn quadratic, and an all-zero draw as (1, 0, 0)
+    monkeypatch.setattr(quartic, "perfect_square_witness", lambda c, field: None)
+    expected_zero = ("1", "0", "0", "0", "0")
+    draws = [3, 5, 7, 0, 0, 0]
+    report = fuzz_square_criterion(F, 0, _ScriptedRng(draws), 2)
+    assert report["square_failures"] == [("9", "30", "67", "70", "49"), expected_zero]
+    # (1/2, 0, 3/4) and (0/3, 0/5, 0/1), as (numerator, denominator) draws
+    draws = [1, 2, 0, 1, 3, 4, 0, 3, 0, 5, 0, 1]
+    report_q = fuzz_square_criterion(QQ, 0, _ScriptedRng(draws), 2)
+    assert report_q["square_failures"] == [("1/4", "0", "3/4", "0", "9/16"), expected_zero]
+
+
+def _pairs(values):
+    return [(v.numerator, v.denominator) for v in values]
+
+
 def test_cleared_verdicts_match_rational_verdicts():
     rng = random.Random("verdicts:qq")
 
@@ -415,13 +436,13 @@ def test_cleared_verdicts_match_rational_verdicts():
     for q in squares:
         cases.append(square_coefficients(*q))
         # squares of the cleared quadratic: what the fuzz feeds the witness search
-        cleared = QuarticCoeffs(*square_coefficients(*_cleared(q)))
+        cleared = QuarticCoeffs(*square_coefficients(*_cleared(_pairs(q))))
         witness = perfect_square_witness(cleared, QQ)
         assert witness is not None and square_coefficients(*witness) == cleared, q
     seen = set()
     for coeffs in cases:
-        verdicts = _verdicts(coeffs, lambda v: v)
-        assert _verdicts(QuarticCoeffs(*_cleared(coeffs)), lambda v: v) == verdicts, coeffs
+        verdicts = _verdicts(coeffs, None)
+        assert _verdicts(QuarticCoeffs(*_cleared(_pairs(coeffs))), None) == verdicts, coeffs
         seen.add(verdicts)
     assert seen == {(False, False), (True, True), (True, False)}
 
@@ -443,7 +464,124 @@ def test_int_verdicts_match_field_element_verdicts(p):
     for raw in cases:
         elems = QuarticCoeffs(*map(field.elem, raw))
         oracle = (not disc_delta(elems) and not sem_d(elems), is_square_over_closure(elems, field))
-        verdicts = _verdicts(QuarticCoeffs(*raw), lambda v: v % p)
+        verdicts = _verdicts(QuarticCoeffs(*raw), p)
         assert verdicts == oracle, raw
         seen.add(verdicts)
     assert seen == {(False, False), (True, True), (True, False)}
+
+
+class _RecordingRng:
+    """A ``random.Random`` that digests its ``randrange`` calls in order."""
+
+    def __init__(self, seed):
+        self.rng = random.Random(seed)
+        self.calls = 0
+        self.digest = hashlib.sha256()
+
+    def randrange(self, *bounds):
+        value = self.rng.randrange(*bounds)
+        self.calls += 1
+        self.digest.update(repr((bounds, value)).encode())
+        return value
+
+
+# (field, seed, random and square cases, randrange calls, digest of the
+# (bounds, value) sequence, digest of the quartics handed to _verdicts, the
+# rng's next random()), recorded when the fuzz still drew one Fraction per
+# draw over QQ and reduced through a callable: the one-pass fuzz must draw
+# the same quartics in the same order and leave the rng where that one did
+PINNED_DRAW_PROTOCOL = [
+    ("GF(10007)", "protocol:gf", 400)
+    + (3200, "26771d3d0c7d8862", "6a98ec560c1d3161", 0.8010759994026556),
+    ("QQ", "protocol:qq", 100)
+    + (1600, "66cbb86fcfb4d17c", "e359a5c75d1e2e2f", 0.5198772014909322),
+]
+
+
+@pytest.mark.parametrize(
+    "field_name, seed, count, calls, draws, quartics, after", PINNED_DRAW_PROTOCOL
+)
+def test_fuzz_draw_protocol_is_pinned(
+    monkeypatch, field_name, seed, count, calls, draws, quartics, after
+):
+    field = QQ if field_name == "QQ" else PrimeField(int(field_name[3:-1]))
+    seen = hashlib.sha256()
+    verdicts = quartic._verdicts
+
+    def recording(c, p):
+        seen.update(repr(tuple(c)).encode())
+        return verdicts(c, p)
+
+    monkeypatch.setattr(quartic, "_verdicts", recording)
+    rng = _RecordingRng(seed)
+    report = fuzz_square_criterion(field, count, rng, count)
+    assert not report["equivalence_discrepancies"] and not report["square_failures"]
+    assert rng.calls == calls
+    assert rng.digest.hexdigest()[:16] == draws
+    assert seen.hexdigest()[:16] == quartics
+    assert rng.rng.random() == after
+
+
+def _disc_delta_terms(c):
+    A, B, C, D, E = c
+    return (
+        256 * A**3 * E**3
+        - 192 * A**2 * B * D * E**2
+        - 128 * A**2 * C**2 * E**2
+        + 144 * A**2 * C * D**2 * E
+        - 27 * A**2 * D**4
+        + 144 * A * B**2 * C * E**2
+        - 6 * A * B**2 * D**2 * E
+        - 80 * A * B * C**2 * D * E
+        + 18 * A * B * C * D**3
+        + 16 * A * C**4 * E
+        - 4 * A * C**3 * D**2
+        - 27 * B**4 * E**2
+        + 18 * B**3 * C * D * E
+        - 4 * B**3 * D**3
+        - 4 * B**2 * C**3 * E
+        + B**2 * C**2 * D**2
+    )
+
+
+def _sem_d_terms(c):
+    A, B, C, D, E = c
+    return 64 * A**3 * E - 16 * A**2 * C**2 + 16 * A * B**2 * C - 16 * A**2 * B * D - 3 * B**4
+
+
+def _closure_conditions_terms(c):
+    A, B, C, D, E = c
+    h = 4 * A * C - B * B
+    return B * h - 8 * A * A * D, h * h - 64 * A**3 * E
+
+
+def _multipoly_draw(rng):
+    x, y = MultiPoly.gens(("x", "y"))
+    monomials = (x * x, x * y, y * y, x, y)
+    return lambda: rng.randrange(-5, 6) + sum(rng.randrange(-5, 6) * m for m in monomials)
+
+
+def _gf10007_squared_draw(rng):
+    field = ExtensionField(F, [5, 1, 1], name="t")
+    return lambda: field.rand(rng)
+
+
+# (cases, draw factory) for every ring the quartic module promises: ints
+# (small and of 100 bits), rationals, finite-field elements, polynomials
+ORACLE_RINGS = {
+    "ZZ, small": (200, lambda rng: lambda: rng.randrange(-10, 11)),
+    "ZZ, 100 bits": (200, lambda rng: lambda: rng.randrange(-(2**100), 2**100)),
+    "QQ": (100, lambda rng: lambda: Fraction(rng.randrange(-60, 61), rng.randrange(1, 8))),
+    "GF(10007^2)": (40, _gf10007_squared_draw),
+    "MultiPoly in x, y": (4, _multipoly_draw),
+}
+
+
+@pytest.mark.parametrize("cases, make_draw", ORACLE_RINGS.values(), ids=ORACLE_RINGS.keys())
+def test_grouped_formulas_match_the_term_by_term_expansions(cases, make_draw):
+    draw = make_draw(random.Random(f"oracle:{cases}"))
+    for _ in range(cases):
+        c = QuarticCoeffs(*(draw() for _ in range(5)))
+        assert disc_delta(c) == _disc_delta_terms(c), c
+        assert sem_d(c) == _sem_d_terms(c), c
+        assert tuple(closure_conditions_a_nonzero(c)) == _closure_conditions_terms(c), c
